@@ -2,8 +2,9 @@
 
 Subcommands: scatter, staircase, classify, mutate, verify.  All machine
 outputs (JSON, CSV, SVG, DOT) are byte-deterministic for identical inputs.
-Exit codes: 0 success, 1 cross-check disagreement, 2 invalid input,
-3 term cap exceeded.
+Exit codes: 0 success, 1 cross-check disagreement from ``verify`` (no other
+outcome is reported as 1), 2 invalid input, 3 term cap exceeded, 4 output
+could not be written.
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import staircase as stair
 from .curves import classify_pair, scattering_cross_check
 from .scattering import (
     TermCapExceeded,
-    diagram_json_text,
+    diagram_to_json,
     diagram_to_svg,
     initial_diagram,
     ks_complete,
@@ -32,8 +34,8 @@ from .toric import (
     format_model,
     gl2z_equivalent,
     mutation_orbit,
-    orbit_json_text,
     orbit_to_dot,
+    orbit_to_json,
     parse_model,
 )
 
@@ -41,15 +43,17 @@ EXIT_OK = 0
 EXIT_DISAGREEMENT = 1
 EXIT_BAD_INPUT = 2
 EXIT_TERM_CAP = 3
+EXIT_IO = 4
+
+# Output format name -> renderer returning text or a JSON payload.
+Renderers = Dict[str, Callable[[], Union[str, dict, list]]]
 
 # Lets vector arguments like "-1,-3;1,0" pass as values rather than flags.
 _LEADING_MINUS_VALUE = re.compile(r"^-\d")
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_BAD_INPUT):
-        super().__init__(message)
-        self.code = code
+class CliError(ValueError):
+    """Invalid command-line input (exit code 2, like the library's ValueErrors)."""
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -70,19 +74,15 @@ def _parse_vec(text: str):
     return (int(parts[0]), int(parts[1]))
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
+#
+# Each subcommand computes its result once and returns its exit code with one
+# renderer per output format.  A renderer takes no arguments and returns text
+# or a JSON payload; ``main`` calls the one the user asked for and writes it.
 
 
-def cmd_scatter(args) -> int:
+def cmd_scatter(args) -> Tuple[int, Renderers]:
     seeds = []
     if len(args.m) != len(args.k):
         raise CliError("need one --k per --m")
@@ -97,25 +97,15 @@ def cmd_scatter(args) -> int:
         raise CliError("at least one seed (--m/--k) is required")
     if args.order < 2:
         raise CliError("scattering needs --order >= 2")
-    try:
-        diagram = ks_complete(initial_diagram(seeds, args.order), args.term_cap)
-    except TermCapExceeded as exc:
-        raise CliError(str(exc), EXIT_TERM_CAP)
+    diagram = ks_complete(initial_diagram(seeds, args.order), args.term_cap)
     spectrum = ray_spectrum(diagram)
     provenance = (
         "input: "
         + " ".join(f"m={m[0]},{m[1]}^k={k}" for m, k in seeds)
         + f" order={args.order}"
     )
-    if args.format == "svg":
-        _emit(diagram_to_svg(diagram, provenance), args.out)
-    elif args.format == "json":
-        payload = json.loads(diagram_json_text(diagram))
-        payload["spectrum"] = [
-            {"dir": list(d), "order": o, "coeff": str(c)} for d, o, c in spectrum
-        ]
-        _emit(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n", args.out)
-    else:
+
+    def text() -> str:
         lines = [f"completed diagram at order {args.order}: {len(diagram.walls)} walls"]
         for w in diagram.sorted_walls():
             tag = "in " if w.incoming else "out"
@@ -123,26 +113,34 @@ def cmd_scatter(args) -> int:
         lines.append("lowest-order spectrum:")
         for d, o, c in spectrum:
             lines.append(f"  ({d[0]},{d[1]})  t^{o}  {c}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+        return "\n".join(lines) + "\n"
+
+    def payload() -> dict:
+        return {
+            **diagram_to_json(diagram),
+            "spectrum": [{"dir": list(d), "order": o, "coeff": str(c)} for d, o, c in spectrum],
+        }
+
+    return EXIT_OK, {
+        "text": text,
+        "json": payload,
+        "svg": partial(diagram_to_svg, diagram, provenance),
+    }
 
 
-def cmd_staircase(args) -> int:
+def cmd_staircase(args) -> Tuple[int, Renderers]:
     if args.range:
         lo, hi = (_parse_fraction(t) for t in args.range)
         if lo < 1:
             raise CliError("aspect ratios must be >= 1")
         rows = stair.staircase_samples(lo, hi, args.samples)
-        if args.format == "csv":
-            _emit(stair.samples_to_csv(rows), args.out)
-        elif args.format == "svg":
-            _emit(
-                stair.staircase_svg(lo, hi, args.samples, f"input: range {lo}..{hi}"),
-                args.out,
-            )
-        else:
-            _emit(stair.samples_to_json(rows), args.out)
-        return EXIT_OK
+        records = partial(stair.samples_to_json, rows)
+        return EXIT_OK, {
+            "text": records,
+            "json": records,
+            "csv": partial(stair.samples_to_csv, rows),
+            "svg": partial(stair.staircase_svg, rows, f"input: range {lo}..{hi}"),
+        }
     if args.a is None:
         raise CliError("need --a or --range")
     a = _parse_fraction(args.a)
@@ -150,7 +148,7 @@ def cmd_staircase(args) -> int:
         raise CliError("aspect ratio must be >= 1")
     ball = stair.ball_embedding_value(a)
     wanted = args.value
-    if wanted in ("ball", "all") and isinstance(ball, stair.Unspecified) and wanted == "ball":
+    if wanted == "ball" and isinstance(ball, stair.Unspecified):
         raise CliError(f"a = {a} lies in the transitional window; no point value")
     values = {
         "ball": "unspecified" if isinstance(ball, stair.Unspecified) else str(ball),
@@ -162,15 +160,11 @@ def cmd_staircase(args) -> int:
         payload = {"a": str(a), wanted: values[wanted]}
     else:
         payload = {"a": str(a), **values}
-    if args.format == "json":
-        _emit(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n", args.out)
-    else:
-        lines = [f"{k}: {v}" for k, v in payload.items()]
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    lines = [f"{k}: {v}" for k, v in payload.items()]
+    return EXIT_OK, {"text": lambda: "\n".join(lines) + "\n", "json": lambda: payload}
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> Tuple[int, Renderers]:
     p, q = args.p, args.q
     if p < 1 or q < 1:
         raise CliError("need positive p and q")
@@ -179,43 +173,31 @@ def cmd_classify(args) -> int:
     if math.gcd(p, q) != 1:
         raise CliError(f"({p}, {q}) is not coprime")
     result = classify_pair(p, q)
-    if args.format == "json":
-        _emit(
-            json.dumps(result.to_json(), sort_keys=True, separators=(",", ":")) + "\n",
-            args.out,
-        )
-    else:
-        verdict = result.verdict
-        if result.fibonacci_index is not None:
-            verdict += f"(k={result.fibonacci_index})"
-        lines = [
-            f"pair: ({result.p}, {result.q})",
-            f"verdict: {verdict}",
-            f"diophantine: {result.diophantine}",
-            f"divisible_by_three: {result.divisible_by_three}",
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    verdict = result.verdict
+    if result.fibonacci_index is not None:
+        verdict += f"(k={result.fibonacci_index})"
+    lines = [
+        f"pair: ({result.p}, {result.q})",
+        f"verdict: {verdict}",
+        f"diophantine: {result.diophantine}",
+        f"divisible_by_three: {result.divisible_by_three}",
+    ]
+    return EXIT_OK, {"text": lambda: "\n".join(lines) + "\n", "json": result.to_json}
 
 
-def cmd_mutate(args) -> int:
-    try:
-        model = parse_model(args.model)
-    except ValueError as exc:
-        raise CliError(str(exc))
+def cmd_mutate(args) -> Tuple[int, Renderers]:
+    model = parse_model(args.model)
     if args.orbit_depth is not None:
         nodes = mutation_orbit(model, args.orbit_depth)
-        if args.format == "dot":
-            _emit(orbit_to_dot(nodes, f"input: {args.model} depth={args.orbit_depth}"), args.out)
-        elif args.format == "json":
-            _emit(orbit_json_text(nodes), args.out)
-        else:
-            lines = [
-                f"{format_model(n.model)}  word={','.join(map(str, n.word)) or '-'}"
-                for n in nodes
-            ]
-            _emit("\n".join(lines) + "\n", args.out)
-        return EXIT_OK
+        lines = [
+            f"{format_model(n.model)}  word={','.join(map(str, n.word)) or '-'}"
+            for n in nodes
+        ]
+        return EXIT_OK, {
+            "text": lambda: "\n".join(lines) + "\n",
+            "json": partial(orbit_to_json, nodes),
+            "dot": partial(orbit_to_dot, nodes, f"input: {args.model} depth={args.orbit_depth}"),
+        }
     word: List[int] = []
     if args.word:
         word = [int(t) for t in args.word.split(",") if t.strip()]
@@ -223,50 +205,28 @@ def cmd_mutate(args) -> int:
         result = apply_word(model, word)
     except IndexError as exc:
         raise CliError(str(exc))
+    payload = {"model": format_model(result)}
     lines = [format_model(result)]
     if args.compare_original:
         matrix = gl2z_equivalent(model, result)
+        payload["equivalent_to_original"] = matrix is not None
         if matrix is None:
             lines.append("not GL(2,Z)-equivalent to the original")
         else:
+            payload["matrix"] = [list(matrix[0]), list(matrix[1])]
             lines.append(
                 "equivalent to the original via "
                 f"[[{matrix[0][0]},{matrix[0][1]}],[{matrix[1][0]},{matrix[1][1]}]]"
             )
-    if args.format == "json":
-        payload = {"model": format_model(result)}
-        if args.compare_original:
-            matrix = gl2z_equivalent(model, result)
-            payload["equivalent_to_original"] = matrix is not None
-            if matrix is not None:
-                payload["matrix"] = [list(matrix[0]), list(matrix[1])]
-        _emit(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n", args.out)
-    else:
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return EXIT_OK, {"text": lambda: "\n".join(lines) + "\n", "json": lambda: payload}
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Tuple[int, Renderers]:
     if args.order < 3:
         raise CliError("verification needs --order >= 3")
-    classifier = classify_pair
-    if args.corrupt_classifier:
-        # negative-control hook: deliberately flip one verdict
-        def classifier(p, q):  # noqa: F811
-            result = classify_pair(p, q)
-            if (p, q) == (2, 1):
-                object.__setattr__(result, "verdict", "not_realizable")
-            return result
-
-    try:
-        report = scattering_cross_check(args.order, args.term_cap, classifier)
-    except TermCapExceeded as exc:
-        raise CliError(str(exc), EXIT_TERM_CAP)
-    if args.format == "json":
-        _emit(report.json_text(), args.out)
-    else:
-        _emit(report.to_table(), args.out)
-    return EXIT_OK if report.agreement else EXIT_DISAGREEMENT
+    report = scattering_cross_check(args.order, args.term_cap, classify_pair)
+    code = EXIT_OK if report.agreement else EXIT_DISAGREEMENT
+    return code, {"text": report.to_table, "json": report.to_json}
 
 
 # ---------------------------------------------------------------------------
@@ -325,27 +285,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--term-cap", type=int, default=500_000)
     p_ver.add_argument("--format", choices=["text", "json"], default="text")
     p_ver.add_argument("--out", default=None)
-    p_ver.add_argument(
-        "--corrupt-classifier",
-        action="store_true",
-        help="negative-control test hook: deliberately corrupt one verdict",
-    )
     p_ver.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except CliError as exc:
+        code, renderers = args.func(args)
+        # a format without a renderer of its own falls back to plain text
+        output = renderers.get(args.format, renderers["text"])()
+    except TermCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return EXIT_TERM_CAP
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    if not isinstance(output, str):
+        output = json.dumps(output, sort_keys=True, separators=(",", ":")) + "\n"
+    try:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(output)
+        else:
+            sys.stdout.write(output)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    return code
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ only ever used through the sign of the quadratic x^2 - 7x + 1.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -408,9 +407,6 @@ class CrossCheckReport:
                 for d, o, c in self.native_spectrum
             ],
         }
-
-    def json_text(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
 
     def to_table(self) -> str:
         lines = [

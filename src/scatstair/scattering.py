@@ -20,7 +20,6 @@ suite):
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -457,19 +456,29 @@ def log_coefficient(diagram: ScatteringDiagram, direction: Vec, kappa: int) -> F
     return total
 
 
+def _lowest_terms(wall: Wall) -> List[Tuple[Tuple[int, int, int], Fraction]]:
+    """The nontrivial label terms of least t-degree, ordered by the multiple j
+    of the wall's monomial direction they sit on.  A graded diagram has one
+    such term per wall; an ungraded one may have several."""
+    nontrivial = [(key, c) for key, c in wall.label.terms.items() if key != (0, 0, 0)]
+    if not nontrivial:
+        return []
+    k0 = min(key[2] for key, _ in nontrivial)
+    m = wall.monomial_direction()
+    return sorted(
+        ((key, c) for key, c in nontrivial if key[2] == k0),
+        key=lambda term: _ray_multiple(term[0][:2], m),
+    )
+
+
 def ray_spectrum(diagram: ScatteringDiagram) -> List[Tuple[Vec, int, Fraction]]:
-    """(direction, lowest t-order of label - 1, its coefficient) per outgoing ray."""
-    out = []
-    for wall in diagram.outgoing_walls():
-        nontrivial = {k: c for k, c in wall.label.terms.items() if k != (0, 0, 0)}
-        if not nontrivial:
-            continue
-        k0 = min(k for (_, _, k) in nontrivial)
-        lowest = [(key, c) for key, c in nontrivial.items() if key[2] == k0]
-        if len(lowest) != 1:
-            raise ConventionError(f"ambiguous lowest-order term on ray {wall.direction}")
-        out.append((wall.direction, k0, lowest[0][1]))
-    return out
+    """(direction, t-degree, coefficient) of each lowest-degree label term of
+    each outgoing ray, in ray order and then by multiple of the direction."""
+    return [
+        (wall.direction, key[2], c)
+        for wall in diagram.outgoing_walls()
+        for key, c in _lowest_terms(wall)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -529,14 +538,9 @@ def diagram_to_svg(diagram: ScatteringDiagram, provenance: str = "") -> str:
             f'<line x1="{center:.2f}" y1="{center:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
             f'style="{style};stroke-width:1.6"/>'
         )
-        nontrivial = {k: c for k, c in wall.label.terms.items() if k != (0, 0, 0)}
-        if nontrivial:
-            k0 = min(k for (_, _, k) in nontrivial)
-            term = TruncatedSeries(
-                diagram.order,
-                {key: c for key, c in nontrivial.items() if key[2] == k0},
-            )
-            text = f"1 + {term.to_text()} + ..."
+        lowest = _lowest_terms(wall)
+        if lowest:
+            text = f"1 + {TruncatedSeries(diagram.order, dict(lowest)).to_text()} + ..."
         else:
             text = "1"
         tx = center + (scale + 14) * ux
@@ -546,7 +550,3 @@ def diagram_to_svg(diagram: ScatteringDiagram, provenance: str = "") -> str:
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-def diagram_json_text(diagram: ScatteringDiagram) -> str:
-    return json.dumps(diagram_to_json(diagram), sort_keys=True, separators=(",", ":")) + "\n"

@@ -366,8 +366,3 @@ class TruncatedSeries:
             key = (int(rec["a"]), int(rec["b"]), int(rec["k"]))
             terms[key] = terms.get(key, Fraction(0)) + Fraction(int(rec["num"]), int(rec["den"]))
         return cls(order, terms)
-
-
-def geometric_inverse(f: TruncatedSeries) -> TruncatedSeries:
-    """Module-level alias for the unit inverse (used by wall-crossing powers)."""
-    return f.inverse()

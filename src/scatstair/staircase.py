@@ -9,7 +9,6 @@ returned as an exact :class:`SqrtValue` marker and compared by squaring.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
@@ -340,8 +339,9 @@ def samples_to_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def samples_to_json(rows) -> str:
-    payload = [
+def samples_to_json(rows) -> List[dict]:
+    """JSON-ready records of ``staircase_samples`` rows."""
+    return [
         {
             "a": str(a),
             "ball": _value_text(ball),
@@ -350,7 +350,6 @@ def samples_to_json(rows) -> str:
         }
         for a, ball, stab, fold in rows
     ]
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _plot_y(v: StaircaseValue) -> Optional[float]:
@@ -361,10 +360,10 @@ def _plot_y(v: StaircaseValue) -> Optional[float]:
     return float(v)
 
 
-def staircase_svg(lo: Fraction, hi: Fraction, count: int, provenance: str = "") -> str:
-    """Static SVG of the ball staircase and the folding curve, with the outer
-    and inner corners in range marked."""
-    rows = staircase_samples(lo, hi, count)
+def staircase_svg(rows, provenance: str = "") -> str:
+    """Static SVG of ``staircase_samples`` rows: the ball staircase and the
+    folding curve, with the outer and inner corners in range marked."""
+    lo, hi, count = rows[0][0], rows[-1][0], len(rows)
     width, height = 640, 420
     pad = 40.0
     xs = [float(a) for a, *_ in rows]

@@ -9,7 +9,6 @@ multisets.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -352,7 +351,3 @@ def orbit_to_dot(nodes: Sequence[OrbitNode], provenance: str = "") -> str:
             )
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def orbit_json_text(nodes: Sequence[OrbitNode]) -> str:
-    return json.dumps(orbit_to_json(nodes), sort_keys=True, separators=(",", ":")) + "\n"

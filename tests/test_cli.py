@@ -1,9 +1,12 @@
 """End-to-end command-line checks, including byte determinism and exit codes."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+from scatstair import cli
 
 
 def run_cli(*args, expect: int = 0):
@@ -61,6 +64,14 @@ def test_scatter_term_cap_exit():
         "scatter", "--m", "1,0", "--m", "0,1", "--k", "3", "--k", "3",
         "--order", "10", "--term-cap", "10", expect=3,
     )
+
+
+def test_scatter_ambiguous_lowest_terms(capsys):
+    # an ungraded diagram: ray (-1,0) carries z^(-4,0) t^3 and z^(-7,0) t^3
+    argv = "scatter --m -3,1 --k 1 --m 0,1 --k 1 --m -1,-2 --k 1 --order 6".split()
+    assert cli.main(argv) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if "(-1,0)  t^3" in line]
+    assert rows == ["  (-1,0)  t^3  112", "  (-1,0)  t^3  147"]
 
 
 def test_scatter_byte_determinism():
@@ -189,9 +200,27 @@ def test_verify_vacuous_small_order():
     assert payload["agreement"] is True
 
 
-def test_verify_negative_control():
-    out = run_cli("verify", "--order", "5", "--corrupt-classifier", expect=1)
-    assert "MISMATCH" in out.stdout
+def test_verify_negative_control(monkeypatch, capsys):
+    real = cli.classify_pair
+
+    def flipped(p, q):
+        result = real(p, q)
+        if (p, q) == (2, 1):
+            result = dataclasses.replace(result, verdict="not_realizable")
+        return result
+
+    monkeypatch.setattr(cli, "classify_pair", flipped)
+    assert cli.main(["verify", "--order", "5"]) == 1
+    assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_unwritable_out_exit(tmp_path: Path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    code = cli.main(["classify", "--p", "2", "--q", "1", "--format", "json", "--out", str(target)])
+    assert code == cli.EXIT_IO == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert not target.exists()
 
 
 def test_verify_byte_determinism():

@@ -319,6 +319,13 @@ def test_ray_spectrum_double_seed_ray_1_2():
     assert spectrum[(1, 2)] == (3, 2)
 
 
+def test_ray_spectrum_one_entry_per_graded_ray():
+    for seeds in ([((1, 0), 1), ((0, 1), 1)], [((1, 0), 2), ((0, 1), 3)], [((-1, -3), 1), ((1, 0), 1)]):
+        S = ks_complete(initial_diagram(seeds, 8))
+        dirs = [d for d, _, _ in ray_spectrum(S)]
+        assert dirs == [w.direction for w in S.outgoing_walls() if len(w.label.terms) > 1]
+
+
 def test_ray_spectrum_empty():
     assert ray_spectrum(ScatteringDiagram(5, ())) == []
 
