@@ -3,8 +3,9 @@
 Subcommands: scatter, staircase, classify, mutate, verify.  All machine
 outputs (JSON, CSV, SVG, DOT) are byte-deterministic for identical inputs.
 Exit codes: 0 success, 1 cross-check disagreement from ``verify`` (no other
-outcome is reported as 1), 2 invalid input, 3 term cap exceeded, 4 output
-could not be written.
+outcome is reported as 1), 2 invalid input (including a ``--format`` that the
+query has no rendering for, such as ``staircase --a 5 --format csv``), 3 term
+cap exceeded, 4 output could not be written.
 """
 
 from __future__ import annotations
@@ -79,7 +80,8 @@ def _parse_vec(text: str):
 #
 # Each subcommand computes its result once and returns its exit code with one
 # renderer per output format.  A renderer takes no arguments and returns text
-# or a JSON payload; ``main`` calls the one the user asked for and writes it.
+# or a JSON payload; ``main`` calls the one the user asked for and writes it,
+# or rejects the format if the result has no renderer for it.
 
 
 def cmd_scatter(args) -> Tuple[int, Renderers]:
@@ -294,8 +296,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, renderers = args.func(args)
-        # a format without a renderer of its own falls back to plain text
-        output = renderers.get(args.format, renderers["text"])()
+        if args.format not in renderers:
+            raise CliError(
+                f"--format {args.format} is not available for this query; "
+                f"use {' or '.join(renderers)}"
+            )
+        output = renderers[args.format]()
     except TermCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TERM_CAP

@@ -19,6 +19,7 @@ suite):
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +39,14 @@ class ConventionError(RuntimeError):
 
 
 class TermCapExceeded(RuntimeError):
-    """The configured bound on total stored label terms was exceeded."""
+    """The configured bound on total stored label terms was exceeded.
+
+    ``order`` is the order k whose walls pushed the count past the cap.
+    """
+
+    def __init__(self, message: str, order: int):
+        super().__init__(message)
+        self.order = order
 
 
 class TruncationTooLow(ValueError):
@@ -278,36 +286,49 @@ class DefectReport:
         return bool(self.terms)
 
 
-def _readout(series: TruncatedSeries, base: Vec, k: int, coord: int) -> Dict[Vec, Fraction]:
-    """Extract {w: c_w} from Mon(z^base)/z^base - 1 at order t^k.
+# A series by t-degree: entry d maps each z-exponent to its coefficient at t^d.
+Slices = List[Dict[Vec, Fraction]]
 
-    ``coord`` selects the readout: 0 means the stated coefficient is
-    c_w * (-w2) (x-readout), 1 means c_w * (w1) (y-readout).
+_BASES: Tuple[Vec, Vec] = ((1, 0), (0, 1))
+
+
+def _read_defect(k: int, sx: Slices, sy: Slices) -> DefectReport:
+    """The order-k defect from the t-degree slices of Mon(x) and Mon(y).
+
+    Slices 1..k-1 must vanish.  In slice k the image of z^base states
+    -c_w * wedge(base, w) at z^(base + w): c_w * (-w2) for x, c_w * w1 for y.
+    An offending term is reported lowest degree first, then by exponent, the
+    x-image before the y-image.
     """
-    out: Dict[Vec, Fraction] = {}
-    for (a, b, kk), c in series.terms.items():
-        if (a, b, kk) == (base[0], base[1], 0):
-            if c != 1:
-                raise ConventionError("monodromy does not fix the base monomial")
-            continue
-        if kk < k:
-            raise ValueError(
-                f"monodromy is not trivial mod t^{k}: found a defect at order t^{kk}"
-            )
-        if kk > k:
-            continue
-        w = (a - base[0], b - base[1])
-        if w == (0, 0):
-            raise ConventionError("defect term with zero z-exponent cannot be cancelled")
-        if coord == 0:
-            if w[1] == 0:
-                raise ConventionError(f"x-readout saw a defect at {w} with w2 = 0")
-            out[w] = -c / w[1]
-        else:
-            if w[0] == 0:
-                raise ConventionError(f"y-readout saw a defect at {w} with w1 = 0")
-            out[w] = c / w[0]
-    return out
+    readouts = []
+    for base, slices, name, axis in (((1, 0), sx, "x", "w2"), ((0, 1), sy, "y", "w1")):
+        for d in range(1, k):
+            if slices[d]:
+                raise ValueError(
+                    f"monodromy is not trivial mod t^{k}: found a defect at order t^{d}"
+                )
+        out: Dict[Vec, Fraction] = {}
+        for (a, b), c in sorted(slices[k].items()):
+            w = (a - base[0], b - base[1])
+            if w == (0, 0):
+                raise ConventionError("defect term with zero z-exponent cannot be cancelled")
+            e = wedge(base, w)
+            if e == 0:
+                raise ConventionError(f"{name}-readout saw a defect at {w} with {axis} = 0")
+            out[w] = -c / e
+        readouts.append(out)
+    merged, from_y = readouts
+    for w, c in from_y.items():
+        if merged.setdefault(w, c) != c:
+            raise ConventionError(f"inconsistent defect readouts at {w}: {merged[w]} vs {c}")
+    return DefectReport(k, merged)
+
+
+def _by_degree(series: TruncatedSeries) -> Slices:
+    slices: Slices = [{} for _ in range(series.order)]
+    for (a, b, d), c in series.terms.items():
+        slices[d][(a, b)] = c
+    return slices
 
 
 def defect_at_order(diagram: ScatteringDiagram, k: int) -> DefectReport:
@@ -318,18 +339,7 @@ def defect_at_order(diagram: ScatteringDiagram, k: int) -> DefectReport:
     walls = [w for w in walls if len(w.label.terms) > 1]
     small = ScatteringDiagram(k + 1, tuple(walls), diagram.grading)
     sx, sy = total_monodromy(small)
-    from_x = _readout(sx, (1, 0), k, 0)
-    from_y = _readout(sy, (0, 1), k, 1)
-    merged = dict(from_x)
-    for w, c in from_y.items():
-        if w in merged:
-            if merged[w] != c:
-                raise ConventionError(
-                    f"inconsistent defect readouts at {w}: {merged[w]} vs {c}"
-                )
-        else:
-            merged[w] = c
-    return DefectReport(k, merged)
+    return _read_defect(k, _by_degree(sx), _by_degree(sy))
 
 
 def canonicalize(diagram: ScatteringDiagram) -> ScatteringDiagram:
@@ -351,35 +361,144 @@ def canonicalize(diagram: ScatteringDiagram) -> ScatteringDiagram:
     return ScatteringDiagram(diagram.order, tuple(walls), diagram.grading)
 
 
+# The t^0 slice of every label power.
+_UNIT: Dict[Vec, Fraction] = {(0, 0): Fraction(1)}
+
+
+class _Crossing:
+    """A wall of a completion in progress, with its label split by t-degree
+    and the slices of the label's powers computed so far."""
+
+    def __init__(self, wall: Wall):
+        self.wall = wall
+        self.label: Dict[int, Dict[Vec, Fraction]] = {}
+        for (a, b, d), c in wall.label.terms.items():
+            if d:
+                self.label.setdefault(d, {})[(a, b)] = c
+        # exponent e -> (degree computed through, nonzero t-degree slices of label^e)
+        self.powers: Dict[int, Tuple[int, Dict[int, Dict[Vec, Fraction]]]] = {}
+
+    def relabeled(self, wall: Wall, k: int) -> "_Crossing":
+        """The crossing of ``wall``, whose label differs from this one only from
+        t^k on; the power slices below t^k carry over."""
+        new = _Crossing(wall)
+        for e, (done, slices) in self.powers.items():
+            slices.pop(k, None)
+            new.powers[e] = (min(done, k - 1), slices)
+        return new
+
+    def power(self, e: int, n: int) -> Dict[Vec, Fraction]:
+        """The t^n slice of label^e, n >= 1."""
+        done, slices = self.powers.get(e, (0, {0: _UNIT}))
+        if done >= n:
+            return slices.get(n, {})
+        # J. C. P. Miller's recurrence for g = f^e with f_0 = 1:
+        # m * g_m = sum over a of ((e + 1) * a - m) * f_a * g_(m - a)
+        for m in range(done + 1, n + 1):
+            acc: Dict[Vec, Fraction] = {}
+            for a, fa in self.label.items():
+                g = slices.get(m - a)
+                scale = (e + 1) * a - m
+                if not g or not scale:
+                    continue
+                for (u0, u1), cu in fa.items():
+                    for (v0, v1), cv in g.items():
+                        key = (u0 + v0, u1 + v1)
+                        acc[key] = acc.get(key, 0) + scale * cu * cv
+            acc = {key: c / m for key, c in acc.items() if c}
+            if acc:
+                slices[m] = acc
+        self.powers[e] = (n, slices)
+        return slices.get(n, {})
+
+    def advance(self, prev: Slices, k: int) -> Dict[Vec, Fraction]:
+        """The t^k slice of the image of ``prev`` under this wall's crossing."""
+        d0, d1 = self.wall.direction
+        out = dict(prev[k])
+        for a in range(k):
+            for (v0, v1), c in prev[a].items():
+                e = d0 * v1 - d1 * v0
+                if not e:
+                    continue
+                for (u0, u1), g in self.power(e, k - a).items():
+                    key = (v0 + u0, v1 + u1)
+                    out[key] = out.get(key, 0) + c * g
+        return {key: c for key, c in out.items() if c}
+
+
 def ks_complete(
     diagram: ScatteringDiagram,
     term_cap: Optional[int] = 500_000,
 ) -> ScatteringDiagram:
     """Add outgoing walls order by order until the total monodromy is trivial.
 
-    At order k the defect report is converted into walls: a term (w, c_w)
-    with primitive part (p, j) yields an outgoing wall on the ray p with
-    label 1 - j*c_w*t^k*z^w, which cancels that term exactly mod t^{k+1}.
-    Incoming walls pass through unchanged.  Raises
-    :class:`TermCapExceeded` when the total number of stored label terms
-    passes ``term_cap``.
+    The walls are kept in crossing order together with the images of x and
+    of y after each of them, stored by t-degree.  At order k only the t^k
+    slice of each image is computed, from the slices below it and the
+    slices of the label powers the crossing needs (each power slice comes
+    from J. C. P. Miller's recurrence).  The defect is read off the image
+    after the last wall: a term (w, c_w) with primitive part (p, j) becomes
+    the factor 1 - j*c_w*t^k*z^w of the outgoing wall on the ray p, which
+    cancels that term mod t^{k+1}.  Such a factor changes nothing below
+    t^k, so it only shifts the t^k slices of the images from its wall
+    onward, and nothing below t^k is ever recomputed.  Incoming walls pass
+    through unchanged.
+
+    Raises :class:`TermCapExceeded` when, after the walls of some order are
+    added, the diagram (one merged label per ray and orientation) stores
+    more than ``term_cap`` label terms.  The full-order total monodromy is
+    recomputed at the end as an independent check, and
+    :class:`ConventionError` is raised if it is not the identity.
     """
     diag = canonicalize(diagram)
     K = diag.order
+    crossings = [_Crossing(w) for w in diag.walls]
+    # images[i]: the images of x and of y after the first i walls, by t-degree
+    images = [tuple([{base: Fraction(1)}] for base in _BASES) for _ in range(len(crossings) + 1)]
+    one = TruncatedSeries.one(K)
     for k in range(1, K):
-        report = defect_at_order(diag, k)
+        for slices in images[0]:
+            slices.append({})
+        for crossing, before, after in zip(crossings, images, images[1:]):
+            for prev, cur in zip(before, after):
+                cur.append(crossing.advance(prev, k))
+        report = _read_defect(k, *images[-1])
         if not report:
             continue
-        new_walls = list(diag.walls)
+        factors: Dict[Vec, List[Tuple[Vec, Fraction]]] = {}
         for w, c in sorted(report.terms.items()):
             p, j = primitive_part(w)
-            label = TruncatedSeries.one(K) + TruncatedSeries.monomial(K, w, k, -j * c)
-            new_walls.append(Wall(p, False, label))
-        diag = canonicalize(ScatteringDiagram(K, tuple(new_walls), diag.grading))
-        if term_cap is not None and diag.total_terms() > term_cap:
+            factors.setdefault(p, []).append((w, -j * c))
+        for p, terms in factors.items():
+            new = Wall(p, False, one)
+            i = bisect.bisect_left(crossings, _wall_key(new), key=lambda cr: _wall_key(cr.wall))
+            if i == len(crossings) or _wall_cmp(crossings[i].wall, new):
+                crossings.insert(i, _Crossing(new))
+                images.insert(i + 1, tuple(s[:k] + [dict(s[k])] for s in images[i]))
+            label = crossings[i].wall.label
+            for w, alpha in terms:
+                label = label * (one + TruncatedSeries.monomial(K, w, k, alpha))
+            for base, after in zip(_BASES, zip(*images[i + 1:])):
+                e = wedge(p, base)
+                if not e:
+                    continue
+                for w, alpha in terms:
+                    key = (base[0] + w[0], base[1] + w[1])
+                    for slices in after:
+                        s = slices[k]
+                        s[key] = s.get(key, 0) + e * alpha
+                        if not s[key]:
+                            del s[key]
+            if label == one:
+                del crossings[i], images[i + 1]
+            else:
+                crossings[i] = crossings[i].relabeled(Wall(p, False, label), k)
+        total = sum(len(cr.wall.label.terms) for cr in crossings)
+        if term_cap is not None and total > term_cap:
             raise TermCapExceeded(
-                f"diagram stores {diag.total_terms()} terms (cap {term_cap})"
+                f"diagram stores {total} terms (cap {term_cap}) after order {k} of {K}", k
             )
+    diag = ScatteringDiagram(K, tuple(cr.wall for cr in crossings), diag.grading)
     sx, sy = total_monodromy(diag)
     if sx != TruncatedSeries.monomial(K, (1, 0), 0) or sy != TruncatedSeries.monomial(K, (0, 1), 0):
         raise ConventionError("completion finished with nontrivial monodromy")

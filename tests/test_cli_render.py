@@ -57,8 +57,6 @@ GOLDEN = {
         0, '4f43a9aa70093a9ce1c1e6da3c5f3d70428e0142a963e9babacb208258f0093a'),
     'staircase --a 5 --value volume --format json': (
         0, '631c1397a184b5dbf8b480bd3242e194b032f7226ec57c6db0f82680a850f20f'),
-    'staircase --a 5 --format csv': (
-        0, '022a87d15af0d5c338274766042637d60f7fd9a8459d33f7d890b4f7a6103c47'),
     'staircase --range 1 4 --samples 9': (
         0, 'd785c09134a586d5bba775e22dad77ab7be6ea0f483b1392f88e66158d848174'),
     'staircase --range 1 4 --samples 9 --format json': (
@@ -74,6 +72,8 @@ GOLDEN = {
     'staircase --a 8 --value ball': (2, EMPTY),
     'staircase --range 1/2 3': (2, EMPTY),
     'staircase --range 1 4 --samples 1': (2, EMPTY),
+    'staircase --a 5 --format csv': (2, EMPTY),  # a point value has no csv or svg
+    'staircase --a 5 --format svg': (2, EMPTY),
     # classify
     'classify --p 2 --q 1': (
         0, 'f39e031d37b03eec3fd110c99d7f3c6e880aa12171e7e759a1ad476ee86a6e65'),
@@ -88,8 +88,6 @@ GOLDEN = {
         0, 'a5c6f163cdc01feaf947c10890e6554d4b871bc6e71576c53f976d831457ddbd'),
     'mutate --model -1,-3;1,0 --word 1 --format json': (
         0, '205feba32e9d2ebc6375ab5f88487c178658f3ee14114f27012302f4449ee503'),
-    'mutate --model -1,-3;1,0 --word 1 --format dot': (
-        0, 'a5c6f163cdc01feaf947c10890e6554d4b871bc6e71576c53f976d831457ddbd'),
     'mutate --model -1,-3;1,0 --word 1,2 --compare-original': (
         0, '375e876029fae07459341c77761d5c80b4744ab059bc6f079a2b203731e7d1d6'),
     'mutate --model -1,-3;1,0 --word 1,2 --compare-original --format json': (
@@ -108,6 +106,7 @@ GOLDEN = {
     'mutate --model -1,-3;1,0 --word x': (2, EMPTY),
     'mutate --model -1,-3;1,0 --orbit-depth -1': (2, EMPTY),
     'mutate --model 1,2,3': (2, EMPTY),
+    'mutate --model -1,-3;1,0 --word 1 --format dot': (2, EMPTY),  # only an orbit has dot
     # verify
     'verify --order 5': (
         0, 'a42d9c0722e97946867ce9f13669529dec5d24ec135a54ef450e06a040c1943b'),

@@ -1,8 +1,12 @@
 """Wall crossing, monodromy, completion, lattice transport."""
 
+import random
+from fractions import Fraction
+from math import comb, gcd
+
 import pytest
 
-from scatstair.series import TruncatedSeries as TS
+from scatstair.series import TruncatedSeries as TS, primitive_part
 from scatstair.scattering import (
     ConventionError,
     ScatteringDiagram,
@@ -200,8 +204,12 @@ def test_completion_idempotent():
 
 
 def test_completion_term_cap():
-    with pytest.raises(TermCapExceeded):
+    with pytest.raises(TermCapExceeded) as info:
         ks_complete(initial_diagram([((1, 0), 3), ((0, 1), 3)], 10), term_cap=10)
+    # the seeds (1 + tx)^3, (1 + ty)^3 store 4 terms each and order 1 adds
+    # the outgoing walls 1 + 3tx and 1 + 3ty
+    assert info.value.order == 1
+    assert str(info.value) == "diagram stores 12 terms (cap 10) after order 1 of 10"
 
 
 def test_double_seed_labels():
@@ -244,6 +252,110 @@ def test_grading_invariant():
 def test_completion_determinism():
     d = initial_diagram([((1, 0), 2), ((0, 1), 2)], 8)
     assert ks_complete(d) == ks_complete(d)
+
+
+def reference_complete(diagram):
+    """The completion loop that recomputes the whole defect at every order.
+
+    Returns the completed diagram and, per order that added walls, the term
+    count of the merged diagram afterwards."""
+    diag = canonicalize(diagram)
+    K, totals = diag.order, {}
+    for k in range(1, K):
+        report = defect_at_order(diag, k)
+        if report:
+            walls = list(diag.walls)
+            for w, c in sorted(report.terms.items()):
+                p, j = primitive_part(w)
+                walls.append(Wall(p, False, TS.one(K) + mono(K, w, k, -j * c)))
+            diag = canonicalize(ScatteringDiagram(K, tuple(walls), diag.grading))
+            totals[k] = diag.total_terms()
+    if total_monodromy(diag) != (x_series(K), y_series(K)):
+        raise ConventionError("completion finished with nontrivial monodromy")
+    return diag, totals
+
+
+def _outcome(fn, *args):
+    """(result, None), or (None, (exception type, message))."""
+    try:
+        return fn(*args), None
+    except (ValueError, ConventionError) as exc:
+        return None, (type(exc), str(exc))
+
+
+def _random_seeds(rng):
+    def primitive():
+        while True:
+            v = (rng.randint(-3, 3), rng.randint(-3, 3))
+            if v != (0, 0) and gcd(*v) == 1:
+                return v
+
+    return [(primitive(), rng.randint(1, 2)) for _ in range(rng.randint(2, 3))]
+
+
+_rng = random.Random(20250)
+EQUIVALENCE_CASES = [
+    ([((1, 0), 1), ((0, 1), 1)], 10),
+    ([((1, 0), 2), ((0, 1), 2)], 9),
+    ([((1, 0), 3), ((0, 1), 3)], 9),
+    ([((-1, -3), 1), ((1, 0), 1)], 9),
+    ([((1, 0), 1), ((0, 1), 1), ((1, 1), 1)], 7),
+    ([((1, 0), 1), ((0, 1), 1), ((1, 1), 1), ((-1, 1), 1)], 6),
+    ([((-3, 1), 1), ((0, 1), 1), ((-1, -2), 1)], 6),  # several lowest terms on a ray
+] + [(_random_seeds(_rng), 6) for _ in range(40)]
+
+
+def _case_id(case):
+    seeds, order = case
+    return " ".join(f"{m[0]},{m[1]}^{k}" for m, k in seeds) + f" K={order}"
+
+
+@pytest.mark.parametrize("seeds,order", EQUIVALENCE_CASES, ids=map(_case_id, EQUIVALENCE_CASES))
+def test_completion_matches_reference(seeds, order):
+    diagram = initial_diagram(seeds, order)
+    want, want_error = _outcome(reference_complete, diagram)
+    got, got_error = _outcome(ks_complete, diagram, None)
+    assert got_error == want_error
+    if want_error:
+        return
+    completed, totals = want
+    assert got == completed
+    for cap in (10, 50):
+        over = next((k for k, n in totals.items() if n > cap), None)
+        if over is None:
+            assert ks_complete(diagram, cap) == completed
+            continue
+        with pytest.raises(TermCapExceeded) as info:
+            ks_complete(diagram, cap)
+        assert info.value.order == over
+        assert str(info.value) == (
+            f"diagram stores {totals[over]} terms (cap {cap}) after order {over} of {order}"
+        )
+
+
+def test_completion_drops_a_wall_that_cancels():
+    # (1 + t*x) on the outgoing ray (1,0) is cancelled order by order: the
+    # factors 1 - t*x, 1 + t^2*x^2, 1 + t^4*x^4 leave 1 - t^8*x^8 = 1 mod t^5
+    lone = ScatteringDiagram(5, (wall((1, 0), "1 + t*x", 5),))
+    assert ks_complete(lone) == ScatteringDiagram(5, ())
+    assert reference_complete(lone)[0] == ScatteringDiagram(5, ())
+
+
+def reineke_label(m, order):
+    """f_(1,1) for seeds (1 + tx)^m, (1 + ty)^m: the Gross-Pandharipande-Siebert
+    closed form proved by Reineke,
+    (sum_j C((m-1)^2 j, j) / ((m^2 - 2m) j + 1) * (t^2 xy)^j)^(m^2)."""
+    base = TS(order, {
+        (j, j, 2 * j): Fraction(comb((m - 1) ** 2 * j, j), (m * m - 2 * m) * j + 1)
+        for j in range(order // 2 + 1)
+    })
+    return base ** (m * m)
+
+
+@pytest.mark.parametrize("m,order", [(2, 20), (3, 20), (4, 16)])
+def test_diagonal_label_matches_reineke(m, order):
+    S = ks_complete(initial_diagram([((1, 0), m), ((0, 1), m)], order))
+    assert S.wall_on_ray((1, 1)).label == reineke_label(m, order)
 
 
 # ---------------------------------------------------------------------------
