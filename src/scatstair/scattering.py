@@ -26,6 +26,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .series import (
+    TermKey,
     TruncatedSeries,
     Vec,
     is_primitive,
@@ -175,10 +176,6 @@ class ScatteringDiagram:
     def total_terms(self) -> int:
         return sum(len(w.label.terms) for w in self.walls)
 
-    def truncate(self, new_order: int) -> "ScatteringDiagram":
-        walls = tuple(w.truncate(new_order) for w in self.walls)
-        return ScatteringDiagram(new_order, walls, self.grading)
-
     def min_t_degree(self, w: Vec) -> Optional[int]:
         """Minimal t-degree at which z^w can appear, from the grading; None if ungraded
         or w is outside the graded cone (in which case z^w never appears)."""
@@ -216,42 +213,77 @@ def initial_diagram(seeds: Sequence[Tuple[Vec, int]], order: int) -> ScatteringD
 # wall crossing and monodromy
 
 
+# The t^0 slice of every label power.
+_UNIT: Dict[Vec, Fraction] = {(0, 0): Fraction(1)}
+
+
+def _label_slices(label: TruncatedSeries) -> Dict[int, Dict[Vec, Fraction]]:
+    """The nonzero t-degree slices of a wall label above its constant 1."""
+    slices: Dict[int, Dict[Vec, Fraction]] = {}
+    for (a, b, d), c in label.terms.items():
+        if d:
+            slices.setdefault(d, {})[(a, b)] = c
+    return slices
+
+
+def _power_slices(
+    label: Dict[int, Dict[Vec, Fraction]],
+    e: int,
+    slices: Dict[int, Dict[Vec, Fraction]],
+    lo: int,
+    hi: int,
+) -> None:
+    """Extend ``slices``, the nonzero t-degree slices of f^e below t^lo, in
+    place through t^hi, where f = 1 + the sum of ``label``'s slices.
+
+    J. C. P. Miller's recurrence for g = f^e with f_0 = 1, any integer e:
+    m * g_m = sum over a of ((e + 1) * a - m) * f_a * g_(m - a)
+    """
+    for m in range(lo, hi + 1):
+        acc: Dict[Vec, Fraction] = {}
+        for a, fa in label.items():
+            g = slices.get(m - a)
+            scale = (e + 1) * a - m
+            if not g or not scale:
+                continue
+            for (u0, u1), cu in fa.items():
+                for (v0, v1), cv in g.items():
+                    key = (u0 + v0, u1 + v1)
+                    acc[key] = acc.get(key, 0) + scale * cu * cv
+        acc = {key: c / m for key, c in acc.items() if c}
+        if acc:
+            slices[m] = acc
+
+
 def apply_wall(wall: Wall, s: TruncatedSeries) -> TruncatedSeries:
     """Apply the crossing automorphism of ``wall`` to a series.
 
     Terms are grouped by their exponent e = wedge(d, w); the result is
-    sum_e S_e * label^e with the powers computed incrementally.
+    sum_e S_e * label^e.  Each power comes from J. C. P. Miller's recurrence
+    (see :func:`_power_slices`), only up to the t-degree its group needs:
+    below t^(K - d) for a group whose lowest t-degree is d.
     """
-    groups: Dict[int, Dict] = {}
+    groups: Dict[int, Dict[TermKey, Fraction]] = {}
     for key, c in s.terms.items():
         e = wall.crossing_exponent((key[0], key[1]))
         groups.setdefault(e, {})[key] = c
     if set(groups) <= {0}:
         return s
+    s._check_order(wall.label)
     order = s.order
-    f = wall.label
-    powers: Dict[int, TruncatedSeries] = {0: TruncatedSeries.one(order)}
-    f_inv: Optional[TruncatedSeries] = None
-    result = TruncatedSeries.zero(order)
-    for e in sorted(groups):
-        if e not in powers:
-            if e > 0:
-                base = max(i for i in powers if 0 <= i < e)
-                acc = powers[base]
-                for i in range(base + 1, e + 1):
-                    acc = acc * f
-                    powers[i] = acc
-            else:
-                if f_inv is None:
-                    f_inv = f.inverse()
-                base = min(i for i in powers if i > e)
-                acc = powers[base]
-                for i in range(base - 1, e - 1, -1):
-                    acc = acc * f_inv
-                    powers[i] = acc
-        part = TruncatedSeries(order, groups[e])
-        result = result + part * powers[e]
-    return result
+    label = _label_slices(wall.label)
+    out: Dict[TermKey, Fraction] = dict(groups.pop(0, {}))
+    for e, terms in groups.items():
+        slices = {0: _UNIT}
+        _power_slices(label, e, slices, 1, order - 1 - min(key[2] for key in terms))
+        for (a, b, k), c in terms.items():
+            for m, g in slices.items():
+                if k + m >= order:
+                    continue
+                for (u0, u1), cg in g.items():
+                    key = (a + u0, b + u1, k + m)
+                    out[key] = out.get(key, 0) + c * cg
+    return TruncatedSeries(order, out)
 
 
 def total_monodromy(diagram: ScatteringDiagram) -> Tuple[TruncatedSeries, TruncatedSeries]:
@@ -361,20 +393,13 @@ def canonicalize(diagram: ScatteringDiagram) -> ScatteringDiagram:
     return ScatteringDiagram(diagram.order, tuple(walls), diagram.grading)
 
 
-# The t^0 slice of every label power.
-_UNIT: Dict[Vec, Fraction] = {(0, 0): Fraction(1)}
-
-
 class _Crossing:
     """A wall of a completion in progress, with its label split by t-degree
     and the slices of the label's powers computed so far."""
 
     def __init__(self, wall: Wall):
         self.wall = wall
-        self.label: Dict[int, Dict[Vec, Fraction]] = {}
-        for (a, b, d), c in wall.label.terms.items():
-            if d:
-                self.label.setdefault(d, {})[(a, b)] = c
+        self.label = _label_slices(wall.label)
         # exponent e -> (degree computed through, nonzero t-degree slices of label^e)
         self.powers: Dict[int, Tuple[int, Dict[int, Dict[Vec, Fraction]]]] = {}
 
@@ -390,25 +415,9 @@ class _Crossing:
     def power(self, e: int, n: int) -> Dict[Vec, Fraction]:
         """The t^n slice of label^e, n >= 1."""
         done, slices = self.powers.get(e, (0, {0: _UNIT}))
-        if done >= n:
-            return slices.get(n, {})
-        # J. C. P. Miller's recurrence for g = f^e with f_0 = 1:
-        # m * g_m = sum over a of ((e + 1) * a - m) * f_a * g_(m - a)
-        for m in range(done + 1, n + 1):
-            acc: Dict[Vec, Fraction] = {}
-            for a, fa in self.label.items():
-                g = slices.get(m - a)
-                scale = (e + 1) * a - m
-                if not g or not scale:
-                    continue
-                for (u0, u1), cu in fa.items():
-                    for (v0, v1), cv in g.items():
-                        key = (u0 + v0, u1 + v1)
-                        acc[key] = acc.get(key, 0) + scale * cu * cv
-            acc = {key: c / m for key, c in acc.items() if c}
-            if acc:
-                slices[m] = acc
-        self.powers[e] = (n, slices)
+        if done < n:
+            _power_slices(self.label, e, slices, done + 1, n)
+            self.powers[e] = (n, slices)
         return slices.get(n, {})
 
     def advance(self, prev: Slices, k: int) -> Dict[Vec, Fraction]:
@@ -447,8 +456,11 @@ def ks_complete(
     Raises :class:`TermCapExceeded` when, after the walls of some order are
     added, the diagram (one merged label per ray and orientation) stores
     more than ``term_cap`` label terms.  The full-order total monodromy is
-    recomputed at the end as an independent check, and
-    :class:`ConventionError` is raised if it is not the identity.
+    recomputed at the end by :func:`total_monodromy` as a check, and
+    :class:`ConventionError` is raised if it is not the identity.  The check
+    shares only the power recurrence :func:`_power_slices` with the loop
+    above; a test pins that recurrence against powers taken by series
+    products.
     """
     diag = canonicalize(diagram)
     K = diag.order

@@ -273,22 +273,6 @@ class TruncatedSeries:
             raise ValueError("cannot raise the truncation order of a series")
         return TruncatedSeries(new_order, {k: c for k, c in self.terms.items() if k[2] < new_order})
 
-    def shift(self, exponent: Vec) -> "TruncatedSeries":
-        """Multiply by the Laurent monomial z^exponent (t-degrees unchanged)."""
-        da, db = exponent
-        res = TruncatedSeries.__new__(TruncatedSeries)
-        res.order = self.order
-        res.terms = {(a + da, b + db, k): c for (a, b, k), c in self.terms.items()}
-        return res
-
-    def z_support(self) -> List[Vec]:
-        return sorted({(a, b) for (a, b, _) in self.terms})
-
-    def min_t_degree(self) -> Optional[int]:
-        if not self.terms:
-            return None
-        return min(k for (_, _, k) in self.terms)
-
     # -- rendering -------------------------------------------------------------
 
     def to_text(self) -> str:

@@ -1,7 +1,10 @@
 """End-to-end command-line checks, including byte determinism and exit codes."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -226,3 +229,90 @@ def test_unwritable_out_exit(tmp_path: Path, capsys):
 def test_verify_byte_determinism():
     args = ("verify", "--order", "6", "--format", "json")
     assert run_cli(*args).stdout == run_cli(*args).stdout
+
+
+# Argument values for the random argv test, good and bad: zero and
+# non-primitive vectors, malformed rationals and models, out-of-range words.
+FUZZ_VECS = (["1,0", "0,1", "-1,0", "0,-1", "1,1", "-1,-3", "2,1"],
+             ["0,0", "2,2", "2,4", "3", "a,b", "1,2,3", ""])
+FUZZ_EXPONENTS = (["1", "2", "3"], ["-1", "0", "x"])
+FUZZ_RATIONALS = (["1", "5", "17/6", "9/2", "7", "15/2", "10"],
+                  ["0", "-3", "1/0", "3/-2", "x", "1.5", "2/1/3", ""])
+FUZZ_MODELS = (["-1,-3;1,0", "1,0;0,1", "1,0;0,1;1,1", "1,0"],
+               ["", ";", "1,0;", "a,b;1,0", "1,0;0,1,2", "0,0;1,0"])
+FUZZ_WORDS = (["1", "2", "2,1", "1,2,1", ""], ["0", "3", "-1", "1,,2", "x"])
+FUZZ_FORMATS = {
+    "scatter": ["text", "json", "svg"],
+    "staircase": ["text", "json", "csv", "svg"],
+    "classify": ["text", "json"],
+    "mutate": ["text", "json", "dot"],
+    "verify": ["text", "json"],
+}
+
+
+def _random_argv(rng):
+    """One argv for a random subcommand, mostly with good values, kept small:
+    order <= 6, at most 50 samples, orbit depth <= 3."""
+
+    def pick(values):
+        good, bad = values
+        return rng.choice(good if rng.random() < 0.8 else bad)
+
+    cmd = rng.choice(sorted(FUZZ_FORMATS))
+    argv = [cmd]
+    if cmd == "scatter":
+        n = rng.randint(0, 3)
+        for _ in range(n):
+            argv += ["--m", pick(FUZZ_VECS)]
+        for _ in range(n if rng.random() < 0.8 else rng.randint(0, 3)):
+            argv += ["--k", pick(FUZZ_EXPONENTS)]
+        argv += ["--order", str(rng.randint(0, 6))]
+    elif cmd == "staircase":
+        r = rng.random()
+        if r < 0.45:
+            argv += ["--a", pick(FUZZ_RATIONALS)]
+        elif r < 0.9:  # reversed and empty ranges included
+            argv += ["--range", pick(FUZZ_RATIONALS), pick(FUZZ_RATIONALS)]
+            argv += ["--samples", str(rng.randint(-1, 50))]
+        if rng.random() < 0.4:
+            argv += ["--value", rng.choice(["all", "ball", "stabilized", "folding", "volume"])]
+    elif cmd == "classify":
+        argv += ["--p", str(rng.randint(-1, 13)), "--q", str(rng.randint(-1, 13))]
+    elif cmd == "mutate":
+        argv += ["--model", pick(FUZZ_MODELS)]
+        r = rng.random()
+        if r < 0.45:
+            argv += ["--word", pick(FUZZ_WORDS)]
+        elif r < 0.9:
+            argv += ["--orbit-depth", str(rng.randint(-1, 3))]
+        if rng.random() < 0.4:
+            argv += ["--compare-original"]
+    else:
+        argv += ["--order", str(rng.randint(0, 6))]
+    if cmd in ("scatter", "verify") and rng.random() < 0.7:
+        argv += ["--term-cap", str(rng.randint(-1, 50))]
+    if rng.random() < 0.7:
+        every = sorted({f for formats in FUZZ_FORMATS.values() for f in formats})
+        argv += ["--format", pick((FUZZ_FORMATS[cmd], every))]
+    return argv
+
+
+def test_random_argv_no_traceback():
+    rng = random.Random(8080)
+    seen = {cli.EXIT_OK: 0, cli.EXIT_BAD_INPUT: 0, cli.EXIT_TERM_CAP: 0}
+    for _ in range(200):
+        argv = _random_argv(rng)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage error, exit 2
+                code = exc.code
+        assert code in seen, (argv, code, err.getvalue())
+        seen[code] += 1
+        if code == cli.EXIT_OK:
+            assert out.getvalue(), argv
+        else:
+            assert out.getvalue() == "", argv
+            assert "error: " in err.getvalue().splitlines()[-1], (argv, err.getvalue())
+    assert all(seen.values()), seen

@@ -12,6 +12,8 @@ from scatstair.scattering import (
     ScatteringDiagram,
     TermCapExceeded,
     Wall,
+    _label_slices,
+    _power_slices,
     apply_wall,
     canonicalize,
     change_of_lattice,
@@ -89,6 +91,79 @@ def test_same_ray_walls_commute():
     w2 = wall((1, 2), "1 + 2*t^6*x^2*y^4", 9)
     probe = x_series(9) + mono(9, (2, 1), 1)
     assert apply_wall(w1, apply_wall(w2, probe)) == apply_wall(w2, apply_wall(w1, probe))
+
+
+# Walls on several primitive rays; the label lives on z^m with m = -d for an
+# incoming wall and m = d for an outgoing one.
+ORACLE_RAYS = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (2, 3), (-3, 1), (1, -2), (-2, -5)]
+
+
+def _random_coeff(rng):
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 4))
+
+
+def _random_wall(rng, order):
+    """A wall with 1 to 3 nontrivial label terms, at times two at one t-degree."""
+    d = rng.choice(ORACLE_RAYS)
+    incoming = rng.random() < 0.5
+    m = (-d[0], -d[1]) if incoming else d
+    degrees = [rng.randint(1, order - 1) for _ in range(rng.randint(1, 3))]
+    if len(degrees) > 1 and rng.random() < 0.5:
+        degrees[1] = degrees[0]
+    terms = {(0, 0, 0): Fraction(1)}
+    for j, k in enumerate(degrees, start=1):
+        terms[(j * m[0], j * m[1], k)] = _random_coeff(rng)
+    return Wall(d, incoming, TS(order, terms))
+
+
+def _random_probe(rng, order):
+    """1 to 4 terms with exponents up to 6 in each coordinate, so that the
+    crossing exponents wedge(d, w) reach past 10 in absolute value."""
+    return TS(order, {
+        (rng.randint(-6, 6), rng.randint(-6, 6), rng.randint(0, order - 1)): _random_coeff(rng)
+        for _ in range(rng.randint(1, 4))
+    })
+
+
+def reference_apply_wall(w, s):
+    """sum_e S_e * f^e by TruncatedSeries products, with ``**`` taking the
+    geometric-series inverse for e < 0."""
+    out = TS.zero(s.order)
+    d = w.direction
+    for (a, b, k), c in s.terms.items():
+        out = out + mono(s.order, (a, b), k, c) * w.label ** (d[0] * b - d[1] * a)
+    return out
+
+
+def test_apply_wall_matches_power_products():
+    rng = random.Random(4242)
+    widest = 0
+    for case in range(320):
+        order = rng.randint(2, 9)
+        w, s = _random_wall(rng, order), _random_probe(rng, order)
+        widest = max([widest] + [abs(w.crossing_exponent(key[:2])) for key in s.terms])
+        assert apply_wall(w, s) == reference_apply_wall(w, s), (case, w, s)
+    assert widest >= 10
+
+
+def test_power_slices_match_series_powers():
+    rng = random.Random(977)
+    for _ in range(12):
+        order = rng.randint(2, 9)
+        f = _random_wall(rng, order).label
+        label = _label_slices(f)
+        for e in range(-12, 13):
+            slices = {0: {(0, 0): Fraction(1)}}
+            _power_slices(label, e, slices, 1, order - 1)
+            assert all(slices.values())  # no empty slice is stored
+            got = TS(order, {(a, b, m): c for m, g in slices.items() for (a, b), c in g.items()})
+            assert got == f ** e, (f, e)
+            # extending in two steps, as the completion's cache does, agrees
+            split = rng.randint(1, order - 1)
+            stepwise = {0: {(0, 0): Fraction(1)}}
+            _power_slices(label, e, stepwise, 1, split)
+            _power_slices(label, e, stepwise, split + 1, order - 1)
+            assert stepwise == slices
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,54 @@ def test_ball_value_samples():
     assert ball_embedding_value(WINDOW_HIGH) == SqrtValue(WINDOW_HIGH)
 
 
+# F(-1), F(0), F(1), ...: the Fibonacci numbers with F(-1) = 1, F(0) = 0.
+FIB = [1, 0]
+while len(FIB) < 90:
+    FIB.append(FIB[-1] + FIB[-2])
+
+
+def F(i):
+    return FIB[i + 1]
+
+
+def inner(k):
+    """g(k) = F(2k+3)^2 / F(2k+1)^2, the left end of step k."""
+    return Fraction(F(2 * k + 3) ** 2, F(2 * k + 1) ** 2)
+
+
+def staircase_piece(a, k):
+    """min(a*F(2k+1)/F(2k+3), F(2k+5)/F(2k+3)), the staircase on [g(k), g(k+1)]."""
+    return min(a * Fraction(F(2 * k + 1), F(2 * k + 3)), Fraction(F(2 * k + 5), F(2 * k + 3)))
+
+
+def below_tau_fourth(a):
+    """a < tau^4 = (7 + 3*sqrt(5))/2, i.e. 2a - 7 < 3*sqrt(5)."""
+    return 2 * a - 7 < 0 or (2 * a - 7) ** 2 < 45
+
+
+def test_ball_value_matches_fibonacci_min_form():
+    rng = random.Random(31)
+    points = []
+    for _ in range(150):  # uniform in [1, tau^4)
+        q = rng.randint(1, 10 ** 6)
+        a = Fraction(rng.randint(q, 7 * q), q)
+        if below_tau_fourth(a):
+            points.append(a)
+    for _ in range(150):  # inside a random step k = -1..30
+        k = rng.randint(-1, 30)
+        u = Fraction(rng.randint(0, 10 ** 9), 10 ** 9)
+        points.append(inner(k) + u * (inner(k + 1) - inner(k)))
+    assert len(points) >= 200
+    for a in points:
+        k = next(k for k in range(-1, 40) if a <= inner(k + 1))
+        assert ball_embedding_value(a) == staircase_piece(a, k), a
+    for k in range(-1, 31):
+        outer = Fraction(F(2 * k + 5), F(2 * k + 1))
+        assert inner(k) <= outer <= inner(k + 1)
+        for a in (inner(k), outer, inner(k + 1)):
+            assert ball_embedding_value(a) == staircase_piece(a, k), (k, a)
+
+
 def test_ball_value_rejects_below_one():
     with pytest.raises(ValueError):
         ball_embedding_value(Fraction(1, 2))
