@@ -23,7 +23,7 @@ from .scattering import (
     log_coefficient,
     ray_spectrum,
 )
-from .staircase import fib
+from .staircase import _fibonacci_steps
 
 # Lattice generators of the reference model; the cross-check transports the
 # standard-lattice computation along them.
@@ -58,16 +58,14 @@ def unicuspidal_families(d_max: int) -> List[Tuple[str, int, int, int]]:
         out.append(("a", d, d, d - 1))
     for d in range(4, d_max + 1, 2):
         out.append(("b", d, 2 * d - 1, d // 2))
-    k = 1
-    while fib(2 * k + 3) * fib(2 * k + 1) <= d_max:
-        out.append(
-            ("c", fib(2 * k + 3) * fib(2 * k + 1), fib(2 * k + 3) ** 2, fib(2 * k + 1) ** 2)
-        )
-        k += 1
-    k = 1
-    while fib(2 * k + 3) <= d_max:
-        out.append(("d", fib(2 * k + 3), fib(2 * k + 5), fib(2 * k + 1)))
-        k += 1
+    for _, f1, f3, _ in _fibonacci_steps(1):
+        if f3 * f1 > d_max:
+            break
+        out.append(("c", f3 * f1, f3 * f3, f1 * f1))
+    for _, f1, f3, f5 in _fibonacci_steps(1):
+        if f3 > d_max:
+            break
+        out.append(("d", f3, f5, f1))
     if d_max >= 8:
         out.append(("e", 8, 22, 3))
     if d_max >= 16:
@@ -127,14 +125,11 @@ class Classification:
 
 def fibonacci_outer_index(p: int, q: int) -> Optional[int]:
     """k >= -1 with (p, q) = (fib(2k+5), fib(2k+1)), or None."""
-    k = -1
-    while True:
-        fp = fib(2 * k + 5)
-        if fp > p:
+    for k, f1, _, f5 in _fibonacci_steps():
+        if f5 > p:
             return None
-        if fp == p and fib(2 * k + 1) == q:
+        if f5 == p and f1 == q:
             return k
-        k += 1
 
 
 def classify_pair(p: int, q: int) -> Classification:

@@ -9,6 +9,7 @@ returned as an exact :class:`SqrtValue` marker and compared by squaring.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
@@ -24,6 +25,15 @@ def fib(i: int) -> int:
     for _ in range(i):
         a, b = b, a + b
     return a
+
+
+def _fibonacci_steps(k: int = -1) -> Iterator[Tuple[int, int, int, int]]:
+    """(k, fib(2k+1), fib(2k+3), fib(2k+5)) for step k and each step after it,
+    carried along by fib(2k+7) = 3 fib(2k+5) - fib(2k+3)."""
+    f1, f3, f5 = fib(2 * k + 1), fib(2 * k + 3), fib(2 * k + 5)
+    while True:
+        yield k, f1, f3, f5
+        k, f1, f3, f5 = k + 1, f3, f5, 3 * f5 - f3
 
 
 @dataclass(frozen=True)
@@ -48,8 +58,6 @@ def weight_sequence(p: int, q: int) -> WeightSequence:
     coefficients of a, the weights are nonincreasing, start at 1, and their
     squares sum to a.
     """
-    import math
-
     if q < 1 or p <= q:
         raise ValueError("need p > q >= 1")
     if math.gcd(p, q) != 1:
@@ -110,33 +118,68 @@ def is_exceptional_class(cls: ExceptionalClass) -> bool:
     return cremona_reduces(cls.degree, cls.multiplicities)
 
 
+def _search(
+    degree: int, max_length: int, weights: Sequence[int] = (), floor: Optional[Fraction] = None
+) -> Iterator[Tuple[ExceptionalClass, int]]:
+    """Valid classes of ``degree`` with at most ``max_length`` positive
+    multiplicities, each with its total sum m_i * weights[i] (missing weights
+    count as 0), by pruned search over nonincreasing tuples in descending
+    lexicographic order.
+
+    Each entry m must leave a remaining sum and square sum that positive
+    entries, none above m, can reach in the slots left.  Given ``floor``, the
+    weights must be nonincreasing and the search yields only classes whose
+    total exceeds the floor, raising it to each total it yields.  With
+    W_i = weights[i], a subtree at slot i with prefix total ``acc`` and
+    remaining sum ``rs`` and square sum ``rq`` is cut when acc + rs * W_i
+    cannot exceed the floor, or when by Cauchy-Schwarz
+    acc + sqrt(rq * sum_{j >= i} W_j^2) cannot; the second is compared by
+    squaring.
+    """
+    target_sum = 3 * degree - 1
+    slots = min(max_length, target_sum)  # every entry is at least 1
+    if slots < 1:  # also every degree < 1
+        return
+    w = list(weights[:slots]) + [0] * (slots - len(weights))
+    tail_sq = [0] * (slots + 1)  # tail_sq[i] = sum of w_j^2 for j >= i
+    for i in range(slots - 1, -1, -1):
+        tail_sq[i] = tail_sq[i + 1] + w[i] * w[i]
+    # the floor as num/den, so every comparison is between integers
+    lim = None if floor is None else [floor.numerator, floor.denominator]
+    prefix: List[int] = []
+
+    def recurse(acc: int, rs: int, rq: int, bound: int):
+        i = len(prefix)
+        if rs == 0:
+            if rq == 0 and (lim is None or acc * lim[1] > lim[0]) and cremona_reduces(degree, prefix):
+                if lim is not None:
+                    lim[:] = [acc, 1]
+                yield ExceptionalClass(degree, tuple(prefix)), acc
+            return
+        if lim is not None:
+            num, den = lim
+            if (acc + rs * w[i]) * den <= num:
+                return
+            gap = num - acc * den
+            if gap > 0 and rq * tail_sq[i] * den * den <= gap * gap:
+                return
+        # The entries from slot i on are positive and at most m, so m <= bound,
+        # m <= rs, m^2 - m <= rq - rs, m * (slots - i) >= rs and m * rs >= rq.
+        # These keep rq >= rs at every node and use up rs by the last slot.
+        top = min(bound, rs, (1 + math.isqrt(1 + 4 * (rq - rs))) // 2)
+        for m in range(top, max(-(-rs // (slots - i)), -(-rq // rs)) - 1, -1):
+            prefix.append(m)
+            yield from recurse(acc + m * w[i], rs - m, rq - m * m, m)
+            prefix.pop()
+
+    yield from recurse(0, target_sum, degree * degree + 1, degree)
+
+
 def enumerate_exceptional_classes(degree: int, max_length: int) -> Iterator[ExceptionalClass]:
     """All valid classes of the given degree with at most ``max_length`` positive
     multiplicities, by pruned search over nonincreasing tuples."""
-    target_sum = 3 * degree - 1
-    target_sq = degree * degree + 1
-
-    def recurse(prefix: List[int], remaining_sum: int, remaining_sq: int, bound: int, slots: int):
-        if remaining_sum == 0:
-            if remaining_sq == 0:
-                cls = ExceptionalClass(degree, tuple(prefix))
-                if cremona_reduces(degree, prefix):
-                    yield cls
-            return
-        if slots == 0 or remaining_sq <= 0:
-            return
-        top = min(bound, remaining_sum)
-        for m in range(top, 0, -1):
-            sq = m * m
-            if sq > remaining_sq:
-                continue
-            # remaining slots at value <= m must be able to reach the sums
-            if m * (slots - 1) < remaining_sum - m:
-                continue
-            yield from recurse(prefix + [m], remaining_sum - m, remaining_sq - sq, m, slots - 1)
-
-    if degree >= 1 and target_sum > 0:
-        yield from recurse([], target_sum, target_sq, degree, max_length)
+    for cls, _ in _search(degree, max_length):
+        yield cls
 
 
 def obstruction_sup(
@@ -144,22 +187,24 @@ def obstruction_sup(
 ) -> Tuple[Fraction, Optional[ExceptionalClass]]:
     """Largest (sum m_i w_i)/d over valid classes of degree <= d_max, with the
     weights of p/q padded or truncated to the class length; returns the
-    achieving class (None when no class exists)."""
+    achieving class (None when no class exists).
+
+    Degrees are searched in increasing order and the classes of one degree in
+    the order of ``enumerate_exceptional_classes``; the first class to reach
+    the maximum certifies it.  The search is branch-and-bound over the
+    integer weights W_i = w_i * q: a subtree is cut when no class in it can
+    exceed the best ratio found so far (see ``_search``), and only the
+    classes that would raise it are tested by Cremona reduction.
+    """
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
     wt = weight_sequence(p, q)
+    scaled = [int(w * q) for w in wt.weights]
     best = Fraction(0)
     best_cls: Optional[ExceptionalClass] = None
-    k = len(wt)
     for d in range(1, d_max + 1):
-        for cls in enumerate_exceptional_classes(d, k):
-            total = Fraction(0)
-            for m, w in zip(cls.multiplicities, wt.weights):
-                total += m * w
-            ratio = total / d
-            if ratio > best:
-                best = ratio
-                best_cls = cls
+        for cls, total in _search(d, len(scaled), scaled, best * q * d):
+            best, best_cls = Fraction(total, q * d), cls
     return best, best_cls
 
 
@@ -231,8 +276,6 @@ def below_tau4(a: Fraction) -> bool:
 
 
 def _rational_sqrt(a: Fraction) -> Optional[Fraction]:
-    import math
-
     rn, rd = math.isqrt(a.numerator), math.isqrt(a.denominator)
     if rn * rn == a.numerator and rd * rd == a.denominator:
         return Fraction(rn, rd)
@@ -261,6 +304,11 @@ def ball_embedding_value(a: Fraction) -> StaircaseValue:
     [inner_corner(k), outer_corner(k)] and constant step_height(k) up to the
     next inner corner; (a + 1)/3 on [tau^4, 7]; the volume bound sqrt(a) from
     8 + 1/36 on; unspecified in between.
+
+    Below tau^4 the steps are walked from k = -1, carrying fib(2k+1),
+    fib(2k+3) and fib(2k+5) from step to step, and a = n/d is compared with
+    the corners by integer cross-multiplication, so the work is one step of
+    the walk per step below the one that holds a.
     """
     a = Fraction(a)
     if a < 1:
@@ -272,13 +320,12 @@ def ball_embedding_value(a: Fraction) -> StaircaseValue:
             return UNSPECIFIED
         root = _rational_sqrt(a)
         return root if root is not None else SqrtValue(a)
-    k = -1
-    while True:
-        if a <= outer_corner(k):
-            return a * Fraction(fib(2 * k + 1), fib(2 * k + 3))
-        if a <= inner_corner(k + 1):
-            return step_height(k)
-        k += 1
+    n, d = a.numerator, a.denominator
+    for _, f1, f3, f5 in _fibonacci_steps():
+        if n * f1 <= f5 * d:  # a <= outer_corner(k)
+            return Fraction(n * f1, d * f3)
+        if n * f3 * f3 <= f5 * f5 * d:  # a <= inner_corner(k + 1)
+            return Fraction(f5, f3)
 
 
 def stabilized_value(a: Fraction, stab_factors: int = 1) -> Fraction:

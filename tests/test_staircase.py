@@ -109,6 +109,63 @@ def test_obstruction_sup_examples():
     assert value == Fraction(5, 2) and cls == ExceptionalClass(2, (1, 1, 1, 1, 1))
 
 
+def test_enumeration_matches_partition_filter():
+    # every partition of 3d - 1 into at most max_length parts, in descending
+    # lexicographic order, kept when it is an exceptional class
+    def partitions(n, largest):
+        if n == 0:
+            yield ()
+            return
+        for m in range(min(n, largest), 0, -1):
+            for rest in partitions(n - m, m):
+                yield (m,) + rest
+
+    for d in range(1, 9):
+        for max_length in (1, 4, 7, 3 * d - 1, 3 * d + 2):
+            want = [
+                ms for ms in partitions(3 * d - 1, 3 * d - 1)
+                if len(ms) <= max_length and is_exceptional_class(ExceptionalClass(d, ms))
+            ]
+            got = [cls.multiplicities for cls in enumerate_exceptional_classes(d, max_length)]
+            assert got == want, (d, max_length)
+
+
+def reference_obstruction(p, q, d_max):
+    """First strict maximum of sum(m_i w_i)/d over the enumerated classes."""
+    weights = weight_sequence(p, q).weights
+    best, best_cls = Fraction(0), None
+    for d in range(1, d_max + 1):
+        for cls in enumerate_exceptional_classes(d, len(weights)):
+            ratio = sum((m * w for m, w in zip(cls.multiplicities, weights)), Fraction(0)) / d
+            if ratio > best:
+                best, best_cls = ratio, cls
+    return best, best_cls
+
+
+def test_obstruction_sup_matches_enumeration():
+    rng = random.Random(4181)
+    cases = [(34, 5, 9), (13, 2, 5), (5, 1, 3), (2, 1, 1), (17, 5, 9)]
+    # integer targets, where several classes of the top degree tie
+    cases += [(9, 1, 6), (10, 1, 6), (12, 1, 7)]
+    while len(cases) < 220:
+        q = rng.randint(1, 40)
+        p = rng.randint(q + 1, 8 * q + 3)
+        if math.gcd(p, q) == 1:
+            cases.append((p, q, rng.randint(1, 9)))
+    for p, q, d_max in cases:
+        assert obstruction_sup(p, q, d_max) == reference_obstruction(p, q, d_max), (p, q, d_max)
+
+
+def test_obstruction_sup_fibonacci_steps():
+    # the outer corner fib(2k+5)/fib(2k+1) is certified in degree fib(2k+3),
+    # here for k = 3 (degree 34) and k = 4 (degree 89)
+    for p, q, degree in ((89, 13, 34), (233, 34, 89)):
+        value, cls = obstruction_sup(p, q, degree)
+        assert value == Fraction(p, degree)
+        assert cls.degree == degree and is_exceptional_class(cls)
+        assert sum(m * w for m, w in zip(cls.multiplicities, weight_sequence(p, q).weights)) / degree == value
+
+
 def test_obstruction_below_volume_for_long_targets():
     for a in (9, 10, 12):
         value, _ = obstruction_sup(a, 1, 6)
@@ -148,7 +205,7 @@ def test_ball_value_samples():
 
 # F(-1), F(0), F(1), ...: the Fibonacci numbers with F(-1) = 1, F(0) = 0.
 FIB = [1, 0]
-while len(FIB) < 90:
+while len(FIB) < 610:
     FIB.append(FIB[-1] + FIB[-2])
 
 
@@ -187,11 +244,12 @@ def test_ball_value_matches_fibonacci_min_form():
     for a in points:
         k = next(k for k in range(-1, 40) if a <= inner(k + 1))
         assert ball_embedding_value(a) == staircase_piece(a, k), a
-    for k in range(-1, 31):
+    for k in range(-1, 301):
         outer = Fraction(F(2 * k + 5), F(2 * k + 1))
-        assert inner(k) <= outer <= inner(k + 1)
-        for a in (inner(k), outer, inner(k + 1)):
-            assert ball_embedding_value(a) == staircase_piece(a, k), (k, a)
+        assert inner(k) < outer < inner(k + 1)
+        # step k at the outer corner, step k - 1 at the inner corner
+        assert ball_embedding_value(outer) == Fraction(F(2 * k + 5), F(2 * k + 3)), k
+        assert ball_embedding_value(inner(k)) == Fraction(F(2 * k + 3), F(2 * k + 1)), k
 
 
 def test_ball_value_rejects_below_one():
