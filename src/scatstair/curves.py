@@ -23,7 +23,7 @@ from .scattering import (
     log_coefficient,
     ray_spectrum,
 )
-from .staircase import _fibonacci_steps
+from .staircase import _fibonacci_steps, exceeds_tau4, fraction_exceeds_tau4
 
 # Lattice generators of the reference model; the cross-check transports the
 # standard-lattice computation along them.
@@ -78,19 +78,6 @@ def diophantine_value(p: int, q: int) -> int:
     if p < 1 or q < 1:
         raise ValueError("inputs must be positive")
     return p * p + q * q - 7 * p * q + 9
-
-
-def exceeds_tau4(p: int, q: int) -> bool:
-    """Exact test p/q > tau^4, via the larger root of x^2 - 7x + 1."""
-    if p < 1 or q < 1:
-        raise ValueError("inputs must be positive")
-    return p * p + q * q - 7 * p * q > 0 and 2 * p > 7 * q
-
-
-def fraction_exceeds_tau4(x: Fraction) -> bool:
-    if x <= 0:
-        return False
-    return exceeds_tau4(x.numerator, x.denominator)
 
 
 FIBONACCI_OUTER = "fibonacci_outer"

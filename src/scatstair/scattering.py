@@ -92,9 +92,6 @@ class Wall:
         """Exponent <w, rot90(direction)> = wedge(direction, w)."""
         return wedge(self.direction, w)
 
-    def truncate(self, new_order: int) -> "Wall":
-        return Wall(self.direction, self.incoming, self.label.truncate(new_order))
-
 
 def _ray_multiple(v: Vec, m: Vec) -> Optional[int]:
     """Return j >= 1 with v = j*m, or None."""
@@ -297,25 +294,7 @@ def total_monodromy(diagram: ScatteringDiagram) -> Tuple[TruncatedSeries, Trunca
 
 
 # ---------------------------------------------------------------------------
-# defect extraction and completion
-
-
-@dataclass(frozen=True)
-class DefectReport:
-    """First obstruction to consistency at a single t-order.
-
-    A diagram with trivial monodromy mod t^k has, mod t^{k+1},
-    Mon(x)/x - 1 = t^k sum_w c_w * (-w2) * z^w and
-    Mon(y)/y - 1 = t^k sum_w c_w * (w1) * z^w;
-    ``terms`` maps each w to c_w, after checking that both readouts agree
-    wherever both are defined.
-    """
-
-    order: int
-    terms: Dict[Vec, Fraction]
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+# completion
 
 
 # A series by t-degree: entry d maps each z-exponent to its coefficient at t^d.
@@ -324,13 +303,13 @@ Slices = List[Dict[Vec, Fraction]]
 _BASES: Tuple[Vec, Vec] = ((1, 0), (0, 1))
 
 
-def _read_defect(k: int, sx: Slices, sy: Slices) -> DefectReport:
-    """The order-k defect from the t-degree slices of Mon(x) and Mon(y).
+def _read_defect(k: int, sx: Slices, sy: Slices) -> Dict[Vec, Fraction]:
+    """The order-k defect {w: c_w} from the t-degree slices of Mon(x) and Mon(y).
 
     Slices 1..k-1 must vanish.  In slice k the image of z^base states
-    -c_w * wedge(base, w) at z^(base + w): c_w * (-w2) for x, c_w * w1 for y.
-    An offending term is reported lowest degree first, then by exponent, the
-    x-image before the y-image.
+    -c_w * wedge(base, w) at z^(base + w): c_w * (-w2) for x, c_w * w1 for y;
+    the two readouts must agree.  An offending term is reported lowest degree
+    first, then by exponent, the x-image before the y-image.
     """
     readouts = []
     for base, slices, name, axis in (((1, 0), sx, "x", "w2"), ((0, 1), sy, "y", "w1")):
@@ -353,25 +332,7 @@ def _read_defect(k: int, sx: Slices, sy: Slices) -> DefectReport:
     for w, c in from_y.items():
         if merged.setdefault(w, c) != c:
             raise ConventionError(f"inconsistent defect readouts at {w}: {merged[w]} vs {c}")
-    return DefectReport(k, merged)
-
-
-def _by_degree(series: TruncatedSeries) -> Slices:
-    slices: Slices = [{} for _ in range(series.order)]
-    for (a, b, d), c in series.terms.items():
-        slices[d][(a, b)] = c
-    return slices
-
-
-def defect_at_order(diagram: ScatteringDiagram, k: int) -> DefectReport:
-    """Defect terms of the total monodromy at order t^k (needs triviality mod t^k)."""
-    if not 1 <= k < diagram.order:
-        raise ValueError(f"order {k} out of range for truncation {diagram.order}")
-    walls = [w.truncate(k + 1) for w in diagram.walls]
-    walls = [w for w in walls if len(w.label.terms) > 1]
-    small = ScatteringDiagram(k + 1, tuple(walls), diagram.grading)
-    sx, sy = total_monodromy(small)
-    return _read_defect(k, _by_degree(sx), _by_degree(sy))
+    return merged
 
 
 def canonicalize(diagram: ScatteringDiagram) -> ScatteringDiagram:
@@ -459,8 +420,8 @@ def ks_complete(
     recomputed at the end by :func:`total_monodromy` as a check, and
     :class:`ConventionError` is raised if it is not the identity.  The check
     shares only the power recurrence :func:`_power_slices` with the loop
-    above; a test pins that recurrence against powers taken by series
-    products.
+    above.  Tests pin it against series products, and whole completions
+    against the slope-ordered factorization of the incoming walls' product.
     """
     diag = canonicalize(diagram)
     K = diag.order
@@ -474,11 +435,11 @@ def ks_complete(
         for crossing, before, after in zip(crossings, images, images[1:]):
             for prev, cur in zip(before, after):
                 cur.append(crossing.advance(prev, k))
-        report = _read_defect(k, *images[-1])
-        if not report:
+        defect = _read_defect(k, *images[-1])
+        if not defect:
             continue
         factors: Dict[Vec, List[Tuple[Vec, Fraction]]] = {}
-        for w, c in sorted(report.terms.items()):
+        for w, c in sorted(defect.items()):
             p, j = primitive_part(w)
             factors.setdefault(p, []).append((w, -j * c))
         for p, terms in factors.items():
@@ -537,26 +498,18 @@ def change_of_lattice(
         raise ValueError("lattice generators must be primitive")
     if wedge(m1, m2) == 0:
         raise ValueError("lattice generators must not be colinear")
+
+    def image(v: Vec) -> Vec:
+        return (v[0] * m1[0] + v[1] * m2[0], v[0] * m1[1] + v[1] * m2[1])
+
     walls = []
     for w in diagram_std.walls:
-        image = (
-            w.direction[0] * m1[0] + w.direction[1] * m2[0],
-            w.direction[0] * m1[1] + w.direction[1] * m2[1],
-        )
-        new_dir, _ = primitive_part(image)
-        terms = {}
-        for (a, b, k), c in w.label.terms.items():
-            na = a * m1[0] + b * m2[0]
-            nb = a * m1[1] + b * m2[1]
-            terms[(na, nb, k)] = c
+        terms = {image((a, b)) + (k,): c for (a, b, k), c in w.label.terms.items()}
+        new_dir, _ = primitive_part(image(w.direction))
         walls.append(Wall(new_dir, w.incoming, TruncatedSeries(diagram_std.order, terms)))
     grading = None
     if diagram_std.grading is not None:
-        g1, g2 = diagram_std.grading
-        grading = (
-            (g1[0] * m1[0] + g1[1] * m2[0], g1[0] * m1[1] + g1[1] * m2[1]),
-            (g2[0] * m1[0] + g2[1] * m2[0], g2[0] * m1[1] + g2[1] * m2[1]),
-        )
+        grading = (image(diagram_std.grading[0]), image(diagram_std.grading[1]))
     return ScatteringDiagram(diagram_std.order, tuple(walls), grading)
 
 

@@ -269,10 +269,16 @@ WINDOW_LOW = Fraction(7)
 WINDOW_HIGH = Fraction(7) + Fraction(1) + Fraction(1, 36)  # 8 + 1/36
 
 
-def below_tau4(a: Fraction) -> bool:
-    """Exact test a <= tau^4 (equality impossible for rational a)."""
-    n, d = a.numerator, a.denominator
-    return not (n * n + d * d - 7 * n * d > 0 and 2 * n > 7 * d)
+def exceeds_tau4(p: int, q: int) -> bool:
+    """Exact test p/q > tau^4, via the larger root of x^2 - 7x + 1."""
+    if p < 1 or q < 1:
+        raise ValueError("inputs must be positive")
+    return p * p + q * q - 7 * p * q > 0 and 2 * p > 7 * q
+
+
+def fraction_exceeds_tau4(x: Fraction) -> bool:
+    """Exact test x > tau^4 for any rational x (equality is impossible)."""
+    return x > 0 and exceeds_tau4(x.numerator, x.denominator)
 
 
 def _rational_sqrt(a: Fraction) -> Optional[Fraction]:
@@ -313,7 +319,7 @@ def ball_embedding_value(a: Fraction) -> StaircaseValue:
     a = Fraction(a)
     if a < 1:
         raise ValueError("aspect ratio must be >= 1")
-    if not below_tau4(a):
+    if fraction_exceeds_tau4(a):
         if a <= WINDOW_LOW:
             return (a + 1) / 3
         if a < WINDOW_HIGH:
@@ -328,17 +334,14 @@ def ball_embedding_value(a: Fraction) -> StaircaseValue:
             return Fraction(f5, f3)
 
 
-def stabilized_value(a: Fraction, stab_factors: int = 1) -> Fraction:
+def stabilized_value(a: Fraction) -> Fraction:
     """Stabilized embedding value: the staircase below tau^4, else 3a/(a+1).
 
-    Independent of the number of stabilizing factors (kept as an argument to
-    mirror the definition)."""
-    if stab_factors < 1:
-        raise ValueError("need at least one stabilizing factor")
+    It does not depend on the number of stabilizing factors."""
     a = Fraction(a)
     if a < 1:
         raise ValueError("aspect ratio must be >= 1")
-    if below_tau4(a):
+    if not fraction_exceeds_tau4(a):
         value = ball_embedding_value(a)
         assert isinstance(value, Fraction)
         return value

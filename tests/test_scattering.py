@@ -2,13 +2,13 @@
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 from math import comb, gcd
 
 import pytest
 
-from scatstair.series import TruncatedSeries as TS, primitive_part
+from scatstair.series import TruncatedSeries as TS, primitive_part, wedge
 from scatstair.scattering import (
-    ConventionError,
     ScatteringDiagram,
     TermCapExceeded,
     Wall,
@@ -17,7 +17,6 @@ from scatstair.scattering import (
     apply_wall,
     canonicalize,
     change_of_lattice,
-    defect_at_order,
     diagram_from_json,
     diagram_to_json,
     diagram_to_svg,
@@ -126,12 +125,23 @@ def _random_probe(rng, order):
 
 
 def reference_apply_wall(w, s):
-    """sum_e S_e * f^e by TruncatedSeries products, with ``**`` taking the
-    geometric-series inverse for e < 0."""
-    out = TS.zero(s.order)
+    """sum_e S_e * f^e by TruncatedSeries products: S_e holds the terms of s
+    with crossing exponent e, and f^e is a chain of products of f, or of
+    f ** -1 (the geometric-series inverse) for e < 0."""
+    groups = {}
     d = w.direction
     for (a, b, k), c in s.terms.items():
-        out = out + mono(s.order, (a, b), k, c) * w.label ** (d[0] * b - d[1] * a)
+        groups.setdefault(d[0] * b - d[1] * a, {})[(a, b, k)] = c
+    powers = {0: TS.one(s.order)}
+    for e in range(1, max(groups, default=0) + 1):
+        powers[e] = powers[e - 1] * w.label
+    if min(groups, default=0) < 0:
+        inverse = w.label ** -1
+        for e in range(-1, min(groups) - 1, -1):
+            powers[e] = powers[e + 1] * inverse
+    out = TS(s.order, groups.pop(0, {}))
+    for e, terms in groups.items():
+        out = out + TS(s.order, terms) * powers[e]
     return out
 
 
@@ -190,46 +200,6 @@ def test_pentagon_monodromy_trivial():
 
 
 # ---------------------------------------------------------------------------
-# defects
-
-
-def test_defect_after_order_one_repair():
-    d = initial_diagram([((1, 0), 1), ((0, 1), 1)], 4)
-    walls = d.walls + (
-        wall((1, 0), "1 + t*x", 4),
-        wall((0, 1), "1 + t*y", 4),
-    )
-    repaired = ScatteringDiagram(4, walls, d.grading)
-    report = defect_at_order(repaired, 2)
-    assert set(report.terms) == {(1, 1)}
-
-
-def test_defect_of_punctured_pentagon():
-    # deleting the diagonal wall leaves a single defect at (1,1), cancelled
-    # exactly by re-adding the wall 1 + t^2 x y
-    S = pentagon(6)
-    walls = tuple(w for w in S.walls if w.direction != (1, 1))
-    broken = ScatteringDiagram(6, walls, S.grading)
-    report = defect_at_order(broken, 2)
-    assert set(report.terms) == {(1, 1)}
-    c = report.terms[(1, 1)]
-    label = TS.one(6) + mono(6, (1, 1), 2, -c)
-    assert label == TS.from_text(6, "1 + t^2*x*y")
-
-
-def test_defect_on_completed_diagram_is_empty():
-    S = pentagon(8)
-    for k in range(1, 8):
-        assert not defect_at_order(S, k)
-
-
-def test_defect_requires_lower_orders_trivial():
-    d = initial_diagram([((1, 0), 1), ((0, 1), 1)], 4)
-    with pytest.raises(ValueError):
-        defect_at_order(d, 2)  # order-1 defect still present
-
-
-# ---------------------------------------------------------------------------
 # canonicalize
 
 
@@ -270,6 +240,16 @@ def test_completion_keeps_incoming_walls():
     incoming = {(w.direction, w.label) for w in S.walls if w.incoming}
     assert incoming == {(w.direction, w.label) for w in d.walls}
     assert all(not w.incoming for w in S.walls if w.direction not in {(-1, 0), (0, -1)})
+
+
+def test_completion_restores_punctured_pentagon():
+    # deleting the diagonal wall leaves a single defect at (1,1); completion
+    # re-adds exactly the wall 1 + t^2 x y there
+    S = pentagon(6)
+    walls = tuple(w for w in S.walls if w.direction != (1, 1))
+    repaired = ks_complete(ScatteringDiagram(6, walls, S.grading))
+    assert repaired == S
+    assert repaired.wall_on_ray((1, 1)).label == TS.from_text(6, "1 + t^2*x*y")
 
 
 def test_completion_idempotent():
@@ -329,33 +309,128 @@ def test_completion_determinism():
     assert ks_complete(d) == ks_complete(d)
 
 
-def reference_complete(diagram):
-    """The completion loop that recomputes the whole defect at every order.
+BASES = ((1, 0), (0, 1))
 
-    Returns the completed diagram and, per order that added walls, the term
-    count of the merged diagram afterwards."""
-    diag = canonicalize(diagram)
-    K, totals = diag.order, {}
-    for k in range(1, K):
-        report = defect_at_order(diag, k)
-        if report:
-            walls = list(diag.walls)
-            for w, c in sorted(report.terms.items()):
-                p, j = primitive_part(w)
-                walls.append(Wall(p, False, TS.one(K) + mono(K, w, k, -j * c)))
-            diag = canonicalize(ScatteringDiagram(K, tuple(walls), diag.grading))
-            totals[k] = diag.total_terms()
-    if total_monodromy(diag) != (x_series(K), y_series(K)):
-        raise ConventionError("completion finished with nontrivial monodromy")
-    return diag, totals
+# Orders directions in one open half-plane from clockwise to counterclockwise.
+_ccw = cmp_to_key(lambda u, v: wedge(v, u))
 
 
-def _outcome(fn, *args):
-    """(result, None), or (None, (exception type, message))."""
-    try:
-        return fn(*args), None
-    except (ValueError, ConventionError) as exc:
-        return None, (type(exc), str(exc))
+def _in_open_half_plane(directions):
+    """Whether the directions lie in an open half-plane: one of them has every
+    other one strictly clockwise of it and less than a half-turn away."""
+    return any(all(v == m or wedge(v, m) > 0 for v in directions) for m in directions)
+
+
+def factorization_oracle(diagram):
+    """The outgoing labels {ray: label} of the consistent completion of a
+    diagram of incoming walls whose monomial directions lie in an open
+    half-plane: the unique slope-ordered factorization of the product of the
+    incoming walls (Kontsevich-Soibelman; Gross-Pandharipande-Siebert).
+
+    Phi, the product of the inverse incoming crossings taken in reverse
+    counterclockwise order from just past the outgoing cone, is the
+    counterclockwise product of the outgoing crossings.  So the most
+    counterclockwise exponent left in Phi(x)/x or Phi(y)/y lies on the last
+    outgoing ray p, and 1 + the ray-p part of Phi(x)/x is f_p^e with
+    e = wedge(p, (1, 0)), or that of Phi(y)/y with e = wedge(p, (0, 1)) if
+    the first is 0.  Peeling f_p off both images and repeating ends when they
+    are x and y.  Exponents are compared by wedge inside the half-plane, so a
+    ray on the most counterclockwise seed direction is peeled first, as it
+    must be.  Uses only TruncatedSeries products, log and exp.
+    """
+    K = diagram.order
+    identity = (x_series(K), y_series(K))
+    images = identity
+    # an incoming wall's monomial direction is -d; most counterclockwise first
+    for w in sorted(diagram.walls, key=lambda w: _ccw((-w.direction[0], -w.direction[1])), reverse=True):
+        inverse = Wall(w.direction, True, w.label ** -1)
+        images = tuple(reference_apply_wall(inverse, s) for s in images)
+    labels, last = {}, None
+    while images != identity:
+        top = max(
+            ((a - base[0], b - base[1]) for s, base in zip(images, BASES) for (a, b, _) in s.terms
+             if (a, b) != base),
+            key=_ccw,
+        )
+        p, _ = primitive_part(top)
+        assert last is None or wedge(p, last) > 0, (p, last)  # rays are peeled clockwise
+        i = 0 if wedge(p, BASES[0]) else 1
+        base = BASES[i]
+        part = TS(K, {
+            (a - base[0], b - base[1], k): c
+            for (a, b, k), c in images[i].terms.items()
+            if wedge(p, (a - base[0], b - base[1])) == 0
+        })
+        root = part.log() * Fraction(1, wedge(p, base))
+        labels[p] = root.exp()
+        peel = Wall(p, False, (-root).exp())
+        images = tuple(reference_apply_wall(peel, s) for s in images)
+        last = p
+    return labels
+
+
+def _layout(diagram):
+    """{(ray, incoming): label}, after checking there is one wall per key."""
+    layout = {(w.direction, w.incoming): w.label for w in diagram.walls}
+    assert len(layout) == len(diagram.walls)
+    return layout
+
+
+def _merged_incoming(diagram):
+    merged = {}
+    for w in diagram.walls:
+        key = (w.direction, True)
+        merged[key] = merged[key] * w.label if key in merged else w.label
+    return merged
+
+
+def assert_matches_factorization(diagram, completed):
+    outgoing = {(p, False): f for p, f in factorization_oracle(diagram).items()}
+    assert _layout(completed) == {**_merged_incoming(diagram), **outgoing}
+
+
+def assert_consistent_completion(diagram, completed):
+    """The uniqueness characterization of the completion: the same incoming
+    walls, nontrivial outgoing walls added one per ray, and trivial total
+    monodromy, composed here by series products."""
+    K = completed.order
+    layout = _layout(completed)
+    assert {key: f for key, f in layout.items() if key[1]} == _merged_incoming(diagram)
+    assert TS.one(K) not in layout.values()
+    images = identity = (x_series(K), y_series(K))
+    for w in completed.sorted_walls():
+        images = tuple(reference_apply_wall(w, s) for s in images)
+    assert images == identity
+
+
+def _order_totals(completed):
+    """Per order k that adds walls, the term count of the merged diagram that
+    ks_complete checks against its cap after order k, rebuilt from the
+    completed diagram of an input with no outgoing walls.
+
+    The completion multiplies a wall only by factors 1 + a*t^k*z^w at order
+    k, so each outgoing label is uniquely such a product, read off degree by
+    degree: the factors at order k are the t^k slice of the label divided by
+    its factors below t^k.  After order k the merged diagram holds the
+    incoming walls and, on each ray whose product so far is not 1, the
+    product of its factors through t^k."""
+    K = completed.order
+    one = TS.one(K)
+    incoming = sum(len(w.label.terms) for w in completed.walls if w.incoming)
+    outgoing, added = {}, set()
+    for w in completed.walls:
+        if w.incoming:
+            continue
+        product, rest = one, w.label
+        for k in range(1, K):
+            for (a, b, degree), c in list(rest.terms.items()):
+                if degree == k:
+                    factor = one + mono(K, (a, b), k, c)
+                    product, rest = product * factor, rest * factor ** -1
+                    added.add(k)
+            if product != one:
+                outgoing[k] = outgoing.get(k, 0) + len(product.terms)
+    return {k: incoming + outgoing.get(k, 0) for k in sorted(added)}
 
 
 def _random_seeds(rng):
@@ -388,13 +463,12 @@ def _case_id(case):
 @pytest.mark.parametrize("seeds,order", EQUIVALENCE_CASES, ids=map(_case_id, EQUIVALENCE_CASES))
 def test_completion_matches_reference(seeds, order):
     diagram = initial_diagram(seeds, order)
-    want, want_error = _outcome(reference_complete, diagram)
-    got, got_error = _outcome(ks_complete, diagram, None)
-    assert got_error == want_error
-    if want_error:
-        return
-    completed, totals = want
-    assert got == completed
+    completed = ks_complete(diagram, None)
+    if _in_open_half_plane([m for m, _ in seeds]):
+        assert_matches_factorization(diagram, completed)
+    else:
+        assert_consistent_completion(diagram, completed)
+    totals = _order_totals(completed)
     for cap in (10, 50):
         over = next((k for k, n in totals.items() if n > cap), None)
         if over is None:
@@ -408,12 +482,38 @@ def test_completion_matches_reference(seeds, order):
         )
 
 
+def test_factorization_oracle_covers_the_half_plane_cases():
+    in_half_plane = [_in_open_half_plane([m for m, _ in seeds]) for seeds, _ in EQUIVALENCE_CASES]
+    assert sum(in_half_plane) == 40 and all(in_half_plane[:7])
+
+
+DEEP_CASES = [([((1, 0), m), ((0, 1), m)], 12) for m in (1, 2, 3)] + [([((-1, -3), 1), ((1, 0), 1)], 12)]
+
+
+@pytest.mark.parametrize("seeds,order", DEEP_CASES, ids=map(_case_id, DEEP_CASES))
+def test_completion_matches_factorization_deep(seeds, order):
+    diagram = initial_diagram(seeds, order)
+    assert_matches_factorization(diagram, ks_complete(diagram))
+
+
 def test_completion_drops_a_wall_that_cancels():
     # (1 + t*x) on the outgoing ray (1,0) is cancelled order by order: the
     # factors 1 - t*x, 1 + t^2*x^2, 1 + t^4*x^4 leave 1 - t^8*x^8 = 1 mod t^5
     lone = ScatteringDiagram(5, (wall((1, 0), "1 + t*x", 5),))
     assert ks_complete(lone) == ScatteringDiagram(5, ())
-    assert reference_complete(lone)[0] == ScatteringDiagram(5, ())
+
+
+@pytest.mark.parametrize("l1,l2", [(1, 1), (1, 3), (1, 7), (2, 3), (3, 3), (3, 5), (4, 2)])
+def test_x_linear_terms_match_gps(l1, l2):
+    """Gross-Pandharipande-Siebert, The tropical vertex: for the seeds
+    (1 + tx)^l1 and (1 + ty)^l2 the t^(n+1)*x*y^n coefficient of the label on
+    the ray (1, n) is l1 * C(l2, n).  Only this x-linear term is binomial;
+    the full labels are not once l1 * l2 >= 3."""
+    order = 9 if l2 == 7 else l2 + 3
+    S = ks_complete(initial_diagram([((1, 0), l1), ((0, 1), l2)], order))
+    for n in range(order - 1):
+        w = S.wall_on_ray((1, n))
+        assert (w.label.coefficient((1, n), n + 1) if w else 0) == l1 * comb(l2, n), n
 
 
 def reineke_label(m, order):

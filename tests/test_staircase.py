@@ -12,10 +12,10 @@ from scatstair.staircase import (
     UNSPECIFIED,
     WINDOW_HIGH,
     ball_embedding_value,
-    below_tau4,
     enumerate_exceptional_classes,
     fib,
     folding_bound,
+    fraction_exceeds_tau4,
     inner_corner,
     is_exceptional_class,
     obstruction_sup,
@@ -264,12 +264,23 @@ def test_sqrt_marker_comparisons():
     assert not (SqrtValue(Fraction(8)) == 3)
 
 
+def test_tau4_sign_test_matches_float_threshold():
+    # tau^4 = (7 + 3*sqrt(5))/2 = 46.98.../6.708...; no sampled ratio is
+    # within 1e-6 of it, so the float comparison is exact here
+    tau4 = (7 + 3 * math.sqrt(5)) / 2
+    rng = random.Random(46)
+    for _ in range(2000):
+        x = Fraction(rng.randint(-400, 900), rng.randint(1, 90))
+        assert fraction_exceeds_tau4(x) == (float(x) > tau4), x
+    assert not fraction_exceeds_tau4(Fraction(0))
+    assert fraction_exceeds_tau4(Fraction(7))
+
+
 def test_stabilized_examples():
     assert stabilized_value(Fraction(5)) == Fraction(5, 2)
     assert stabilized_value(Fraction(8)) == Fraction(8, 3)
     assert stabilized_value(Fraction(13, 2)) == Fraction(13, 5)
     assert folding_bound(Fraction(13, 2)) == Fraction(13, 5)
-    assert stabilized_value(Fraction(5), stab_factors=3) == Fraction(5, 2)
 
 
 def test_folding_values():
@@ -290,7 +301,7 @@ def test_folding_strictly_above_between_corners():
     rng = random.Random(6)
     for _ in range(200):
         a = Fraction(rng.randint(101, 680), 100)
-        if not below_tau4(a):
+        if fraction_exceeds_tau4(a):
             continue
         k = -1
         while outer_corner(k) < a:
