@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import bisect
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .series import (
     TermKey,
@@ -210,23 +211,48 @@ def initial_diagram(seeds: Sequence[Tuple[Vec, int]], order: int) -> ScatteringD
 # wall crossing and monodromy
 
 
+# Inside this module's slices and term maps (label slices, label powers, the
+# images kept by ks_complete and total_monodromy, the body of apply_wall) a
+# coefficient is an ``int`` when it is integral and a ``Fraction`` otherwise;
+# TruncatedSeries converts back.
+Coeff = Union[int, Fraction]
+
 # The t^0 slice of every label power.
-_UNIT: Dict[Vec, Fraction] = {(0, 0): Fraction(1)}
+_UNIT: Dict[Vec, Coeff] = {(0, 0): 1}
 
 
-def _label_slices(label: TruncatedSeries) -> Dict[int, Dict[Vec, Fraction]]:
+def _exact(c: Coeff) -> Coeff:
+    """``c``, an int or a Fraction, as an int when it is integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _divide(c: Coeff, m: int) -> Coeff:
+    """The exact quotient c / m, an int when it is integral."""
+    if type(c) is int:
+        q, r = divmod(c, m)
+        return Fraction(c, m) if r else q
+    return _exact(c / m)
+
+
+def _label_slices(label: TruncatedSeries) -> Dict[int, Dict[Vec, Coeff]]:
     """The nonzero t-degree slices of a wall label above its constant 1."""
-    slices: Dict[int, Dict[Vec, Fraction]] = {}
+    slices: Dict[int, Dict[Vec, Coeff]] = {}
     for (a, b, d), c in label.terms.items():
         if d:
-            slices.setdefault(d, {})[(a, b)] = c
+            slices.setdefault(d, {})[(a, b)] = _exact(c)
     return slices
 
 
+def _stride(label: Dict[int, Dict[Vec, Coeff]]) -> int:
+    """The gcd of a label's t-degrees; every power of the label lives only at
+    multiples of it.  A label with no terms above 1 has stride 1."""
+    return math.gcd(*label) or 1
+
+
 def _power_slices(
-    label: Dict[int, Dict[Vec, Fraction]],
+    label: Dict[int, Dict[Vec, Coeff]],
     e: int,
-    slices: Dict[int, Dict[Vec, Fraction]],
+    slices: Dict[int, Dict[Vec, Coeff]],
     lo: int,
     hi: int,
 ) -> None:
@@ -235,9 +261,13 @@ def _power_slices(
 
     J. C. P. Miller's recurrence for g = f^e with f_0 = 1, any integer e:
     m * g_m = sum over a of ((e + 1) * a - m) * f_a * g_(m - a)
+    Only degrees m that are multiples of the label's stride are visited; the
+    others vanish.  The division by m is exact and yields an int whenever the
+    quotient is integral, so int labels stay int until a remainder appears.
     """
-    for m in range(lo, hi + 1):
-        acc: Dict[Vec, Fraction] = {}
+    step = _stride(label)
+    for m in range(lo + (-lo) % step, hi + 1, step):
+        acc: Dict[Vec, Coeff] = {}
         for a, fa in label.items():
             g = slices.get(m - a)
             scale = (e + 1) * a - m
@@ -247,9 +277,35 @@ def _power_slices(
                 for (v0, v1), cv in g.items():
                     key = (u0 + v0, u1 + v1)
                     acc[key] = acc.get(key, 0) + scale * cu * cv
-        acc = {key: c / m for key, c in acc.items() if c}
+        acc = {key: _divide(c, m) for key, c in acc.items() if c}
         if acc:
             slices[m] = acc
+
+
+def _crossed(
+    direction: Vec,
+    label: Dict[int, Dict[Vec, Coeff]],
+    terms: Dict[TermKey, Coeff],
+    order: int,
+) -> Dict[TermKey, Coeff]:
+    """The nonzero terms of the image of ``terms`` under the crossing of the
+    wall on ``direction`` whose label has the slices ``label``."""
+    d0, d1 = direction
+    groups: Dict[int, Dict[TermKey, Coeff]] = {}
+    for key, c in terms.items():
+        groups.setdefault(d0 * key[1] - d1 * key[0], {})[key] = c
+    out = groups.pop(0, {})
+    for e, group in groups.items():
+        slices = {0: _UNIT}
+        _power_slices(label, e, slices, 1, order - 1 - min(key[2] for key in group))
+        for (a, b, k), c in group.items():
+            for m, g in slices.items():  # ascending m
+                if k + m >= order:
+                    break
+                for (u0, u1), cg in g.items():
+                    key = (a + u0, b + u1, k + m)
+                    out[key] = out.get(key, 0) + c * cg
+    return {key: c for key, c in out.items() if c}
 
 
 def apply_wall(wall: Wall, s: TruncatedSeries) -> TruncatedSeries:
@@ -258,39 +314,32 @@ def apply_wall(wall: Wall, s: TruncatedSeries) -> TruncatedSeries:
     Terms are grouped by their exponent e = wedge(d, w); the result is
     sum_e S_e * label^e.  Each power comes from J. C. P. Miller's recurrence
     (see :func:`_power_slices`), only up to the t-degree its group needs:
-    below t^(K - d) for a group whose lowest t-degree is d.
+    below t^(K - d) for a group whose lowest t-degree is d.  The recurrence
+    visits only the multiples of the label's stride, the gcd of its
+    t-degrees.  The products are taken with integral coefficients as ints;
+    the returned series holds Fractions again.
     """
-    groups: Dict[int, Dict[TermKey, Fraction]] = {}
-    for key, c in s.terms.items():
-        e = wall.crossing_exponent((key[0], key[1]))
-        groups.setdefault(e, {})[key] = c
-    if set(groups) <= {0}:
+    if not any(wall.crossing_exponent((a, b)) for (a, b, _) in s.terms):
         return s
     s._check_order(wall.label)
-    order = s.order
-    label = _label_slices(wall.label)
-    out: Dict[TermKey, Fraction] = dict(groups.pop(0, {}))
-    for e, terms in groups.items():
-        slices = {0: _UNIT}
-        _power_slices(label, e, slices, 1, order - 1 - min(key[2] for key in terms))
-        for (a, b, k), c in terms.items():
-            for m, g in slices.items():
-                if k + m >= order:
-                    continue
-                for (u0, u1), cg in g.items():
-                    key = (a + u0, b + u1, k + m)
-                    out[key] = out.get(key, 0) + c * cg
-    return TruncatedSeries(order, out)
+    terms = {key: _exact(c) for key, c in s.terms.items()}
+    return TruncatedSeries(s.order, _crossed(wall.direction, _label_slices(wall.label), terms, s.order))
 
 
 def total_monodromy(diagram: ScatteringDiagram) -> Tuple[TruncatedSeries, TruncatedSeries]:
-    """Images of x and y under the counterclockwise composition of all crossings."""
-    sx = TruncatedSeries.monomial(diagram.order, (1, 0), 0)
-    sy = TruncatedSeries.monomial(diagram.order, (0, 1), 0)
+    """Images of x and y under the counterclockwise composition of all crossings.
+
+    The crossings are applied as in :func:`apply_wall`, and the images stay
+    int/Fraction term maps until they are returned as series.
+    """
+    K = diagram.order
+    sx: Dict[TermKey, Coeff] = {(1, 0, 0): 1}
+    sy: Dict[TermKey, Coeff] = {(0, 1, 0): 1}
     for wall in diagram.sorted_walls():
-        sx = apply_wall(wall, sx)
-        sy = apply_wall(wall, sy)
-    return sx, sy
+        label = _label_slices(wall.label)
+        sx = _crossed(wall.direction, label, sx, K)
+        sy = _crossed(wall.direction, label, sy, K)
+    return TruncatedSeries(K, sx), TruncatedSeries(K, sy)
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +347,12 @@ def total_monodromy(diagram: ScatteringDiagram) -> Tuple[TruncatedSeries, Trunca
 
 
 # A series by t-degree: entry d maps each z-exponent to its coefficient at t^d.
-Slices = List[Dict[Vec, Fraction]]
+Slices = List[Dict[Vec, Coeff]]
 
 _BASES: Tuple[Vec, Vec] = ((1, 0), (0, 1))
 
 
-def _read_defect(k: int, sx: Slices, sy: Slices) -> Dict[Vec, Fraction]:
+def _read_defect(k: int, sx: Slices, sy: Slices) -> Dict[Vec, Coeff]:
     """The order-k defect {w: c_w} from the t-degree slices of Mon(x) and Mon(y).
 
     Slices 1..k-1 must vanish.  In slice k the image of z^base states
@@ -318,7 +367,7 @@ def _read_defect(k: int, sx: Slices, sy: Slices) -> Dict[Vec, Fraction]:
                 raise ValueError(
                     f"monodromy is not trivial mod t^{k}: found a defect at order t^{d}"
                 )
-        out: Dict[Vec, Fraction] = {}
+        out: Dict[Vec, Coeff] = {}
         for (a, b), c in sorted(slices[k].items()):
             w = (a - base[0], b - base[1])
             if w == (0, 0):
@@ -326,7 +375,7 @@ def _read_defect(k: int, sx: Slices, sy: Slices) -> Dict[Vec, Fraction]:
             e = wedge(base, w)
             if e == 0:
                 raise ConventionError(f"{name}-readout saw a defect at {w} with {axis} = 0")
-            out[w] = -c / e
+            out[w] = _divide(-c, e)
         readouts.append(out)
     merged, from_y = readouts
     for w, c in from_y.items():
@@ -356,24 +405,32 @@ def canonicalize(diagram: ScatteringDiagram) -> ScatteringDiagram:
 
 class _Crossing:
     """A wall of a completion in progress, with its label split by t-degree
-    and the slices of the label's powers computed so far."""
+    and the slices of the label's powers computed so far.
+
+    Every power of the label lives only at t-degrees that are multiples of
+    ``stride``, the gcd of the label's own t-degrees, so only those slices
+    are computed and only image degrees a with stride | k - a are crossed.
+    Integral coefficients are ints, the others Fractions.
+    """
 
     def __init__(self, wall: Wall):
         self.wall = wall
         self.label = _label_slices(wall.label)
+        self.stride = _stride(self.label)
         # exponent e -> (degree computed through, nonzero t-degree slices of label^e)
-        self.powers: Dict[int, Tuple[int, Dict[int, Dict[Vec, Fraction]]]] = {}
+        self.powers: Dict[int, Tuple[int, Dict[int, Dict[Vec, Coeff]]]] = {}
 
     def relabeled(self, wall: Wall, k: int) -> "_Crossing":
         """The crossing of ``wall``, whose label differs from this one only from
-        t^k on; the power slices below t^k carry over."""
+        t^k on; the power slices below t^k carry over.  The stride is read off
+        the new label: a term at t^k can shrink it."""
         new = _Crossing(wall)
         for e, (done, slices) in self.powers.items():
             slices.pop(k, None)
             new.powers[e] = (min(done, k - 1), slices)
         return new
 
-    def power(self, e: int, n: int) -> Dict[Vec, Fraction]:
+    def power(self, e: int, n: int) -> Dict[Vec, Coeff]:
         """The t^n slice of label^e, n >= 1."""
         done, slices = self.powers.get(e, (0, {0: _UNIT}))
         if done < n:
@@ -381,11 +438,11 @@ class _Crossing:
             self.powers[e] = (n, slices)
         return slices.get(n, {})
 
-    def advance(self, prev: Slices, k: int) -> Dict[Vec, Fraction]:
+    def advance(self, prev: Slices, k: int) -> Dict[Vec, Coeff]:
         """The t^k slice of the image of ``prev`` under this wall's crossing."""
         d0, d1 = self.wall.direction
         out = dict(prev[k])
-        for a in range(k):
+        for a in range(k % self.stride, k, self.stride):
             for (v0, v1), c in prev[a].items():
                 e = d0 * v1 - d1 * v0
                 if not e:
@@ -406,14 +463,18 @@ def ks_complete(
     of y after each of them, stored by t-degree.  At order k only the t^k
     slice of each image is computed, from the slices below it and the
     slices of the label powers the crossing needs (each power slice comes
-    from J. C. P. Miller's recurrence).  The defect is read off the image
-    after the last wall: a term (w, c_w) with primitive part (p, j) becomes
-    the factor 1 - j*c_w*t^k*z^w of the outgoing wall on the ray p, which
-    cancels that term mod t^{k+1}.  Such a factor changes nothing below
-    t^k, so it only shifts the t^k slices of the images from its wall
-    onward, and nothing below t^k is ever recomputed.  Incoming walls pass
-    through unchanged.
+    from J. C. P. Miller's recurrence).  A label's powers live only at
+    multiples of its stride, the gcd of its t-degrees, so a crossing visits
+    only those degrees.  The defect is read off the image after the last
+    wall: a term (w, c_w) with primitive part (p, j) becomes the factor
+    1 - j*c_w*t^k*z^w of the outgoing wall on the ray p, which cancels that
+    term mod t^{k+1}.  Such a factor changes nothing below t^k, so it only
+    shifts the t^k slices of the images from its wall onward, and nothing
+    below t^k is ever recomputed.  Incoming walls pass through unchanged.
+    Inside the loop an integral coefficient is an int and any other a
+    Fraction; the returned labels are TruncatedSeries of Fractions.
 
+    Raises ValueError for a negative ``term_cap``; ``None`` means no cap.
     Raises :class:`TermCapExceeded` when, after the walls of some order are
     added, the diagram (one merged label per ray and orientation) stores
     more than ``term_cap`` label terms.  The full-order total monodromy is
@@ -423,11 +484,13 @@ def ks_complete(
     above.  Tests pin it against series products, and whole completions
     against the slope-ordered factorization of the incoming walls' product.
     """
+    if term_cap is not None and term_cap < 0:
+        raise ValueError("term cap must be >= 0")
     diag = canonicalize(diagram)
     K = diag.order
     crossings = [_Crossing(w) for w in diag.walls]
     # images[i]: the images of x and of y after the first i walls, by t-degree
-    images = [tuple([{base: Fraction(1)}] for base in _BASES) for _ in range(len(crossings) + 1)]
+    images = [tuple([{base: 1}] for base in _BASES) for _ in range(len(crossings) + 1)]
     one = TruncatedSeries.one(K)
     for k in range(1, K):
         for slices in images[0]:
@@ -438,10 +501,10 @@ def ks_complete(
         defect = _read_defect(k, *images[-1])
         if not defect:
             continue
-        factors: Dict[Vec, List[Tuple[Vec, Fraction]]] = {}
+        factors: Dict[Vec, List[Tuple[Vec, Coeff]]] = {}
         for w, c in sorted(defect.items()):
             p, j = primitive_part(w)
-            factors.setdefault(p, []).append((w, -j * c))
+            factors.setdefault(p, []).append((w, _exact(-j * c)))
         for p, terms in factors.items():
             new = Wall(p, False, one)
             i = bisect.bisect_left(crossings, _wall_key(new), key=lambda cr: _wall_key(cr.wall))

@@ -42,6 +42,8 @@ GOLDEN = {
     'scatter --order 5': (2, EMPTY),
     'scatter --m 1,0 --k 1 --order 1': (2, EMPTY),
     'scatter --m 1,0 --m 0,1 --k 3 --k 3 --order 8 --term-cap 10': (3, EMPTY),
+    'scatter --m 1,0 --m 0,1 --k 1 --k 1 --order 6 --term-cap 0': (3, EMPTY),
+    'scatter --m 1,0 --m 0,1 --k 1 --k 1 --order 6 --term-cap -1': (2, EMPTY),
     # staircase: point values, every --value, every range format
     'staircase --a 2': (
         0, '51c4e1aaaefc37d490c4cb5d86b32f74f906444771883c27eff95061376cc624'),
@@ -114,6 +116,12 @@ GOLDEN = {
         0, 'edf20e1166454dd851236a5812b752afed1da53044a407bed9ae1166db6997c2'),
     'verify --order 2': (2, EMPTY),
     'verify --order 6 --term-cap 10': (3, EMPTY),
+    'verify --order 6 --term-cap -1': (2, EMPTY),
+    # deep completions: the thrice-weighted seeds and the native seeds past order 20
+    'verify --order 32 --format json': (
+        0, '8c5f52fdfa04e2e5cee51c24e0d7b0b2b680ee6240a2bc6ff1156fc6c589d1a0'),
+    'scatter --m -1,-3 --m 1,0 --k 1 --k 1 --order 24 --format json': (
+        0, '472da9f3bd48c1eb69eeef1032cd8d73648c3181a1029f116202e6af55964603'),
 }
 
 

@@ -12,6 +12,7 @@ from scatstair.scattering import (
     ScatteringDiagram,
     TermCapExceeded,
     Wall,
+    _Crossing,
     _label_slices,
     _power_slices,
     apply_wall,
@@ -176,6 +177,59 @@ def test_power_slices_match_series_powers():
             assert stepwise == slices
 
 
+@pytest.mark.parametrize("stride", [2, 3, 5])
+def test_power_slices_on_a_stride(stride):
+    """Labels whose t-degrees are all multiples of ``stride``: the powers agree
+    with series powers, live on the same multiples, and hold only ints and
+    Fractions, with integral values as ints."""
+    rng = random.Random(stride)
+    for case in range(8):
+        order = rng.randint(stride + 1, 3 * stride + 2)
+        ray = rng.choice(ORACLE_RAYS)
+        terms = {(0, 0, 0): Fraction(1)}
+        for j in range(1, rng.randint(1, 3) + 1):
+            c = _random_coeff(rng) if case % 2 else Fraction(rng.choice([-3, -1, 1, 2, 4]))
+            terms[(j * ray[0], j * ray[1], stride * rng.randint(1, (order - 1) // stride))] = c
+        f = TS(order, terms)
+        label = _label_slices(f)
+        for e in range(-12, 13):
+            slices = {0: {(0, 0): 1}}
+            _power_slices(label, e, slices, 1, order - 1)
+            assert all(slices.values())  # no empty slice is stored
+            assert all(m % stride == 0 for m in slices)
+            coefficients = [c for g in slices.values() for c in g.values()]
+            assert all(type(c) in (int, Fraction) for c in coefficients)
+            assert all(type(c) is int for c in coefficients if c.denominator == 1)
+            got = TS(order, {(a, b, m): c for m, g in slices.items() for (a, b), c in g.items()})
+            assert got == f ** e, (f, e)
+            # a two-step extension split off the stride agrees
+            split = rng.choice([n for n in range(1, order - 1) if n % stride] or [1])
+            stepwise = {0: {(0, 0): 1}}
+            _power_slices(label, e, stepwise, 1, split)
+            _power_slices(label, e, stepwise, split + 1, order - 1)
+            assert stepwise == slices
+
+
+def test_crossing_relabeled_shrinks_the_stride():
+    """1 + t^2*x*y has stride 2; gaining a t^3 term at order 3 drops it to 1,
+    and the powers computed before carry over correctly."""
+    order = 12
+    old = _Crossing(wall((1, 1), "1 + t^2*x*y", order))
+    assert old.stride == 2
+    for e in (-3, -1, 1, 2):
+        old.power(e, 3)
+    new_label = TS.from_text(order, "1 + t^2*x*y - 3*t^3*x^2*y^2")
+    new = old.relabeled(Wall((1, 1), False, new_label), 3)
+    assert new.stride == 1
+    for e in (-3, -1, 1, 2, 4):
+        got = TS(order, {
+            (a, b, n): c
+            for n in range(1, order) for (a, b), c in new.power(e, n).items()
+        }) + 1
+        assert got == new_label ** e, e
+    assert _Crossing(Wall((1, 1), False, TS.one(order))).stride == 1
+
+
 # ---------------------------------------------------------------------------
 # monodromy
 
@@ -265,6 +319,15 @@ def test_completion_term_cap():
     # the outgoing walls 1 + 3tx and 1 + 3ty
     assert info.value.order == 1
     assert str(info.value) == "diagram stores 12 terms (cap 10) after order 1 of 10"
+
+
+def test_completion_rejects_a_negative_term_cap():
+    seeds = initial_diagram([((1, 0), 1), ((0, 1), 1)], 6)
+    with pytest.raises(ValueError, match="term cap must be >= 0"):
+        ks_complete(seeds, term_cap=-1)
+    with pytest.raises(TermCapExceeded):  # a cap of 0 is valid, and reached at once
+        ks_complete(seeds, term_cap=0)
+    assert ks_complete(seeds, term_cap=None) == pentagon(6)
 
 
 def test_double_seed_labels():
