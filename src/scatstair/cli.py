@@ -6,6 +6,11 @@ Exit codes: 0 success, 1 cross-check disagreement from ``verify`` (no other
 outcome is reported as 1), 2 invalid input (including a ``--format`` that the
 query has no rendering for, such as ``staircase --a 5 --format csv``), 3 term
 cap exceeded, 4 output could not be written.
+
+Each subcommand imports the layers it uses when it runs, so a command loads
+only those: ``mutate`` the toric layer, ``staircase`` the staircase layer,
+``scatter`` the scattering layer, ``classify`` and ``verify`` the curve layer
+(and through it the scattering and staircase layers).
 """
 
 from __future__ import annotations
@@ -19,27 +24,6 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from . import staircase as stair
-from .curves import classify_pair, scattering_cross_check
-from .scattering import (
-    TermCapExceeded,
-    diagram_to_json,
-    diagram_to_svg,
-    initial_diagram,
-    ks_complete,
-    ray_spectrum,
-)
-from .series import is_primitive
-from .toric import (
-    apply_word,
-    format_model,
-    gl2z_equivalent,
-    mutation_orbit,
-    orbit_to_dot,
-    orbit_to_json,
-    parse_model,
-)
-
 EXIT_OK = 0
 EXIT_DISAGREEMENT = 1
 EXIT_BAD_INPUT = 2
@@ -49,7 +33,8 @@ EXIT_IO = 4
 # Output format name -> renderer returning text or a JSON payload.
 Renderers = Dict[str, Callable[[], Union[str, dict, list]]]
 
-# Lets vector arguments like "-1,-3;1,0" pass as values rather than flags.
+# Lets values with a leading minus, like the model "-1,-3;1,0" or the rational
+# "-1/2", pass as values rather than flags.
 _LEADING_MINUS_VALUE = re.compile(r"^-\d")
 
 
@@ -85,6 +70,15 @@ def _parse_vec(text: str):
 
 
 def cmd_scatter(args) -> Tuple[int, Renderers]:
+    from .scattering import (
+        diagram_to_json,
+        diagram_to_svg,
+        initial_diagram,
+        ks_complete,
+        ray_spectrum,
+    )
+    from .series import is_primitive
+
     seeds = []
     if len(args.m) != len(args.k):
         raise CliError("need one --k per --m")
@@ -131,6 +125,8 @@ def cmd_scatter(args) -> Tuple[int, Renderers]:
 
 
 def cmd_staircase(args) -> Tuple[int, Renderers]:
+    from . import staircase as stair
+
     if args.range:
         lo, hi = (_parse_fraction(t) for t in args.range)
         if lo < 1:
@@ -166,6 +162,14 @@ def cmd_staircase(args) -> Tuple[int, Renderers]:
     return EXIT_OK, {"text": lambda: "\n".join(lines) + "\n", "json": lambda: payload}
 
 
+def classify_pair(p: int, q: int):
+    """The curve layer's ``classify_pair``.  ``verify`` looks this name up when
+    it runs, so a test can replace the classifier here."""
+    from .curves import classify_pair
+
+    return classify_pair(p, q)
+
+
 def cmd_classify(args) -> Tuple[int, Renderers]:
     p, q = args.p, args.q
     if p < 1 or q < 1:
@@ -188,6 +192,16 @@ def cmd_classify(args) -> Tuple[int, Renderers]:
 
 
 def cmd_mutate(args) -> Tuple[int, Renderers]:
+    from .toric import (
+        apply_word,
+        format_model,
+        gl2z_equivalent,
+        mutation_orbit,
+        orbit_to_dot,
+        orbit_to_json,
+        parse_model,
+    )
+
     model = parse_model(args.model)
     if args.orbit_depth is not None:
         nodes = mutation_orbit(model, args.orbit_depth)
@@ -224,6 +238,8 @@ def cmd_mutate(args) -> Tuple[int, Renderers]:
 
 
 def cmd_verify(args) -> Tuple[int, Renderers]:
+    from .curves import scattering_cross_check
+
     if args.order < 3:
         raise CliError("verification needs --order >= 3")
     report = scattering_cross_check(args.order, args.term_cap, classify_pair)
@@ -264,6 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stair.add_argument("--format", choices=["text", "json", "csv", "svg"], default="text")
     p_stair.add_argument("--out", default=None)
     p_stair.set_defaults(func=cmd_staircase)
+    p_stair._negative_number_matcher = _LEADING_MINUS_VALUE
 
     p_cls = sub.add_parser("classify", help="classify a coprime cusp-parameter pair")
     p_cls.add_argument("--p", type=int, required=True)
@@ -302,12 +319,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"use {' or '.join(renderers)}"
             )
         output = renderers[args.format]()
-    except TermCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TERM_CAP
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except RuntimeError as exc:
+        # Only the scattering layer raises TermCapExceeded, so it is loaded
+        # already when one arrives here.
+        from .scattering import TermCapExceeded
+
+        if not isinstance(exc, TermCapExceeded):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_TERM_CAP
     if not isinstance(output, str):
         output = json.dumps(output, sort_keys=True, separators=(",", ":")) + "\n"
     try:

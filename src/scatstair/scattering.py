@@ -255,18 +255,19 @@ def _power_slices(
     slices: Dict[int, Dict[Vec, Coeff]],
     lo: int,
     hi: int,
+    stride: int,
 ) -> None:
     """Extend ``slices``, the nonzero t-degree slices of f^e below t^lo, in
-    place through t^hi, where f = 1 + the sum of ``label``'s slices.
+    place through t^hi, where f = 1 + the sum of ``label``'s slices and
+    ``stride`` is the label's stride (see :func:`_stride`).
 
     J. C. P. Miller's recurrence for g = f^e with f_0 = 1, any integer e:
     m * g_m = sum over a of ((e + 1) * a - m) * f_a * g_(m - a)
-    Only degrees m that are multiples of the label's stride are visited; the
-    others vanish.  The division by m is exact and yields an int whenever the
+    Only degrees m that are multiples of the stride are visited; the others
+    vanish.  The division by m is exact and yields an int whenever the
     quotient is integral, so int labels stay int until a remainder appears.
     """
-    step = _stride(label)
-    for m in range(lo + (-lo) % step, hi + 1, step):
+    for m in range(lo + (-lo) % stride, hi + 1, stride):
         acc: Dict[Vec, Coeff] = {}
         for a, fa in label.items():
             g = slices.get(m - a)
@@ -295,9 +296,10 @@ def _crossed(
     for key, c in terms.items():
         groups.setdefault(d0 * key[1] - d1 * key[0], {})[key] = c
     out = groups.pop(0, {})
+    stride = _stride(label)
     for e, group in groups.items():
         slices = {0: _UNIT}
-        _power_slices(label, e, slices, 1, order - 1 - min(key[2] for key in group))
+        _power_slices(label, e, slices, 1, order - 1 - min(key[2] for key in group), stride)
         for (a, b, k), c in group.items():
             for m, g in slices.items():  # ascending m
                 if k + m >= order:
@@ -434,7 +436,7 @@ class _Crossing:
         """The t^n slice of label^e, n >= 1."""
         done, slices = self.powers.get(e, (0, {0: _UNIT}))
         if done < n:
-            _power_slices(self.label, e, slices, done + 1, n)
+            _power_slices(self.label, e, slices, done + 1, n, self.stride)
             self.powers[e] = (n, slices)
         return slices.get(n, {})
 

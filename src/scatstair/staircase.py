@@ -36,6 +36,32 @@ def _fibonacci_steps(k: int = -1) -> Iterator[Tuple[int, int, int, int]]:
         k, f1, f3, f5 = k + 1, f3, f5, 3 * f5 - f3
 
 
+# (fib(2k+1), fib(2k+3), fib(2k+5)) at index k + 1 for the steps k = -1, 0,
+# 1, ... computed so far, grown by fib(2k+7) = 3 fib(2k+5) - fib(2k+3).  It
+# only grows, and a grown table is built as a new tuple and rebound, so a
+# concurrent caller always holds a complete table and a lost race only loses
+# the other caller's growth.
+_STEPS: Tuple[Tuple[int, int, int], ...] = ((1, 1, 2),)
+
+
+def _steps_through(n: int, d: int) -> Tuple[Tuple[int, int, int], ...]:
+    """The step table, grown until its last step k has inner_corner(k + 1) =
+    fib(2k+5)^2/fib(2k+3)^2 >= n/d; that ends for any n/d < tau^4."""
+    global _STEPS
+    steps = _STEPS
+    _, f3, f5 = steps[-1]
+    if n * f3 * f3 <= f5 * f5 * d:
+        return steps
+    grown = list(steps)
+    while n * f3 * f3 > f5 * f5 * d:
+        f3, f5 = f5, 3 * f5 - f3
+        grown.append((grown[-1][1], f3, f5))
+    steps = tuple(grown)
+    if len(steps) > len(_STEPS):
+        _STEPS = steps
+    return steps
+
+
 @dataclass(frozen=True)
 class WeightSequence:
     """Nonincreasing square side-lengths tiling a 1 x (p/q) box."""
@@ -311,10 +337,11 @@ def ball_embedding_value(a: Fraction) -> StaircaseValue:
     next inner corner; (a + 1)/3 on [tau^4, 7]; the volume bound sqrt(a) from
     8 + 1/36 on; unspecified in between.
 
-    Below tau^4 the steps are walked from k = -1, carrying fib(2k+1),
-    fib(2k+3) and fib(2k+5) from step to step, and a = n/d is compared with
-    the corners by integer cross-multiplication, so the work is one step of
-    the walk per step below the one that holds a.
+    Below tau^4, a = n/d is located in the step table (see
+    :func:`_steps_through`): the table is grown until its last step k has
+    inner_corner(k + 1) >= a, and the first such k is found by bisection, so
+    a lookup costs O(log k) integer cross-multiplications once the table
+    reaches a's step.
     """
     a = Fraction(a)
     if a < 1:
@@ -327,11 +354,19 @@ def ball_embedding_value(a: Fraction) -> StaircaseValue:
         root = _rational_sqrt(a)
         return root if root is not None else SqrtValue(a)
     n, d = a.numerator, a.denominator
-    for _, f1, f3, f5 in _fibonacci_steps():
-        if n * f1 <= f5 * d:  # a <= outer_corner(k)
-            return Fraction(n * f1, d * f3)
-        if n * f3 * f3 <= f5 * f5 * d:  # a <= inner_corner(k + 1)
-            return Fraction(f5, f3)
+    steps = _steps_through(n, d)
+    lo, hi = 0, len(steps) - 1
+    while lo < hi:  # the first step k with a <= inner_corner(k + 1)
+        mid = (lo + hi) // 2
+        _, f3, f5 = steps[mid]
+        if n * f3 * f3 <= f5 * f5 * d:
+            hi = mid
+        else:
+            lo = mid + 1
+    f1, f3, f5 = steps[lo]
+    if n * f1 <= f5 * d:  # a <= outer_corner(k)
+        return Fraction(n * f1, d * f3)
+    return Fraction(f5, f3)
 
 
 def stabilized_value(a: Fraction) -> Fraction:
@@ -364,7 +399,13 @@ def staircase_samples(
     lo: Fraction, hi: Fraction, count: int
 ) -> List[Tuple[Fraction, StaircaseValue, Fraction, Fraction]]:
     """Rows (a, ball value, stabilized, folding bound) on an evenly spaced
-    rational grid with ``count`` points."""
+    rational grid with ``count`` points.
+
+    Each row evaluates the ball value and the folding bound once; the
+    stabilized value is the ball value up to tau^4 and the folding bound
+    after it.  Each ball value is a lookup in the shared step table (see
+    :func:`ball_embedding_value`), so a row costs O(log k) at step k.
+    """
     lo, hi = Fraction(lo), Fraction(hi)
     if count < 2 or hi <= lo:
         raise ValueError("need count >= 2 and hi > lo")
@@ -372,7 +413,8 @@ def staircase_samples(
     step = (hi - lo) / (count - 1)
     for i in range(count):
         a = lo + i * step
-        rows.append((a, ball_embedding_value(a), stabilized_value(a), folding_bound(a)))
+        ball, fold = ball_embedding_value(a), folding_bound(a)
+        rows.append((a, ball, fold if fraction_exceeds_tau4(a) else ball, fold))
     return rows
 
 

@@ -9,7 +9,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from scatstair import cli
+import pytest
+
+from scatstair import cli, scattering
 
 
 def run_cli(*args, expect: int = 0):
@@ -215,6 +217,17 @@ def test_verify_negative_control(monkeypatch, capsys):
     monkeypatch.setattr(cli, "classify_pair", flipped)
     assert cli.main(["verify", "--order", "5"]) == 1
     assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_convention_error_propagates(monkeypatch):
+    """An internal consistency failure is a bug, not an exit code."""
+
+    def broken(diagram, term_cap=None):
+        raise scattering.ConventionError("inconsistent defect readouts")
+
+    monkeypatch.setattr(scattering, "ks_complete", broken)
+    with pytest.raises(scattering.ConventionError):
+        cli.main(["scatter", "--m", "1,0", "--m", "0,1", "--k", "1", "--k", "1", "--order", "4"])
 
 
 def test_unwritable_out_exit(tmp_path: Path, capsys):

@@ -73,6 +73,8 @@ GOLDEN = {
     'staircase --a x': (2, EMPTY),
     'staircase --a 8 --value ball': (2, EMPTY),
     'staircase --range 1/2 3': (2, EMPTY),
+    'staircase --a -1/2': (2, EMPTY),  # a leading minus is a value, not a flag
+    'staircase --range -1/2 3': (2, EMPTY),
     'staircase --range 1 4 --samples 1': (2, EMPTY),
     'staircase --a 5 --format csv': (2, EMPTY),  # a point value has no csv or svg
     'staircase --a 5 --format svg': (2, EMPTY),

@@ -163,17 +163,18 @@ def test_power_slices_match_series_powers():
         order = rng.randint(2, 9)
         f = _random_wall(rng, order).label
         label = _label_slices(f)
+        step = gcd(*label) or 1
         for e in range(-12, 13):
             slices = {0: {(0, 0): Fraction(1)}}
-            _power_slices(label, e, slices, 1, order - 1)
+            _power_slices(label, e, slices, 1, order - 1, step)
             assert all(slices.values())  # no empty slice is stored
             got = TS(order, {(a, b, m): c for m, g in slices.items() for (a, b), c in g.items()})
             assert got == f ** e, (f, e)
             # extending in two steps, as the completion's cache does, agrees
             split = rng.randint(1, order - 1)
             stepwise = {0: {(0, 0): Fraction(1)}}
-            _power_slices(label, e, stepwise, 1, split)
-            _power_slices(label, e, stepwise, split + 1, order - 1)
+            _power_slices(label, e, stepwise, 1, split, step)
+            _power_slices(label, e, stepwise, split + 1, order - 1, step)
             assert stepwise == slices
 
 
@@ -192,9 +193,10 @@ def test_power_slices_on_a_stride(stride):
             terms[(j * ray[0], j * ray[1], stride * rng.randint(1, (order - 1) // stride))] = c
         f = TS(order, terms)
         label = _label_slices(f)
+        step = gcd(*label)  # a multiple of ``stride``
         for e in range(-12, 13):
             slices = {0: {(0, 0): 1}}
-            _power_slices(label, e, slices, 1, order - 1)
+            _power_slices(label, e, slices, 1, order - 1, step)
             assert all(slices.values())  # no empty slice is stored
             assert all(m % stride == 0 for m in slices)
             coefficients = [c for g in slices.values() for c in g.values()]
@@ -205,8 +207,8 @@ def test_power_slices_on_a_stride(stride):
             # a two-step extension split off the stride agrees
             split = rng.choice([n for n in range(1, order - 1) if n % stride] or [1])
             stepwise = {0: {(0, 0): 1}}
-            _power_slices(label, e, stepwise, 1, split)
-            _power_slices(label, e, stepwise, split + 1, order - 1)
+            _power_slices(label, e, stepwise, 1, split, step)
+            _power_slices(label, e, stepwise, split + 1, order - 1, step)
             assert stepwise == slices
 
 

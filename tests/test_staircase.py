@@ -1,7 +1,10 @@
 """Weight sequences, exceptional classes, and the embedding staircase."""
 
+import json
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -205,7 +208,7 @@ def test_ball_value_samples():
 
 # F(-1), F(0), F(1), ...: the Fibonacci numbers with F(-1) = 1, F(0) = 0.
 FIB = [1, 0]
-while len(FIB) < 610:
+while len(FIB) < 2010:
     FIB.append(FIB[-1] + FIB[-2])
 
 
@@ -250,6 +253,80 @@ def test_ball_value_matches_fibonacci_min_form():
         # step k at the outer corner, step k - 1 at the inner corner
         assert ball_embedding_value(outer) == Fraction(F(2 * k + 5), F(2 * k + 3)), k
         assert ball_embedding_value(inner(k)) == Fraction(F(2 * k + 3), F(2 * k + 1)), k
+
+
+# Evaluates the JSON list of rationals on stdin with ``threads`` threads in a
+# fresh interpreter, whose step table starts at step -1, and prints the values
+# and the table.  A short switch interval makes the threads interleave inside
+# the table's growth.
+FRESH_EVALUATION = """
+import json, sys, threading
+from fractions import Fraction
+from scatstair import staircase
+
+points = [Fraction(p) for p in json.load(sys.stdin)]
+values = [None] * len(points)
+threads = int(sys.argv[1])
+
+def work(start):
+    for i in range(start, len(points), threads):
+        values[i] = str(staircase.ball_embedding_value(points[i]))
+
+sys.setswitchinterval(1e-6)
+workers = [threading.Thread(target=work, args=(s,)) for s in range(threads)]
+for w in workers:
+    w.start()
+for w in workers:
+    w.join(timeout=60)
+    assert not w.is_alive()
+json.dump({"values": values, "steps": [list(map(str, s)) for s in staircase._STEPS]}, sys.stdout)
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 5])
+def test_corners_up_to_step_1000_in_any_order(threads):
+    """The outer corner of step k has value F(2k+5)/F(2k+3), the inner corner
+    F(2k+3)/F(2k+1), for k = -1..1000, however the step table grows."""
+    expected = {}
+    for k in range(-1, 1001):
+        expected[Fraction(F(2 * k + 5), F(2 * k + 1))] = Fraction(F(2 * k + 5), F(2 * k + 3))
+        expected[Fraction(F(2 * k + 3) ** 2, F(2 * k + 1) ** 2)] = Fraction(F(2 * k + 3), F(2 * k + 1))
+    points = list(expected)
+    random.Random(1000 + threads).shuffle(points)
+    completed = subprocess.run(
+        [sys.executable, "-c", FRESH_EVALUATION, str(threads)],
+        input=json.dumps([str(a) for a in points]),
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    result = json.loads(completed.stdout)
+    wrong = [(a, got) for a, got in zip(points, result["values"]) if Fraction(got) != expected[a]]
+    assert not wrong, wrong[:3]
+    # one entry per step, in order: (F(2k+1), F(2k+3), F(2k+5)) for k = -1, 0, ...
+    steps = [tuple(map(int, s)) for s in result["steps"]]
+    assert len(steps) >= 1002
+    assert steps == [(F(2 * k + 1), F(2 * k + 3), F(2 * k + 5)) for k in range(-1, len(steps) - 1)]
+
+
+def test_samples_match_pointwise_values():
+    """Rows of staircase_samples on ranges across tau^4, 7 and 8 + 1/36 hold
+    the values the point functions give."""
+    rng = random.Random(736)
+    ranges = [(Fraction(6), WINDOW_HIGH, 74)]  # hits 6, 7 and 8 + 1/36 exactly
+    for _ in range(30):
+        lo = Fraction(rng.randint(100, 690), 100)
+        hi = Fraction(rng.randint(810, 1200), 100)
+        ranges.append((lo, hi, rng.randint(2, 120)))
+    kinds = set()
+    for lo, hi, count in ranges:
+        rows = staircase_samples(lo, hi, count)
+        assert len(rows) == count and rows[0][0] == lo and rows[-1][0] == hi
+        for a, ball, stab, fold in rows:
+            assert ball == ball_embedding_value(a) and type(ball) is type(ball_embedding_value(a))
+            assert stab == stabilized_value(a) and type(stab) is Fraction
+            assert fold == folding_bound(a)
+            kinds.add((type(ball).__name__, fraction_exceeds_tau4(a)))
+    assert Fraction(7) in {a for a, *_ in staircase_samples(*ranges[0])}
+    assert kinds == {("Fraction", False), ("Fraction", True), ("Unspecified", True), ("SqrtValue", True)}
 
 
 def test_ball_value_rejects_below_one():
