@@ -10,13 +10,15 @@ import importlib
 
 # Layer -> the public names it defines.
 _LAYERS = {
-    "series": (
-        "TruncatedSeries",
-        "TruncationMismatch",
+    "lattice": (
         "is_primitive",
         "primitive_part",
         "rot90",
         "wedge",
+    ),
+    "series": (
+        "TruncatedSeries",
+        "TruncationMismatch",
     ),
     "scattering": (
         "ConventionError",

@@ -8,19 +8,19 @@ query has no rendering for, such as ``staircase --a 5 --format csv``), 3 term
 cap exceeded, 4 output could not be written.
 
 Each subcommand imports the layers it uses when it runs, so a command loads
-only those: ``mutate`` the toric layer, ``staircase`` the staircase layer,
-``scatter`` the scattering layer, ``classify`` and ``verify`` the curve layer
-(and through it the scattering and staircase layers).
+only those: ``mutate`` the toric layer (and through it the lattice layer),
+``staircase`` the staircase layer, ``scatter`` the scattering layer,
+``classify`` and ``verify`` the curve layer (and through it the scattering
+and staircase layers).  ``json`` is imported only to write a JSON payload,
+and ``fractions`` only to parse a rational.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
-from fractions import Fraction
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -42,7 +42,9 @@ class CliError(ValueError):
     """Invalid command-line input (exit code 2, like the library's ValueErrors)."""
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _parse_fraction(text: str) -> "Fraction":
+    from fractions import Fraction
+
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
@@ -77,7 +79,7 @@ def cmd_scatter(args) -> Tuple[int, Renderers]:
         ks_complete,
         ray_spectrum,
     )
-    from .series import is_primitive
+    from .lattice import is_primitive
 
     seeds = []
     if len(args.m) != len(args.k):
@@ -332,6 +334,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TERM_CAP
     if not isinstance(output, str):
+        import json
+
         output = json.dumps(output, sort_keys=True, separators=(",", ":")) + "\n"
     try:
         if args.out:

@@ -9,6 +9,7 @@ only ever used through the sign of the quadratic x^2 - 7x + 1.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +24,7 @@ from .scattering import (
     log_coefficient,
     ray_spectrum,
 )
-from .staircase import _fibonacci_steps, exceeds_tau4, fraction_exceeds_tau4
+from .staircase import _steps_through, exceeds_tau4, fraction_exceeds_tau4
 
 # Lattice generators of the reference model; the cross-check transports the
 # standard-lattice computation along them.
@@ -58,11 +59,14 @@ def unicuspidal_families(d_max: int) -> List[Tuple[str, int, int, int]]:
         out.append(("a", d, d, d - 1))
     for d in range(4, d_max + 1, 2):
         out.append(("b", d, 2 * d - 1, d // 2))
-    for _, f1, f3, _ in _fibonacci_steps(1):
+    # the steps k >= 1; fib(2k+3) >= tau^(2k+1) > 2^k, so the table passes
+    # d_max by step d_max.bit_length(), which ends both walks
+    steps = _steps_through(d_max.bit_length())[2:]
+    for f1, f3, _ in steps:
         if f3 * f1 > d_max:
             break
         out.append(("c", f3 * f1, f3 * f3, f1 * f1))
-    for _, f1, f3, f5 in _fibonacci_steps(1):
+    for f1, f3, f5 in steps:
         if f3 > d_max:
             break
         out.append(("d", f3, f5, f1))
@@ -112,11 +116,12 @@ class Classification:
 
 def fibonacci_outer_index(p: int, q: int) -> Optional[int]:
     """k >= -1 with (p, q) = (fib(2k+5), fib(2k+1)), or None."""
-    for k, f1, _, f5 in _fibonacci_steps():
-        if f5 > p:
-            return None
-        if f5 == p and f1 == q:
-            return k
+    # fib(2k+5) >= tau^(2k+3) = 2^(1.388 (k + 1.5)), which is above
+    # 2^p.bit_length() > p once k >= 3 p.bit_length() / 4 - 1
+    steps = _steps_through(3 * p.bit_length() // 4)
+    i = bisect.bisect_left(steps, p, key=lambda step: step[2])
+    f1, _, f5 = steps[i]
+    return i - 1 if (f5, f1) == (p, q) else None
 
 
 def classify_pair(p: int, q: int) -> Classification:

@@ -1,0 +1,34 @@
+"""Rank-two lattice arithmetic: wedge products, quarter turns and primitive
+vectors of Z^2."""
+
+from __future__ import annotations
+
+import math
+from typing import Tuple
+
+Vec = Tuple[int, int]
+
+
+def wedge(v: Vec, w: Vec) -> int:
+    """Determinant of the 2x2 matrix with columns v, w."""
+    return v[0] * w[1] - v[1] * w[0]
+
+
+def rot90(v: Vec) -> Vec:
+    """Counterclockwise quarter turn (a, b) -> (-b, a)."""
+    return (-v[1], v[0])
+
+
+def is_primitive(v: Vec) -> bool:
+    return v != (0, 0) and math.gcd(abs(v[0]), abs(v[1])) == 1
+
+
+def primitive_part(v: Vec) -> Tuple[Vec, int]:
+    """Write v = j*p with p primitive and j = gcd(|a|, |b|) > 0.
+
+    Raises ValueError on the zero vector.
+    """
+    if v == (0, 0):
+        raise ValueError("zero vector has no primitive part")
+    g = math.gcd(abs(v[0]), abs(v[1]))
+    return (v[0] // g, v[1] // g), g

@@ -22,10 +22,10 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ._record import Record
 from .series import (
     TermKey,
     TruncatedSeries,
@@ -59,10 +59,10 @@ class TruncationTooLow(ValueError):
 # walls and diagrams
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(Record):
     """An oriented rational ray with a series label."""
 
+    __slots__ = ("direction", "incoming", "label")
     direction: Vec
     incoming: bool
     label: TruncatedSeries
@@ -139,8 +139,7 @@ def _wall_cmp(w1: Wall, w2: Wall) -> int:
 _wall_key = functools.cmp_to_key(_wall_cmp)
 
 
-@dataclass(frozen=True)
-class ScatteringDiagram:
+class ScatteringDiagram(Record):
     """A finite multiset of walls sharing one truncation order.
 
     ``grading`` optionally records a basis (g1, g2) such that every monomial
@@ -150,9 +149,11 @@ class ScatteringDiagram:
     stored truncation.
     """
 
+    __slots__ = ("order", "walls", "grading")
+    _defaults = {"grading": None}
     order: int
     walls: Tuple[Wall, ...]
-    grading: Optional[Tuple[Vec, Vec]] = None
+    grading: Optional[Tuple[Vec, Vec]]
 
     def __post_init__(self):
         for w in self.walls:

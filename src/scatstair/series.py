@@ -1,46 +1,23 @@
-"""Exact rank-two lattice arithmetic and truncated Laurent power series.
+"""Exact truncated Laurent power series over rank-two lattice monomials.
 
 The coefficient ring is Q (``fractions.Fraction``); every operation in this
 module is exact.  A :class:`TruncatedSeries` is an element of the ring of
 Laurent polynomials in two variables x, y with a formal parameter t, known
 modulo t^K for a fixed truncation order K.  Terms are stored sparsely as a
 map (a, b, k) -> coefficient for the monomial x^a y^b t^k, with no zero
-coefficients and every k < K.
+coefficients and every k < K.  The lattice helpers (``wedge``, ``rot90``,
+``is_primitive``, ``primitive_part``) are defined in :mod:`scatstair.lattice`
+and importable from here too.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-Vec = Tuple[int, int]
+from .lattice import Vec, is_primitive, primitive_part, rot90, wedge  # noqa: F401
+
 TermKey = Tuple[int, int, int]
-
-
-def wedge(v: Vec, w: Vec) -> int:
-    """Determinant of the 2x2 matrix with columns v, w."""
-    return v[0] * w[1] - v[1] * w[0]
-
-
-def rot90(v: Vec) -> Vec:
-    """Counterclockwise quarter turn (a, b) -> (-b, a)."""
-    return (-v[1], v[0])
-
-
-def is_primitive(v: Vec) -> bool:
-    return v != (0, 0) and math.gcd(abs(v[0]), abs(v[1])) == 1
-
-
-def primitive_part(v: Vec) -> Tuple[Vec, int]:
-    """Write v = j*p with p primitive and j = gcd(|a|, |b|) > 0.
-
-    Raises ValueError on the zero vector.
-    """
-    if v == (0, 0):
-        raise ValueError("zero vector has no primitive part")
-    g = math.gcd(abs(v[0]), abs(v[1]))
-    return (v[0] // g, v[1] // g), g
 
 
 def _coeff(value) -> Fraction:

@@ -10,9 +10,10 @@ returned as an exact :class:`SqrtValue` marker and compared by squaring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
+
+from ._record import Record
 
 
 def fib(i: int) -> int:
@@ -27,33 +28,26 @@ def fib(i: int) -> int:
     return a
 
 
-def _fibonacci_steps(k: int = -1) -> Iterator[Tuple[int, int, int, int]]:
-    """(k, fib(2k+1), fib(2k+3), fib(2k+5)) for step k and each step after it,
-    carried along by fib(2k+7) = 3 fib(2k+5) - fib(2k+3)."""
-    f1, f3, f5 = fib(2 * k + 1), fib(2 * k + 3), fib(2 * k + 5)
-    while True:
-        yield k, f1, f3, f5
-        k, f1, f3, f5 = k + 1, f3, f5, 3 * f5 - f3
-
-
 # (fib(2k+1), fib(2k+3), fib(2k+5)) at index k + 1 for the steps k = -1, 0,
 # 1, ... computed so far, grown by fib(2k+7) = 3 fib(2k+5) - fib(2k+3).  It
 # only grows, and a grown table is built as a new tuple and rebound, so a
 # concurrent caller always holds a complete table and a lost race only loses
 # the other caller's growth.
-_STEPS: Tuple[Tuple[int, int, int], ...] = ((1, 1, 2),)
+Steps = Tuple[Tuple[int, int, int], ...]
+_STEPS: Steps = ((1, 1, 2),)
 
 
-def _steps_through(n: int, d: int) -> Tuple[Tuple[int, int, int], ...]:
-    """The step table, grown until its last step k has inner_corner(k + 1) =
-    fib(2k+5)^2/fib(2k+3)^2 >= n/d; that ends for any n/d < tau^4."""
+def _steps_through(k: int = -1, n: int = 0, d: int = 1) -> Steps:
+    """The step table, grown until it holds step k and its last step k' has
+    inner_corner(k' + 1) = fib(2k'+5)^2/fib(2k'+3)^2 >= n/d; the latter ends
+    for any n/d < tau^4."""
     global _STEPS
     steps = _STEPS
     _, f3, f5 = steps[-1]
-    if n * f3 * f3 <= f5 * f5 * d:
+    if len(steps) > k + 1 and n * f3 * f3 <= f5 * f5 * d:
         return steps
     grown = list(steps)
-    while n * f3 * f3 > f5 * f5 * d:
+    while len(grown) <= k + 1 or n * f3 * f3 > f5 * f5 * d:
         f3, f5 = f5, 3 * f5 - f3
         grown.append((grown[-1][1], f3, f5))
     steps = tuple(grown)
@@ -62,10 +56,17 @@ def _steps_through(n: int, d: int) -> Tuple[Tuple[int, int, int], ...]:
     return steps
 
 
-@dataclass(frozen=True)
-class WeightSequence:
+def _step(k: int) -> Tuple[int, int, int]:
+    """(fib(2k+1), fib(2k+3), fib(2k+5)) of step k >= -1."""
+    if k < -1:
+        raise ValueError("index must be >= -1")
+    return _steps_through(k)[k + 1]
+
+
+class WeightSequence(Record):
     """Nonincreasing square side-lengths tiling a 1 x (p/q) box."""
 
+    __slots__ = ("target", "weights", "multiplicities")
     target: Fraction
     weights: Tuple[Fraction, ...]
     multiplicities: Tuple[int, ...]
@@ -103,10 +104,10 @@ def weight_sequence(p: int, q: int) -> WeightSequence:
 # exceptional classes
 
 
-@dataclass(frozen=True)
-class ExceptionalClass:
+class ExceptionalClass(Record):
     """Degree and nonincreasing multiplicities of a (-1)-sphere class."""
 
+    __slots__ = ("degree", "multiplicities")
     degree: int
     multiplicities: Tuple[int, ...]
 
@@ -238,10 +239,10 @@ def obstruction_sup(
 # the staircase and its stabilization
 
 
-@dataclass(frozen=True)
-class SqrtValue:
+class SqrtValue(Record):
     """Exact marker for the square root of a rational number."""
 
+    __slots__ = ("radicand",)
     radicand: Fraction
 
     def squared(self) -> Fraction:
@@ -299,7 +300,12 @@ def exceeds_tau4(p: int, q: int) -> bool:
     """Exact test p/q > tau^4, via the larger root of x^2 - 7x + 1."""
     if p < 1 or q < 1:
         raise ValueError("inputs must be positive")
-    return p * p + q * q - 7 * p * q > 0 and 2 * p > 7 * q
+    return _above_tau4(p, q)
+
+
+def _above_tau4(n: int, d: int) -> bool:
+    """n/d > tau^4 for positive n and d."""
+    return n * n + d * d - 7 * n * d > 0 and 2 * n > 7 * d
 
 
 def fraction_exceeds_tau4(x: Fraction) -> bool:
@@ -316,17 +322,20 @@ def _rational_sqrt(a: Fraction) -> Optional[Fraction]:
 
 def outer_corner(k: int) -> Fraction:
     """x-value fib(2k+5)/fib(2k+1) of the k-th outer staircase corner, k >= -1."""
-    return Fraction(fib(2 * k + 5), fib(2 * k + 1))
+    f1, _, f5 = _step(k)
+    return Fraction(f5, f1)
 
 
 def inner_corner(k: int) -> Fraction:
     """x-value fib(2k+3)^2/fib(2k+1)^2 of the k-th inner staircase corner."""
-    return Fraction(fib(2 * k + 3) ** 2, fib(2 * k + 1) ** 2)
+    f1, f3, _ = _step(k)
+    return Fraction(f3 * f3, f1 * f1)
 
 
 def step_height(k: int) -> Fraction:
     """Constant value fib(2k+5)/fib(2k+3) of the k-th staircase step."""
-    return Fraction(fib(2 * k + 5), fib(2 * k + 3))
+    _, f3, f5 = _step(k)
+    return Fraction(f5, f3)
 
 
 def ball_embedding_value(a: Fraction) -> StaircaseValue:
@@ -335,26 +344,28 @@ def ball_embedding_value(a: Fraction) -> StaircaseValue:
     Piecewise on [1, tau^4]: linear a * fib(2k+1)/fib(2k+3) on
     [inner_corner(k), outer_corner(k)] and constant step_height(k) up to the
     next inner corner; (a + 1)/3 on [tau^4, 7]; the volume bound sqrt(a) from
-    8 + 1/36 on; unspecified in between.
-
-    Below tau^4, a = n/d is located in the step table (see
-    :func:`_steps_through`): the table is grown until its last step k has
-    inner_corner(k + 1) >= a, and the first such k is found by bisection, so
-    a lookup costs O(log k) integer cross-multiplications once the table
-    reaches a's step.
+    8 + 1/36 on; unspecified in between.  Below tau^4 the value is a lookup
+    in the shared step table that costs O(log k) at step k (see
+    :func:`_ball_below_tau4`).
     """
     a = Fraction(a)
     if a < 1:
         raise ValueError("aspect ratio must be >= 1")
-    if fraction_exceeds_tau4(a):
-        if a <= WINDOW_LOW:
-            return (a + 1) / 3
-        if a < WINDOW_HIGH:
-            return UNSPECIFIED
-        root = _rational_sqrt(a)
-        return root if root is not None else SqrtValue(a)
     n, d = a.numerator, a.denominator
-    steps = _steps_through(n, d)
+    if _above_tau4(n, d):
+        return _ball_beyond_tau4(a)
+    return _ball_below_tau4(n, d)
+
+
+def _ball_below_tau4(n: int, d: int) -> Fraction:
+    """The ball value at a = n/d in [1, tau^4), n and d positive.
+
+    a is located in the step table (see :func:`_steps_through`): the table is
+    grown until its last step k has inner_corner(k + 1) >= a, and the first
+    such k is found by bisection, so a lookup costs O(log k) integer
+    cross-multiplications once the table reaches a's step.
+    """
+    steps = _steps_through(n=n, d=d)
     lo, hi = 0, len(steps) - 1
     while lo < hi:  # the first step k with a <= inner_corner(k + 1)
         mid = (lo + hi) // 2
@@ -369,6 +380,16 @@ def ball_embedding_value(a: Fraction) -> StaircaseValue:
     return Fraction(f5, f3)
 
 
+def _ball_beyond_tau4(a: Fraction) -> StaircaseValue:
+    """The ball value at a > tau^4."""
+    if a <= WINDOW_LOW:
+        return (a + 1) / 3
+    if a < WINDOW_HIGH:
+        return UNSPECIFIED
+    root = _rational_sqrt(a)
+    return root if root is not None else SqrtValue(a)
+
+
 def stabilized_value(a: Fraction) -> Fraction:
     """Stabilized embedding value: the staircase below tau^4, else 3a/(a+1).
 
@@ -376,11 +397,10 @@ def stabilized_value(a: Fraction) -> Fraction:
     a = Fraction(a)
     if a < 1:
         raise ValueError("aspect ratio must be >= 1")
-    if not fraction_exceeds_tau4(a):
-        value = ball_embedding_value(a)
-        assert isinstance(value, Fraction)
-        return value
-    return 3 * a / (a + 1)
+    n, d = a.numerator, a.denominator
+    if _above_tau4(n, d):
+        return 3 * a / (a + 1)
+    return _ball_below_tau4(n, d)
 
 
 def folding_bound(a: Fraction) -> Fraction:
@@ -401,20 +421,32 @@ def staircase_samples(
     """Rows (a, ball value, stabilized, folding bound) on an evenly spaced
     rational grid with ``count`` points.
 
-    Each row evaluates the ball value and the folding bound once; the
-    stabilized value is the ball value up to tau^4 and the folding bound
-    after it.  Each ball value is a lookup in the shared step table (see
-    :func:`ball_embedding_value`), so a row costs O(log k) at step k.
+    Row i has a = (lo (count - 1) + i (hi - lo)) / (count - 1), one integer
+    numerator over the common denominator of lo, hi and count - 1, and one
+    tau^4 sign test.  Below tau^4 the ball value is a lookup in the shared
+    step table (see :func:`_ball_below_tau4`), so a row costs O(log k) at
+    step k, and the stabilized value is the ball value; beyond tau^4 the
+    stabilized value is the folding bound.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if count < 2 or hi <= lo:
         raise ValueError("need count >= 2 and hi > lo")
+    if lo < 1:
+        raise ValueError("aspect ratio must be >= 1")
+    span = count - 1
+    den = math.lcm(lo.denominator, hi.denominator)
+    lo_num = lo.numerator * (den // lo.denominator)
+    hi_num = hi.numerator * (den // hi.denominator)
     rows = []
-    step = (hi - lo) / (count - 1)
     for i in range(count):
-        a = lo + i * step
-        ball, fold = ball_embedding_value(a), folding_bound(a)
-        rows.append((a, ball, fold if fraction_exceeds_tau4(a) else ball, fold))
+        a = Fraction(lo_num * span + i * (hi_num - lo_num), den * span)
+        n, d = a.numerator, a.denominator
+        fold = Fraction(3 * n, n + d)
+        if _above_tau4(n, d):
+            rows.append((a, _ball_beyond_tau4(a), fold, fold))
+        else:
+            ball = _ball_below_tau4(n, d)
+            rows.append((a, ball, ball, fold))
     return rows
 
 

@@ -9,10 +9,10 @@ multisets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from .series import Vec, is_primitive, wedge
+from ._record import Record
+from .lattice import Vec, is_primitive, wedge
 
 Matrix = Tuple[Tuple[int, int], Tuple[int, int]]
 
@@ -54,12 +54,13 @@ def elementary_transform_fan(fan: Sequence[Vec], i: int) -> List[Vec]:
     return [half_shear(v, w) for w in fan]
 
 
-@dataclass(frozen=True)
-class ToricModel:
+class ToricModel(Record):
     """Edge-blowup data: ordered primitive vectors, optional ambient fan rays."""
 
+    __slots__ = ("vectors", "fan_rays")
+    _defaults = {"fan_rays": None}
     vectors: Tuple[Vec, ...]
-    fan_rays: Optional[Tuple[Vec, ...]] = None
+    fan_rays: Optional[Tuple[Vec, ...]]
 
     def __post_init__(self):
         if not self.vectors:
@@ -222,10 +223,11 @@ def gl2z_equivalent(
 # mutation orbits
 
 
-@dataclass(frozen=True)
-class OrbitNode:
+class OrbitNode(Record):
+    __slots__ = ("model", "word")
+    _defaults = {"word": ()}
     model: ToricModel
-    word: Tuple[int, ...] = field(default_factory=tuple)
+    word: Tuple[int, ...]
 
 
 def mutation_orbit(model: ToricModel, depth: int) -> List[OrbitNode]:

@@ -67,6 +67,11 @@ GOLDEN = {
         0, 'be28638e49eb8a8fd487be1424dade3679a7619be7c2c94ac11a272d3ec764a9'),
     'staircase --range 1 9 --samples 12 --format svg': (
         0, 'c58ee12a34e2829f82e526104f8ded8fe404627f8847d9fcd9abaed01d908b93'),
+    # endpoints with large coprime denominators, across tau^4 and 7
+    'staircase --range 13/7 59/8 --samples 333 --format csv': (
+        0, 'd294c54b120dbfa9fe323ab94fc3761871ed53bd440d810f90d33dc13091bbba'),
+    'staircase --range 13/7 59/8 --samples 333 --format json': (
+        0, '17c9630eac2d4685959bc5ed01cd04ff1a347618d312f83200c1f1e294582e81'),
     'staircase': (2, EMPTY),
     'staircase --a 1/2': (2, EMPTY),
     'staircase --a 3/0': (2, EMPTY),

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from scatstair import staircase
 from scatstair.staircase import (
     ExceptionalClass,
     SqrtValue,
@@ -307,11 +308,33 @@ def test_corners_up_to_step_1000_in_any_order(threads):
     assert steps == [(F(2 * k + 1), F(2 * k + 3), F(2 * k + 5)) for k in range(-1, len(steps) - 1)]
 
 
+def test_corner_functions_read_the_step_table(monkeypatch):
+    """outer_corner, inner_corner and step_height for k = -1..1000 in random
+    order, from an empty step table, which they grow exactly by index."""
+    monkeypatch.setattr(staircase, "_STEPS", ((1, 1, 2),))
+    steps = list(range(-1, 1001))
+    random.Random(7).shuffle(steps)
+    for k in steps:
+        assert outer_corner(k) == Fraction(F(2 * k + 5), F(2 * k + 1)), k
+        assert inner_corner(k) == Fraction(F(2 * k + 3) ** 2, F(2 * k + 1) ** 2), k
+        assert step_height(k) == Fraction(F(2 * k + 5), F(2 * k + 3)), k
+    assert list(staircase._STEPS) == [(F(2 * k + 1), F(2 * k + 3), F(2 * k + 5)) for k in range(-1, 1001)]
+    for corner in (outer_corner, inner_corner, step_height):
+        with pytest.raises(ValueError, match="index must be >= -1"):
+            corner(-2)
+
+
 def test_samples_match_pointwise_values():
     """Rows of staircase_samples on ranges across tau^4, 7 and 8 + 1/36 hold
     the values the point functions give."""
     rng = random.Random(736)
-    ranges = [(Fraction(6), WINDOW_HIGH, 74)]  # hits 6, 7 and 8 + 1/36 exactly
+    ranges = [
+        (Fraction(6), WINDOW_HIGH, 74),  # hits 6, 7 and 8 + 1/36 exactly
+        # endpoints with large, coprime denominators
+        (Fraction(13, 7), Fraction(59, 8), 333),
+        (Fraction(100003, 99991), Fraction(900007, 100019), 257),
+        (Fraction(700001, 100003), Fraction(1000003, 99989), 101),
+    ]
     for _ in range(30):
         lo = Fraction(rng.randint(100, 690), 100)
         hi = Fraction(rng.randint(810, 1200), 100)
@@ -320,13 +343,18 @@ def test_samples_match_pointwise_values():
     for lo, hi, count in ranges:
         rows = staircase_samples(lo, hi, count)
         assert len(rows) == count and rows[0][0] == lo and rows[-1][0] == hi
-        for a, ball, stab, fold in rows:
+        for i, (a, ball, stab, fold) in enumerate(rows):
+            assert a == lo + i * (hi - lo) / (count - 1) and type(a) is Fraction
             assert ball == ball_embedding_value(a) and type(ball) is type(ball_embedding_value(a))
             assert stab == stabilized_value(a) and type(stab) is Fraction
-            assert fold == folding_bound(a)
+            assert fold == folding_bound(a) and type(fold) is Fraction
             kinds.add((type(ball).__name__, fraction_exceeds_tau4(a)))
     assert Fraction(7) in {a for a, *_ in staircase_samples(*ranges[0])}
     assert kinds == {("Fraction", False), ("Fraction", True), ("Unspecified", True), ("SqrtValue", True)}
+    with pytest.raises(ValueError, match="aspect ratio must be >= 1"):
+        staircase_samples(Fraction(1, 2), Fraction(3), 5)
+    with pytest.raises(ValueError, match="aspect ratio must be >= 1"):
+        staircase_samples(Fraction(99, 100), Fraction(101, 100), 2)
 
 
 def test_ball_value_rejects_below_one():
