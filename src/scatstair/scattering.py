@@ -27,7 +27,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._record import Record
 from .series import (
-    TermKey,
     TruncatedSeries,
     Vec,
     is_primitive,
@@ -284,75 +283,111 @@ def _power_slices(
             slices[m] = acc
 
 
-def _crossed(
-    direction: Vec,
-    label: Dict[int, Dict[Vec, Coeff]],
-    terms: Dict[TermKey, Coeff],
-    order: int,
-) -> Dict[TermKey, Coeff]:
-    """The nonzero terms of the image of ``terms`` under the crossing of the
-    wall on ``direction`` whose label has the slices ``label``."""
+# A series by t-degree: entry d maps each z-exponent to its coefficient at t^d.
+Slices = List[Dict[Vec, Coeff]]
+
+_BASES: Tuple[Vec, Vec] = ((1, 0), (0, 1))
+
+
+def _cross_in_place(direction: Vec, label: Dict[int, Dict[Vec, Coeff]], slices: Slices) -> None:
+    """Replace ``slices``, a series by t-degree below t^K with K its length,
+    by its image under the crossing of the wall on ``direction`` whose label
+    has the slices ``label``.
+
+    A term c*z^v*t^a with e = wedge(direction, v) != 0 becomes
+    c*z^v*t^a * label^e.  label^e - 1 starts at t^L, L the label's lowest
+    t-degree, so only the source degrees a <= K - 1 - L can change anything,
+    and each adds only into degrees a + L and above.  The source degrees are
+    visited highest first, so every degree written is above every degree
+    still to be read, and the series is updated in place.  The powers come
+    from :func:`_power_slices`, each extended once, through the degree its
+    lowest source term needs; zeros are dropped only in the degrees written.
+    """
+    if not label:
+        return
     d0, d1 = direction
-    groups: Dict[int, Dict[TermKey, Coeff]] = {}
-    for key, c in terms.items():
-        groups.setdefault(d0 * key[1] - d1 * key[0], {})[key] = c
-    out = groups.pop(0, {})
+    K = len(slices)
+    top = K - 1 - min(label)
+    # exponent -> degree its powers must reach, set by its lowest source degree
+    reach: Dict[int, int] = {}
+    for a in range(top, -1, -1):
+        for v0, v1 in slices[a]:
+            e = d0 * v1 - d1 * v0
+            if e:
+                reach[e] = K - 1 - a
     stride = _stride(label)
-    for e, group in groups.items():
-        slices = {0: _UNIT}
-        _power_slices(label, e, slices, 1, order - 1 - min(key[2] for key in group), stride)
-        for (a, b, k), c in group.items():
-            for m, g in slices.items():  # ascending m
-                if k + m >= order:
+    powers: Dict[int, List[Tuple[int, Dict[Vec, Coeff]]]] = {}
+    for e, hi in reach.items():
+        power = {0: _UNIT}
+        _power_slices(label, e, power, 1, hi, stride)
+        del power[0]
+        powers[e] = list(power.items())  # ascending degree
+    touched = set()
+    for a in range(top, -1, -1):
+        for (v0, v1), c in slices[a].items():
+            e = d0 * v1 - d1 * v0
+            if not e:
+                continue
+            for m, g in powers[e]:
+                n = a + m
+                if n >= K:
                     break
+                touched.add(n)
+                out = slices[n]
                 for (u0, u1), cg in g.items():
-                    key = (a + u0, b + u1, k + m)
+                    key = (v0 + u0, v1 + u1)
                     out[key] = out.get(key, 0) + c * cg
-    return {key: c for key, c in out.items() if c}
+    for n in touched:
+        slices[n] = {key: c for key, c in slices[n].items() if c}
+
+
+def _from_slices(slices: Slices) -> TruncatedSeries:
+    return TruncatedSeries(
+        len(slices), {(a, b, k): c for k, s in enumerate(slices) for (a, b), c in s.items()}
+    )
 
 
 def apply_wall(wall: Wall, s: TruncatedSeries) -> TruncatedSeries:
     """Apply the crossing automorphism of ``wall`` to a series.
 
-    Terms are grouped by their exponent e = wedge(d, w); the result is
-    sum_e S_e * label^e.  Each power comes from J. C. P. Miller's recurrence
-    (see :func:`_power_slices`), only up to the t-degree its group needs:
-    below t^(K - d) for a group whose lowest t-degree is d.  The recurrence
-    visits only the multiples of the label's stride, the gcd of its
-    t-degrees.  The products are taken with integral coefficients as ints;
-    the returned series holds Fractions again.
+    The truncation orders must agree (else :class:`TruncationMismatch`).  A
+    term z^w is multiplied by label^e with e = wedge(d, w).  The series is
+    split by t-degree and crossed in place (see :func:`_cross_in_place`):
+    only the degrees a label of lowest degree L can reach, below t^(K - L),
+    are read.  Each power comes from J. C. P. Miller's recurrence (see
+    :func:`_power_slices`), which visits only the multiples of the label's
+    stride, the gcd of its t-degrees.  The products are taken with integral
+    coefficients as ints; the returned series holds Fractions again.
     """
+    s._check_order(wall.label)
     if not any(wall.crossing_exponent((a, b)) for (a, b, _) in s.terms):
         return s
-    s._check_order(wall.label)
-    terms = {key: _exact(c) for key, c in s.terms.items()}
-    return TruncatedSeries(s.order, _crossed(wall.direction, _label_slices(wall.label), terms, s.order))
+    slices: Slices = [{} for _ in range(s.order)]
+    for (a, b, k), c in s.terms.items():
+        slices[k][(a, b)] = _exact(c)
+    _cross_in_place(wall.direction, _label_slices(wall.label), slices)
+    return _from_slices(slices)
 
 
 def total_monodromy(diagram: ScatteringDiagram) -> Tuple[TruncatedSeries, TruncatedSeries]:
     """Images of x and y under the counterclockwise composition of all crossings.
 
-    The crossings are applied as in :func:`apply_wall`, and the images stay
-    int/Fraction term maps until they are returned as series.
+    The images are held by t-degree, and each wall crosses them in place as
+    in :func:`apply_wall`: only the degrees below t^(K - L) are read for a
+    label of lowest degree L.  The images stay int/Fraction slices until
+    they are returned as series.
     """
     K = diagram.order
-    sx: Dict[TermKey, Coeff] = {(1, 0, 0): 1}
-    sy: Dict[TermKey, Coeff] = {(0, 1, 0): 1}
+    sx, sy = ([{base: 1}] + [{} for _ in range(K - 1)] for base in _BASES)
     for wall in diagram.sorted_walls():
         label = _label_slices(wall.label)
-        sx = _crossed(wall.direction, label, sx, K)
-        sy = _crossed(wall.direction, label, sy, K)
-    return TruncatedSeries(K, sx), TruncatedSeries(K, sy)
+        _cross_in_place(wall.direction, label, sx)
+        _cross_in_place(wall.direction, label, sy)
+    return _from_slices(sx), _from_slices(sy)
 
 
 # ---------------------------------------------------------------------------
 # completion
-
-
-# A series by t-degree: entry d maps each z-exponent to its coefficient at t^d.
-Slices = List[Dict[Vec, Coeff]]
-
-_BASES: Tuple[Vec, Vec] = ((1, 0), (0, 1))
 
 
 def _read_defect(k: int, sx: Slices, sy: Slices) -> Dict[Vec, Coeff]:
@@ -413,13 +448,16 @@ class _Crossing:
     Every power of the label lives only at t-degrees that are multiples of
     ``stride``, the gcd of the label's own t-degrees, so only those slices
     are computed and only image degrees a with stride | k - a are crossed.
-    Integral coefficients are ints, the others Fractions.
+    A power has no slice at 0 < n < ``low``, the label's lowest t-degree, so
+    at order k only the image degrees a <= k - low are crossed.  Integral
+    coefficients are ints, the others Fractions.
     """
 
     def __init__(self, wall: Wall):
         self.wall = wall
         self.label = _label_slices(wall.label)
         self.stride = _stride(self.label)
+        self.low = min(self.label, default=wall.label.order)
         # exponent e -> (degree computed through, nonzero t-degree slices of label^e)
         self.powers: Dict[int, Tuple[int, Dict[int, Dict[Vec, Coeff]]]] = {}
 
@@ -445,7 +483,7 @@ class _Crossing:
         """The t^k slice of the image of ``prev`` under this wall's crossing."""
         d0, d1 = self.wall.direction
         out = dict(prev[k])
-        for a in range(k % self.stride, k, self.stride):
+        for a in range(k % self.stride, k - self.low + 1, self.stride):
             for (v0, v1), c in prev[a].items():
                 e = d0 * v1 - d1 * v0
                 if not e:
@@ -467,11 +505,14 @@ def ks_complete(
     slice of each image is computed, from the slices below it and the
     slices of the label powers the crossing needs (each power slice comes
     from J. C. P. Miller's recurrence).  A label's powers live only at
-    multiples of its stride, the gcd of its t-degrees, so a crossing visits
-    only those degrees.  The defect is read off the image after the last
-    wall: a term (w, c_w) with primitive part (p, j) becomes the factor
-    1 - j*c_w*t^k*z^w of the outgoing wall on the ray p, which cancels that
-    term mod t^{k+1}.  Such a factor changes nothing below t^k, so it only
+    multiples of its stride, the gcd of its t-degrees, and have no slice
+    between t^0 and t^L, L the label's lowest t-degree, so at order k a
+    crossing reads only the image degrees a <= k - L with stride | k - a.
+    The defect is read off the image after the last wall: a term (w, c_w)
+    with primitive part (p, j) becomes the factor 1 - j*c_w*t^k*z^w of the
+    outgoing wall on the ray p, which cancels that term mod t^{k+1}; the
+    label f takes it as f + f*(-j*c_w*t^k*z^w), a product with one
+    monomial.  Such a factor changes nothing below t^k, so it only
     shifts the t^k slices of the images from its wall onward, and nothing
     below t^k is ever recomputed.  Incoming walls pass through unchanged.
     Inside the loop an integral coefficient is an int and any other a
@@ -482,10 +523,12 @@ def ks_complete(
     added, the diagram (one merged label per ray and orientation) stores
     more than ``term_cap`` label terms.  The full-order total monodromy is
     recomputed at the end by :func:`total_monodromy` as a check, and
-    :class:`ConventionError` is raised if it is not the identity.  The check
+    :class:`ConventionError` is raised if it is not the identity; each wall
+    there reads only the image degrees its label can reach.  The check
     shares only the power recurrence :func:`_power_slices` with the loop
-    above.  Tests pin it against series products, and whole completions
-    against the slope-ordered factorization of the incoming walls' product.
+    above, and none of its power caches.  Tests pin it against series
+    products, and whole completions against the slope-ordered factorization
+    of the incoming walls' product.
     """
     if term_cap is not None and term_cap < 0:
         raise ValueError("term cap must be >= 0")
@@ -516,7 +559,7 @@ def ks_complete(
                 images.insert(i + 1, tuple(s[:k] + [dict(s[k])] for s in images[i]))
             label = crossings[i].wall.label
             for w, alpha in terms:
-                label = label * (one + TruncatedSeries.monomial(K, w, k, alpha))
+                label = label + label * TruncatedSeries.monomial(K, w, k, alpha)
             for base, after in zip(_BASES, zip(*images[i + 1:])):
                 e = wedge(p, base)
                 if not e:
@@ -582,6 +625,12 @@ def change_of_lattice(
 def log_coefficient(diagram: ScatteringDiagram, direction: Vec, kappa: int) -> Fraction:
     """Coefficient of z^{kappa*direction} in log of the outgoing label on the ray,
     summed over all t-degrees (the t = 1 specialization is finite per monomial).
+
+    Every label term above 1 sits on z^(j*direction) with j >= 1, so only
+    the terms with j <= kappa and the powers g^i with i <= kappa of
+    g = label - 1 reach z^(kappa*direction); for kappa = 1 the value is the
+    sum of the z^direction coefficients.  The powers are truncated at t^K as
+    in :meth:`TruncatedSeries.log`.
     """
     if not is_primitive(direction):
         raise ValueError("direction must be primitive")
@@ -599,10 +648,25 @@ def log_coefficient(diagram: ScatteringDiagram, direction: Vec, kappa: int) -> F
     wall = diagram.wall_on_ray(direction, incoming=False)
     if wall is None:
         return Fraction(0)
+    K = diagram.order
+    # g by (multiple j of the direction, t-degree), for j <= kappa
+    g: Dict[Tuple[int, int], Fraction] = {}
+    for (a, b, k), c in wall.label.terms.items():
+        if k:
+            j = _ray_multiple((a, b), direction)
+            if j <= kappa:
+                g[(j, k)] = c
     total = Fraction(0)
-    for (a, b, _), c in wall.label.log().terms.items():
-        if (a, b) == target:
-            total += c
+    power: Dict[Tuple[int, int], Fraction] = {(0, 0): Fraction(1)}
+    for i in range(1, kappa + 1):
+        product: Dict[Tuple[int, int], Fraction] = {}
+        for (j1, k1), c1 in power.items():
+            for (j2, k2), c2 in g.items():
+                if j1 + j2 <= kappa and k1 + k2 < K:
+                    key = (j1 + j2, k1 + k2)
+                    product[key] = product.get(key, 0) + c1 * c2
+        power = product
+        total += Fraction((-1) ** (i + 1), i) * sum(c for (j, _), c in power.items() if j == kappa)
     return total
 
 

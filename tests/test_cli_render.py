@@ -36,6 +36,8 @@ GOLDEN = {
         0, '91b13ee4862a52deb28e177be862c3570c6b15262adea1ae0358ca57f0a8f9f9'),
     'scatter --m 1,0 --m 0,1 --m 1,1 --k 1 --k 1 --k 1 --order 5 --format svg': (
         0, '85ef0a1b0f7193e510468d9d6afda5e687c8a96700e394864ae1175dbb106488'),
+    'scatter --m 1,0 --m 0,1 --m 1,1 --m -1,1 --k 1 --k 1 --k 1 --k 1 --order 16 --format json': (
+        0, 'feb5b8b1d5c24939e9e212dd0e947730315d780c4486f78179b6606570ee9698'),
     'scatter --m 1,0 --order 5': (2, EMPTY),
     'scatter --m 2,2 --k 1 --order 5': (2, EMPTY),
     'scatter --m 1,0 --k 0 --order 5': (2, EMPTY),

@@ -7,10 +7,11 @@ from math import comb, gcd
 
 import pytest
 
-from scatstair.series import TruncatedSeries as TS, primitive_part, wedge
+from scatstair.series import TruncatedSeries as TS, TruncationMismatch, primitive_part, wedge
 from scatstair.scattering import (
     ScatteringDiagram,
     TermCapExceeded,
+    TruncationTooLow,
     Wall,
     _Crossing,
     _label_slices,
@@ -157,6 +158,45 @@ def test_apply_wall_matches_power_products():
     assert widest >= 10
 
 
+@pytest.mark.parametrize("low", [2, 3, 4])
+def test_apply_wall_at_the_reach_of_the_label(low):
+    """A label of lowest t-degree L changes only degrees below t^(K - L): a
+    probe term at t^(K - 1 - L) gains a term at t^(K - 1), one at t^(K - L)
+    stays as it is, and both agree with the series products."""
+    rng = random.Random(100 + low)
+    for case in range(40):
+        order = low + rng.randint(2, 6)
+        d = rng.choice(ORACLE_RAYS)
+        incoming = rng.random() < 0.5
+        m = (-d[0], -d[1]) if incoming else d
+        terms = {(0, 0, 0): Fraction(1), (m[0], m[1], low): _random_coeff(rng)}
+        for j in range(2, rng.randint(2, 4)):
+            terms[(j * m[0], j * m[1], rng.randint(low, order - 1))] = _random_coeff(rng)
+        w = Wall(d, incoming, TS(order, terms))
+        probe = dict(_random_probe(rng, order).terms)
+        edge = []
+        for k in (order - 1 - low, order - low):
+            while True:
+                v = (rng.randint(-6, 6), rng.randint(-6, 6))
+                if w.crossing_exponent(v):
+                    break
+            probe[(v[0], v[1], k)] = c = _random_coeff(rng)
+            edge.append(mono(order, v, k, c))
+        s = TS(order, probe)
+        assert apply_wall(w, s) == reference_apply_wall(w, s), (case, w, s)
+        reaching, beyond = edge
+        assert {key[2] for key in apply_wall(w, reaching).terms} == {order - 1 - low, order - 1}
+        assert apply_wall(w, beyond) == beyond
+
+
+def test_apply_wall_checks_the_order_first():
+    w = wall((1, 0), "1 + t*x", 5)
+    with pytest.raises(TruncationMismatch):
+        apply_wall(w, x_series(4))  # no term crosses
+    with pytest.raises(TruncationMismatch):
+        apply_wall(w, y_series(4))
+
+
 def test_power_slices_match_series_powers():
     rng = random.Random(977)
     for _ in range(12):
@@ -253,6 +293,21 @@ def test_pentagon_monodromy_trivial():
     sx, sy = total_monodromy(S)
     assert sx == x_series(10)
     assert sy == y_series(10)
+
+
+def test_monodromy_sees_a_term_at_the_last_degree():
+    """A term at t^(K - 1) on one outgoing label of a consistent diagram
+    changes the images at t^(K - 1), the one degree it can reach."""
+    order = 10
+    S = ks_complete(initial_diagram([((1, 0), 3), ((0, 1), 3)], order))
+    assert total_monodromy(S) == (x_series(order), y_series(order))
+    ray = S.wall_on_ray((1, 1))
+    bumped = Wall((1, 1), False, ray.label + mono(order, (2, 2), order - 1))
+    walls = tuple(bumped if w is ray else w for w in S.walls)
+    sx, sy = total_monodromy(ScatteringDiagram(order, walls, S.grading))
+    # wedge((1, 1), (1, 0)) = -1 and wedge((1, 1), (0, 1)) = 1
+    assert sx == x_series(order) - mono(order, (3, 2), order - 1)
+    assert sy == y_series(order) + mono(order, (2, 3), order - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -655,6 +710,34 @@ def test_log_coefficient_truncation_guard():
     S = pentagon(4)
     with pytest.raises(TruncationTooLow):
         log_coefficient(S, (1, 1), 2)  # z^(2,2) first appears at t^4
+
+
+def _full_log_sum(label, target):
+    """The z^target coefficient of label.log(), summed over t-degrees."""
+    return sum((c for (a, b, _), c in label.log().terms.items() if (a, b) == target), Fraction(0))
+
+
+LOG_CASES = [([((1, 0), m), ((0, 1), m)], 12) for m in (1, 2, 3)] + [
+    ([((1, 0), 1), ((0, 1), 1), ((1, 1), 1), ((-1, 1), 1)], 8)
+]
+
+
+@pytest.mark.parametrize("seeds,order", LOG_CASES, ids=map(_case_id, LOG_CASES))
+def test_log_coefficient_matches_the_full_log(seeds, order):
+    S = ks_complete(initial_diagram(seeds, order))
+    nonzero = 0
+    for w in S.outgoing_walls():
+        for kappa in (1, 2, 3):
+            target = (kappa * w.direction[0], kappa * w.direction[1])
+            lowest = S.min_t_degree(target)
+            if lowest is not None and lowest >= order:
+                with pytest.raises(TruncationTooLow):
+                    log_coefficient(S, w.direction, kappa)
+                continue
+            value = log_coefficient(S, w.direction, kappa)
+            assert value == _full_log_sum(w.label, target), (w.direction, kappa)
+            nonzero += kappa > 1 and value != 0
+    assert nonzero
 
 
 def test_ray_spectrum_pentagon():
