@@ -369,6 +369,41 @@ def apply_wall(wall: Wall, s: TruncatedSeries) -> TruncatedSeries:
     return _from_slices(slices)
 
 
+def _pruned_axis(walls: Sequence[Wall]) -> Optional[int]:
+    """The image that can be kept on its axis line: 0 when the first
+    coordinates of all the walls' monomial directions are >= 0, or all are
+    <= 0; else 1 when the second coordinates are; else None.
+
+    With axis a chosen, the image of the a-th base z^(e_a) is kept only at
+    the offsets w from its base with w_a = 0, the line through z^(e_a)
+    parallel to the other axis.  Every label monomial moves an offset's
+    a-th coordinate one way only, so a term off that line never comes back
+    to it, and only the walls with direction_a = 0, the walls on the line,
+    change the terms on it.  x is preferred, so the image of x is pruned
+    whenever both qualify.
+    """
+    for axis in (0, 1):
+        signs = {w.monomial_direction()[axis] > 0 for w in walls if w.monomial_direction()[axis]}
+        if len(signs) < 2:
+            return axis
+    return None
+
+
+def _monodromy_slices(walls: Sequence[Wall], K: int, axis: Optional[int] = None) -> List[Slices]:
+    """The images of x and y by t-degree under the counterclockwise
+    composition of the crossings of ``walls``, each crossed in place (see
+    :func:`_cross_in_place`).  The image of the ``axis``-th base, if any,
+    crosses only the walls on its line (see :func:`_pruned_axis`) and so
+    holds only its terms on that line."""
+    images = [[{base: 1}] + [{} for _ in range(K - 1)] for base in _BASES]
+    for wall in sorted(walls, key=_wall_key):
+        label = _label_slices(wall.label)
+        for n, slices in enumerate(images):
+            if n != axis or not wall.direction[axis]:
+                _cross_in_place(wall.direction, label, slices)
+    return images
+
+
 def total_monodromy(diagram: ScatteringDiagram) -> Tuple[TruncatedSeries, TruncatedSeries]:
     """Images of x and y under the counterclockwise composition of all crossings.
 
@@ -377,13 +412,26 @@ def total_monodromy(diagram: ScatteringDiagram) -> Tuple[TruncatedSeries, Trunca
     label of lowest degree L.  The images stay int/Fraction slices until
     they are returned as series.
     """
-    K = diagram.order
-    sx, sy = ([{base: 1}] + [{} for _ in range(K - 1)] for base in _BASES)
-    for wall in diagram.sorted_walls():
-        label = _label_slices(wall.label)
-        _cross_in_place(wall.direction, label, sx)
-        _cross_in_place(wall.direction, label, sy)
+    sx, sy = _monodromy_slices(diagram.walls, diagram.order)
     return _from_slices(sx), _from_slices(sy)
+
+
+def _monodromy_is_trivial(diagram: ScatteringDiagram) -> bool:
+    """Whether ``total_monodromy(diagram) == (x, y)``, with the image picked
+    by :func:`_pruned_axis` from the diagram's own walls kept on its line.
+
+    Say x's image is pruned (y's is the mirror case).  The total monodromy
+    is a product of wall crossings, so it is exp(D) for a D in the tropical
+    vertex Lie algebra, a sum of terms z^w * d_n with n orthogonal to w.
+    Such a term sends y to a multiple of w_1 * z^(w + (0, 1)).  If the
+    image of y is y, the lowest t-degree of D off the vertical line w_1 = 0
+    would show in it, so all of D lies on that line, and the image of x is
+    x times terms on that line: exactly the terms the pruned image keeps.
+    So "y's full image is y and x's pruned image is x" decides the same as
+    the full comparison.
+    """
+    images = _monodromy_slices(diagram.walls, diagram.order, _pruned_axis(diagram.walls))
+    return not any(s for slices in images for s in slices[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +443,12 @@ def _read_defect(k: int, sx: Slices, sy: Slices) -> Dict[Vec, Coeff]:
 
     Slices 1..k-1 must vanish.  In slice k the image of z^base states
     -c_w * wedge(base, w) at z^(base + w): c_w * (-w2) for x, c_w * w1 for y;
-    the two readouts must agree.  An offending term is reported lowest degree
-    first, then by exponent, the x-image before the y-image.
+    where both readouts state c_w they must agree.  When one image is kept
+    only on its line (see :func:`_pruned_axis`), say x's, it states c_w just
+    for the w with w1 = 0, which y cannot read, so the readouts do not
+    overlap and nothing is compared: the final check of :func:`ks_complete`
+    is then the guard.  An offending term is reported lowest degree first,
+    then by exponent, the x-image before the y-image.
     """
     readouts = []
     for base, slices, name, axis in (((1, 0), sx, "x", "w2"), ((0, 1), sy, "y", "w1")):
@@ -501,7 +553,16 @@ def ks_complete(
     """Add outgoing walls order by order until the total monodromy is trivial.
 
     The walls are kept in crossing order together with the images of x and
-    of y after each of them, stored by t-degree.  At order k only the t^k
+    of y after each of them, stored by t-degree.  When the first coordinates
+    of all label monomials are >= 0, or all are <= 0, the image of x is kept
+    only at its offsets w from x with w1 = 0, the vertical line through x;
+    otherwise, when the second coordinates share a sign, the image of y
+    only on the horizontal line through y; otherwise both in full (see
+    :func:`_pruned_axis`).  Offsets then never move back across the line,
+    so the kept terms depend only on earlier kept terms and on the walls on
+    the line: a wall off the line passes the pruned image through
+    unchanged.  The other image reads every defect term off the line, the
+    pruned one the rest (see :func:`_read_defect`).  At order k only the t^k
     slice of each image is computed, from the slices below it and the
     slices of the label powers the crossing needs (each power slice comes
     from J. C. P. Miller's recurrence).  A label's powers live only at
@@ -513,8 +574,9 @@ def ks_complete(
     outgoing wall on the ray p, which cancels that term mod t^{k+1}; the
     label f takes it as f + f*(-j*c_w*t^k*z^w), a product with one
     monomial.  Such a factor changes nothing below t^k, so it only
-    shifts the t^k slices of the images from its wall onward, and nothing
-    below t^k is ever recomputed.  Incoming walls pass through unchanged.
+    shifts the t^k slices of the images from its wall onward, the pruned
+    image only for w on its line, and nothing below t^k is ever
+    recomputed.  Incoming walls pass through unchanged.
     Inside the loop an integral coefficient is an int and any other a
     Fraction; the returned labels are TruncatedSeries of Fractions.
 
@@ -522,18 +584,27 @@ def ks_complete(
     Raises :class:`TermCapExceeded` when, after the walls of some order are
     added, the diagram (one merged label per ray and orientation) stores
     more than ``term_cap`` label terms.  The full-order total monodromy is
-    recomputed at the end by :func:`total_monodromy` as a check, and
-    :class:`ConventionError` is raised if it is not the identity; each wall
-    there reads only the image degrees its label can reach.  The check
+    recomputed at the end as a check, and :class:`ConventionError` is
+    raised if it is not the identity; each wall there reads only the image
+    degrees its label can reach.  The check picks its own line by
+    :func:`_pruned_axis` from the completed diagram's walls, not from the
+    loop's choice, and crosses the image it prunes only through the walls
+    on that line, the other image through every wall.  This decides exactly
+    what ``total_monodromy(diag) == (x, y)`` decides: the monodromy is
+    exp(D) in the tropical vertex group, and if it fixes y, all of D lies
+    on the vertical line, so the image of x is x times terms on that line
+    (see :func:`_monodromy_is_trivial`).  Besides that rule, the check
     shares only the power recurrence :func:`_power_slices` with the loop
     above, and none of its power caches.  Tests pin it against series
-    products, and whole completions against the slope-ordered factorization
-    of the incoming walls' product.
+    products and against :func:`total_monodromy` on perturbed diagrams, and
+    whole completions against the slope-ordered factorization of the
+    incoming walls' product.
     """
     if term_cap is not None and term_cap < 0:
         raise ValueError("term cap must be >= 0")
     diag = canonicalize(diagram)
     K = diag.order
+    axis = _pruned_axis(diag.walls)
     crossings = [_Crossing(w) for w in diag.walls]
     # images[i]: the images of x and of y after the first i walls, by t-degree
     images = [tuple([{base: 1}] for base in _BASES) for _ in range(len(crossings) + 1)]
@@ -542,8 +613,12 @@ def ks_complete(
         for slices in images[0]:
             slices.append({})
         for crossing, before, after in zip(crossings, images, images[1:]):
-            for prev, cur in zip(before, after):
-                cur.append(crossing.advance(prev, k))
+            off_line = axis is not None and crossing.wall.direction[axis]
+            for n, (prev, cur) in enumerate(zip(before, after)):
+                if n == axis and off_line:
+                    cur.append(dict(prev[k]))
+                else:
+                    cur.append(crossing.advance(prev, k))
         defect = _read_defect(k, *images[-1])
         if not defect:
             continue
@@ -560,9 +635,9 @@ def ks_complete(
             label = crossings[i].wall.label
             for w, alpha in terms:
                 label = label + label * TruncatedSeries.monomial(K, w, k, alpha)
-            for base, after in zip(_BASES, zip(*images[i + 1:])):
+            for n, (base, after) in enumerate(zip(_BASES, zip(*images[i + 1:]))):
                 e = wedge(p, base)
-                if not e:
+                if not e or (n == axis and p[axis]):
                     continue
                 for w, alpha in terms:
                     key = (base[0] + w[0], base[1] + w[1])
@@ -581,8 +656,7 @@ def ks_complete(
                 f"diagram stores {total} terms (cap {term_cap}) after order {k} of {K}", k
             )
     diag = ScatteringDiagram(K, tuple(cr.wall for cr in crossings), diag.grading)
-    sx, sy = total_monodromy(diag)
-    if sx != TruncatedSeries.monomial(K, (1, 0), 0) or sy != TruncatedSeries.monomial(K, (0, 1), 0):
+    if not _monodromy_is_trivial(diag):
         raise ConventionError("completion finished with nontrivial monodromy")
     return diag
 

@@ -131,6 +131,9 @@ GOLDEN = {
         0, '8c5f52fdfa04e2e5cee51c24e0d7b0b2b680ee6240a2bc6ff1156fc6c589d1a0'),
     'scatter --m -1,-3 --m 1,0 --k 1 --k 1 --order 24 --format json': (
         0, '472da9f3bd48c1eb69eeef1032cd8d73648c3181a1029f116202e6af55964603'),
+    # seeds around the origin: neither image of the completion is kept on one line
+    'scatter --m 2,1 --m -1,1 --m -1,-2 --k 1 --k 1 --k 1 --order 7 --format json': (
+        0, 'e841298d5362aa43f89967a1372e7c54d78c27a8108fdafad53204454f14bd04'),
 }
 
 

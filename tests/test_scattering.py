@@ -7,15 +7,19 @@ from math import comb, gcd
 
 import pytest
 
+from scatstair import scattering
 from scatstair.series import TruncatedSeries as TS, TruncationMismatch, primitive_part, wedge
 from scatstair.scattering import (
+    ConventionError,
     ScatteringDiagram,
     TermCapExceeded,
     TruncationTooLow,
     Wall,
     _Crossing,
     _label_slices,
+    _monodromy_is_trivial,
     _power_slices,
+    _pruned_axis,
     apply_wall,
     canonicalize,
     change_of_lattice,
@@ -621,6 +625,101 @@ def test_completion_drops_a_wall_that_cancels():
     # factors 1 - t*x, 1 + t^2*x^2, 1 + t^4*x^4 leave 1 - t^8*x^8 = 1 mod t^5
     lone = ScatteringDiagram(5, (wall((1, 0), "1 + t*x", 5),))
     assert ks_complete(lone) == ScatteringDiagram(5, ())
+
+
+# ---------------------------------------------------------------------------
+# the image kept on one line, and the final check
+
+# (seeds, order, the image kept on its line: 0 for x, 1 for y, None for neither)
+PRUNING_CASES = [
+    ([((1, 0), 3), ((0, 1), 3)], 10, 0),
+    ([((1, 0), 1), ((0, 1), 1), ((1, 1), 1)], 8, 0),
+    ([((-1, -3), 1), ((1, 0), 1)], 10, 1),
+    ([((1, 0), 1), ((0, 1), 1), ((1, 1), 1), ((-1, 1), 1)], 7, 1),
+    ([((2, 1), 1), ((-1, 1), 1), ((-1, -2), 1)], 6, None),
+    ([((1, 0), 1), ((0, 1), 1), ((-1, 0), 1), ((0, -1), 1)], 5, None),
+]
+PRUNING_IDS = [_case_id(case[:2]) for case in PRUNING_CASES]
+
+
+@pytest.mark.parametrize("seeds,order,axis", PRUNING_CASES, ids=PRUNING_IDS)
+def test_pruned_axis_by_seed_set(seeds, order, axis):
+    assert _pruned_axis(canonicalize(initial_diagram(seeds, order)).walls) == axis
+
+
+def _perturbed(rng, diagram):
+    """``diagram`` with one wall dropped, or one one-term wall added on a random
+    primitive ray, or one term z^(j*m)*t^k added to one label."""
+    K, walls = diagram.order, list(diagram.walls)
+    kind = rng.randrange(3)
+    if kind == 0:
+        del walls[rng.randrange(len(walls))]
+    elif kind == 1:
+        while True:
+            d = (rng.randint(-4, 4), rng.randint(-4, 4))
+            if d != (0, 0) and gcd(*d) == 1:
+                break
+        incoming = rng.random() < 0.5
+        m = (-d[0], -d[1]) if incoming else d
+        j = rng.randint(1, 2)
+        term = mono(K, (j * m[0], j * m[1]), rng.randint(1, K - 1), _random_coeff(rng))
+        walls.append(Wall(d, incoming, TS.one(K) + term))
+    else:
+        i = rng.randrange(len(walls))
+        w = walls[i]
+        m = w.monomial_direction()
+        j = rng.randint(1, 3)
+        term = mono(K, (j * m[0], j * m[1]), rng.randint(1, K - 1), _random_coeff(rng))
+        walls[i] = Wall(w.direction, w.incoming, w.label + term)
+    return ScatteringDiagram(K, tuple(walls), diagram.grading)
+
+
+@pytest.mark.parametrize("seeds,order,axis", PRUNING_CASES, ids=PRUNING_IDS)
+def test_final_check_decides_trivial_monodromy(seeds, order, axis):
+    """The final check, which keeps one image on its line whenever the
+    diagram's own walls allow it, agrees with the full total monodromy on
+    completed diagrams and on 40 seeded perturbations of each."""
+    completed = ks_complete(initial_diagram(seeds, order))
+    assert _pruned_axis(completed.walls) == axis
+    assert _monodromy_is_trivial(completed)
+    identity = (x_series(order), y_series(order))
+    rng = random.Random(f"final-check {_case_id((seeds, order))}")
+    for _ in range(40):
+        d = _perturbed(rng, completed)
+        assert _monodromy_is_trivial(d) == (total_monodromy(d) == identity)
+
+
+def test_final_check_sees_walls_on_the_vertical_line_only():
+    """Uncancelled walls on the vertical line fix y, so only the image of x,
+    kept on that line, shows the defect."""
+    order = 6
+    d = ScatteringDiagram(order, (
+        wall((0, 1), "1 + t*y", order),
+        wall((0, -1), "1 + 2*t^2*y^-1", order),
+    ))
+    assert _pruned_axis(d.walls) == 0
+    sx, sy = total_monodromy(d)
+    assert sy == y_series(order) and sx != x_series(order)
+    assert not _monodromy_is_trivial(d)
+
+
+@pytest.mark.parametrize("seeds,order,axis", PRUNING_CASES[::2], ids=PRUNING_IDS[::2])
+def test_a_dropped_defect_term_fails_the_final_check(seeds, order, axis, monkeypatch):
+    """One defect term dropped at the last order is never cancelled, and the
+    final check, the only guard at that order, reports it."""
+    read = scattering._read_defect
+    dropped = []
+
+    def lossy(k, sx, sy):
+        defect = read(k, sx, sy)
+        if k == order - 1 and defect:
+            dropped.append(defect.pop(min(defect)))
+        return defect
+
+    monkeypatch.setattr(scattering, "_read_defect", lossy)
+    with pytest.raises(ConventionError, match="nontrivial monodromy"):
+        ks_complete(initial_diagram(seeds, order))
+    assert dropped
 
 
 @pytest.mark.parametrize("l1,l2", [(1, 1), (1, 3), (1, 7), (2, 3), (3, 3), (3, 5), (4, 2)])
