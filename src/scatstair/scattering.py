@@ -441,20 +441,21 @@ def _monodromy_is_trivial(diagram: ScatteringDiagram) -> bool:
 def _read_defect(k: int, sx: Slices, sy: Slices) -> Dict[Vec, Coeff]:
     """The order-k defect {w: c_w} from the t-degree slices of Mon(x) and Mon(y).
 
-    Slices 1..k-1 must vanish.  In slice k the image of z^base states
-    -c_w * wedge(base, w) at z^(base + w): c_w * (-w2) for x, c_w * w1 for y;
-    where both readouts state c_w they must agree.  When one image is kept
-    only on its line (see :func:`_pruned_axis`), say x's, it states c_w just
-    for the w with w1 = 0, which y cannot read, so the readouts do not
-    overlap and nothing is compared: the final check of :func:`ks_complete`
-    is then the guard.  An offending term is reported lowest degree first,
-    then by exponent, the x-image before the y-image.
+    Slices 1..k-1 must vanish, else :class:`ConventionError`.  In slice k
+    the image of z^base states -c_w * wedge(base, w) at z^(base + w):
+    c_w * (-w2) for x, c_w * w1 for y; where both readouts state c_w they
+    must agree.  When one image is kept only on its line (see
+    :func:`_pruned_axis`), say x's, it states c_w just for the w with
+    w1 = 0, which y cannot read, so the readouts do not overlap and nothing
+    is compared: the final check of :func:`ks_complete` is then the guard.
+    An offending term is reported lowest degree first, then by exponent,
+    the x-image before the y-image.
     """
     readouts = []
     for base, slices, name, axis in (((1, 0), sx, "x", "w2"), ((0, 1), sy, "y", "w1")):
         for d in range(1, k):
             if slices[d]:
-                raise ValueError(
+                raise ConventionError(
                     f"monodromy is not trivial mod t^{k}: found a defect at order t^{d}"
                 )
         out: Dict[Vec, Coeff] = {}
@@ -494,46 +495,47 @@ def canonicalize(diagram: ScatteringDiagram) -> ScatteringDiagram:
 
 
 class _Crossing:
-    """A wall of a completion in progress, with its label split by t-degree
-    and the slices of the label's powers computed so far.
+    """A wall of a completion in progress: direction, orientation, label
+    series, the label by t-degree and the label's power slices so far.
 
     Every power of the label lives only at t-degrees that are multiples of
     ``stride``, the gcd of the label's own t-degrees, so only those slices
     are computed and only image degrees a with stride | k - a are crossed.
     A power has no slice at 0 < n < ``low``, the label's lowest t-degree, so
     at order k only the image degrees a <= k - low are crossed.  Integral
-    coefficients are ints, the others Fractions.
+    coefficients are ints, the others Fractions.  No :class:`Wall` is built.
     """
 
-    def __init__(self, wall: Wall):
-        self.wall = wall
-        self.label = _label_slices(wall.label)
-        self.stride = _stride(self.label)
-        self.low = min(self.label, default=wall.label.order)
+    def __init__(self, direction: Vec, incoming: bool, label: TruncatedSeries):
+        self.direction = direction
+        self.incoming = incoming
         # exponent e -> (degree computed through, nonzero t-degree slices of label^e)
         self.powers: Dict[int, Tuple[int, Dict[int, Dict[Vec, Coeff]]]] = {}
+        self.relabel(label, label.order)
 
-    def relabeled(self, wall: Wall, k: int) -> "_Crossing":
-        """The crossing of ``wall``, whose label differs from this one only from
-        t^k on; the power slices below t^k carry over.  The stride is read off
+    def relabel(self, label: TruncatedSeries, k: int) -> None:
+        """Take ``label``, which differs from the current label only from t^k
+        on; the power slices below t^k carry over.  The stride is read off
         the new label: a term at t^k can shrink it."""
-        new = _Crossing(wall)
+        self.label = label
+        self.slices = _label_slices(label)
+        self.stride = _stride(self.slices)
+        self.low = min(self.slices, default=label.order)
         for e, (done, slices) in self.powers.items():
             slices.pop(k, None)
-            new.powers[e] = (min(done, k - 1), slices)
-        return new
+            self.powers[e] = (min(done, k - 1), slices)
 
     def power(self, e: int, n: int) -> Dict[Vec, Coeff]:
         """The t^n slice of label^e, n >= 1."""
         done, slices = self.powers.get(e, (0, {0: _UNIT}))
         if done < n:
-            _power_slices(self.label, e, slices, done + 1, n, self.stride)
+            _power_slices(self.slices, e, slices, done + 1, n, self.stride)
             self.powers[e] = (n, slices)
         return slices.get(n, {})
 
     def advance(self, prev: Slices, k: int) -> Dict[Vec, Coeff]:
         """The t^k slice of the image of ``prev`` under this wall's crossing."""
-        d0, d1 = self.wall.direction
+        d0, d1 = self.direction
         out = dict(prev[k])
         for a in range(k % self.stride, k - self.low + 1, self.stride):
             for (v0, v1), c in prev[a].items():
@@ -578,7 +580,8 @@ def ks_complete(
     image only for w on its line, and nothing below t^k is ever
     recomputed.  Incoming walls pass through unchanged.
     Inside the loop an integral coefficient is an int and any other a
-    Fraction; the returned labels are TruncatedSeries of Fractions.
+    Fraction.  A wall is a :class:`_Crossing`, relabelled in place; each
+    :class:`Wall` is built once, when the diagram (of Fractions) is returned.
 
     Raises ValueError for a negative ``term_cap``; ``None`` means no cap.
     Raises :class:`TermCapExceeded` when, after the walls of some order are
@@ -605,7 +608,7 @@ def ks_complete(
     diag = canonicalize(diagram)
     K = diag.order
     axis = _pruned_axis(diag.walls)
-    crossings = [_Crossing(w) for w in diag.walls]
+    crossings = [_Crossing(w.direction, w.incoming, w.label) for w in diag.walls]
     # images[i]: the images of x and of y after the first i walls, by t-degree
     images = [tuple([{base: 1}] for base in _BASES) for _ in range(len(crossings) + 1)]
     one = TruncatedSeries.one(K)
@@ -613,7 +616,7 @@ def ks_complete(
         for slices in images[0]:
             slices.append({})
         for crossing, before, after in zip(crossings, images, images[1:]):
-            off_line = axis is not None and crossing.wall.direction[axis]
+            off_line = axis is not None and crossing.direction[axis]
             for n, (prev, cur) in enumerate(zip(before, after)):
                 if n == axis and off_line:
                     cur.append(dict(prev[k]))
@@ -627,12 +630,12 @@ def ks_complete(
             p, j = primitive_part(w)
             factors.setdefault(p, []).append((w, _exact(-j * c)))
         for p, terms in factors.items():
-            new = Wall(p, False, one)
-            i = bisect.bisect_left(crossings, _wall_key(new), key=lambda cr: _wall_key(cr.wall))
-            if i == len(crossings) or _wall_cmp(crossings[i].wall, new):
-                crossings.insert(i, _Crossing(new))
+            new = _Crossing(p, False, one)
+            i = bisect.bisect_left(crossings, _wall_key(new), key=_wall_key)
+            if i == len(crossings) or _wall_cmp(crossings[i], new):
+                crossings.insert(i, new)
                 images.insert(i + 1, tuple(s[:k] + [dict(s[k])] for s in images[i]))
-            label = crossings[i].wall.label
+            label = crossings[i].label
             for w, alpha in terms:
                 label = label + label * TruncatedSeries.monomial(K, w, k, alpha)
             for n, (base, after) in enumerate(zip(_BASES, zip(*images[i + 1:]))):
@@ -649,13 +652,14 @@ def ks_complete(
             if label == one:
                 del crossings[i], images[i + 1]
             else:
-                crossings[i] = crossings[i].relabeled(Wall(p, False, label), k)
-        total = sum(len(cr.wall.label.terms) for cr in crossings)
+                crossings[i].relabel(label, k)
+        total = sum(len(cr.label.terms) for cr in crossings)
         if term_cap is not None and total > term_cap:
             raise TermCapExceeded(
                 f"diagram stores {total} terms (cap {term_cap}) after order {k} of {K}", k
             )
-    diag = ScatteringDiagram(K, tuple(cr.wall for cr in crossings), diag.grading)
+    walls = tuple(Wall(cr.direction, cr.incoming, cr.label) for cr in crossings)
+    diag = ScatteringDiagram(K, walls, diag.grading)
     if not _monodromy_is_trivial(diag):
         raise ConventionError("completion finished with nontrivial monodromy")
     return diag

@@ -128,14 +128,6 @@ def _solve_matrix(src: Tuple[Vec, Vec], dst: Tuple[Vec, Vec]) -> Optional[Matrix
     return A
 
 
-def _complete_to_basis(p: Vec) -> Matrix:
-    """An SL(2, Z) matrix whose first column is the primitive vector p."""
-    a, b = p
-    g, x, y = _xgcd(a, b)
-    assert g == 1
-    return ((a, -y), (b, x))
-
-
 def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
     old_r, r = a, b
     old_s, s = 1, 0
@@ -150,17 +142,11 @@ def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return (
-        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-    )
-
-
-def _mat_inv_unimodular(a: Matrix) -> Matrix:
-    d = mat_det(a)
-    assert d in (1, -1)
-    return ((a[1][1] * d, -a[0][1] * d), (-a[1][0] * d, a[0][0] * d))
+def _completion(p: Vec) -> Vec:
+    """A vector c with wedge(p, c) = 1 for the primitive vector p, so that
+    p, c is a basis of Z^2."""
+    _, x, y = _xgcd(*p)
+    return (-y, x)
 
 
 def gl2z_equivalent(
@@ -207,13 +193,11 @@ def gl2z_equivalent(
                 return A
         return None
 
-    # All of a's vectors are colinear: map the common primitive direction.
+    # All of a's vectors are colinear: map the basis p, _completion(p) onto
+    # q, _completion(q) for q = +-(b's first vector).
     p = va[0]
-    basis_p = _complete_to_basis(p)
     for q in {vb[0], (-vb[0][0], -vb[0][1])}:
-        if not is_primitive(q):
-            continue
-        A = _mat_mul(_complete_to_basis(q), _mat_inv_unimodular(basis_p))
+        A = _solve_matrix((p, _completion(p)), (q, _completion(q)))
         if matches(A):
             return A
     return None
@@ -316,6 +300,13 @@ def format_model(model: ToricModel) -> str:
     return ";".join(f"{a},{b}" for a, b in model.vectors)
 
 
+def _edges(nodes: Sequence[OrbitNode]) -> List[Tuple[OrbitNode, OrbitNode]]:
+    """(parent, child) for every node but the seed, in node order; a node's
+    parent is the node whose word is its word without the last index."""
+    by_word = {n.word: n for n in nodes}
+    return [(by_word[n.word[:-1]], n) for n in nodes if n.word]
+
+
 def orbit_to_json(nodes: Sequence[OrbitNode]) -> dict:
     return {
         "nodes": [
@@ -323,19 +314,9 @@ def orbit_to_json(nodes: Sequence[OrbitNode]) -> dict:
         ],
         "edges": [
             {"from": format_model(parent.model), "to": format_model(n.model), "index": n.word[-1]}
-            for n in nodes
-            if n.word
-            for parent in [_find_parent(nodes, n)]
+            for parent, n in _edges(nodes)
         ],
     }
-
-
-def _find_parent(nodes: Sequence[OrbitNode], child: OrbitNode) -> OrbitNode:
-    prefix = child.word[:-1]
-    for n in nodes:
-        if n.word == prefix:
-            return n
-    raise KeyError(f"orbit node with word {prefix} missing")
 
 
 def orbit_to_dot(nodes: Sequence[OrbitNode], provenance: str = "") -> str:
@@ -344,12 +325,10 @@ def orbit_to_dot(nodes: Sequence[OrbitNode], provenance: str = "") -> str:
         lines.append(f"  // {provenance}")
     for n in nodes:
         lines.append(f'  "{format_model(n.model)}";')
-    for n in nodes:
-        if n.word:
-            parent = _find_parent(nodes, n)
-            lines.append(
-                f'  "{format_model(parent.model)}" -> "{format_model(n.model)}" '
-                f'[label="{n.word[-1]}"];'
-            )
+    for parent, n in _edges(nodes):
+        lines.append(
+            f'  "{format_model(parent.model)}" -> "{format_model(n.model)}" '
+            f'[label="{n.word[-1]}"];'
+        )
     lines.append("}")
     return "\n".join(lines) + "\n"

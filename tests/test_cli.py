@@ -59,9 +59,10 @@ def test_scatter_native_seeds():
 
 
 def test_scatter_rejects_non_primitive():
-    run_cli(
+    out = run_cli(
         "scatter", "--m", "2,2", "--k", "1", "--order", "5", expect=2,
     )
+    assert out.stderr == "error: seed direction (2, 2) is not primitive\n"
 
 
 def test_scatter_term_cap_exit():
@@ -140,7 +141,8 @@ def test_classify_examples():
 
 
 def test_classify_non_coprime_exit():
-    run_cli("classify", "--p", "4", "--q", "2", expect=2)
+    out = run_cli("classify", "--p", "4", "--q", "2", expect=2)
+    assert out.stderr == "error: (4, 2) is not coprime\n"
 
 
 def test_mutate_word():
@@ -228,6 +230,25 @@ def test_convention_error_propagates(monkeypatch):
     monkeypatch.setattr(scattering, "ks_complete", broken)
     with pytest.raises(scattering.ConventionError):
         cli.main(["scatter", "--m", "1,0", "--m", "0,1", "--k", "1", "--k", "1", "--order", "4"])
+
+
+def test_readout_fault_propagates(monkeypatch):
+    """A defect term lost at order 5 of 10 is still in the image at order 6:
+    the per-order readout reports an internal fault, not bad input."""
+    read = scattering._read_defect
+
+    def lossy(k, sx, sy):
+        defect = read(k, sx, sy)
+        if k == 5 and defect:
+            defect.pop(min(defect))
+        return defect
+
+    monkeypatch.setattr(scattering, "_read_defect", lossy)
+    seeds = [((1, 0), 3), ((0, 1), 3)]
+    with pytest.raises(scattering.ConventionError, match=r"not trivial mod t\^6"):
+        scattering.ks_complete(scattering.initial_diagram(seeds, 10))
+    with pytest.raises(scattering.ConventionError, match=r"not trivial mod t\^6"):
+        cli.main(["scatter", "--m", "1,0", "--m", "0,1", "--k", "3", "--k", "3", "--order", "10"])
 
 
 def test_unwritable_out_exit(tmp_path: Path, capsys):

@@ -113,6 +113,19 @@ GOLDEN = {
         0, 'b34d9eb40b7c96adea4e73659db29155f9024715e448dd6d98aa801a27ae103b'),
     'mutate --model -1,-3;1,0 --orbit-depth 2 --format dot': (
         0, '222c4998c02646bbc240dce4ccdd0c0197636122e0efb3a608270bfe22cc119a'),
+    # colinear models: the matrix maps one direction and a basis completion
+    'mutate --model 1,0 --word 1 --compare-original': (
+        0, '91a84281f174e76372a810c4542fed58742a2b6baf11853de73370cc7effc07f'),
+    'mutate --model 1,0 --word 1 --compare-original --format json': (
+        0, '7bedbfa09d7e78bf1071e95330cf7e247b7de055a6af40c5d952fe636515a554'),
+    'mutate --model 2,1 --compare-original': (
+        0, '7e72a419cc14b4456591f1bf443ace5d6acbc61e17f1b3563625f7d9517b99d4'),
+    'mutate --model 2,1 --compare-original --format json': (
+        0, 'c73eca371495fcf9c78aa140b953cd8eaa4377d6f46fbb6739fd95b69335b1ad'),
+    'mutate --model 1,0;-1,0 --word 1 --compare-original': (
+        0, '2c2a5787062bf7fc3efd8ea1956bcd4c54e76f25505ff160066d64371c321034'),
+    'mutate --model 1,0;-1,0 --word 1 --compare-original --format json': (
+        0, 'ff4939040ad61b066c3578d415d4ad24294eb07d8150bf27e43483e1744fe25a'),
     'mutate --model -1,-3;1,0 --word 5': (2, EMPTY),
     'mutate --model -1,-3;1,0 --word x': (2, EMPTY),
     'mutate --model -1,-3;1,0 --orbit-depth -1': (2, EMPTY),

@@ -260,20 +260,20 @@ def test_crossing_relabeled_shrinks_the_stride():
     """1 + t^2*x*y has stride 2; gaining a t^3 term at order 3 drops it to 1,
     and the powers computed before carry over correctly."""
     order = 12
-    old = _Crossing(wall((1, 1), "1 + t^2*x*y", order))
-    assert old.stride == 2
+    crossing = _Crossing((1, 1), False, TS.from_text(order, "1 + t^2*x*y"))
+    assert crossing.stride == 2
     for e in (-3, -1, 1, 2):
-        old.power(e, 3)
+        crossing.power(e, 3)
     new_label = TS.from_text(order, "1 + t^2*x*y - 3*t^3*x^2*y^2")
-    new = old.relabeled(Wall((1, 1), False, new_label), 3)
-    assert new.stride == 1
+    crossing.relabel(new_label, 3)
+    assert crossing.stride == 1
     for e in (-3, -1, 1, 2, 4):
         got = TS(order, {
             (a, b, n): c
-            for n in range(1, order) for (a, b), c in new.power(e, n).items()
+            for n in range(1, order) for (a, b), c in crossing.power(e, n).items()
         }) + 1
         assert got == new_label ** e, e
-    assert _Crossing(Wall((1, 1), False, TS.one(order))).stride == 1
+    assert _Crossing((1, 1), False, TS.one(order)).stride == 1
 
 
 # ---------------------------------------------------------------------------
@@ -720,6 +720,22 @@ def test_a_dropped_defect_term_fails_the_final_check(seeds, order, axis, monkeyp
     with pytest.raises(ConventionError, match="nontrivial monodromy"):
         ks_complete(initial_diagram(seeds, order))
     assert dropped
+
+
+def test_completion_builds_each_wall_once(monkeypatch):
+    """Only canonicalize and the returned diagram build Walls: a new factor
+    relabels its crossing in place, with no Wall to validate."""
+    diagram = initial_diagram([((1, 0), 3), ((0, 1), 3)], 20)
+    built = []
+    check = Wall.__post_init__
+
+    def counted(self):
+        built.append(self.direction)
+        check(self)
+
+    monkeypatch.setattr(Wall, "__post_init__", counted)
+    result = ks_complete(diagram)
+    assert len(built) == len(diagram.walls) + len(result.walls) == 65
 
 
 @pytest.mark.parametrize("l1,l2", [(1, 1), (1, 3), (1, 7), (2, 3), (3, 3), (3, 5), (4, 2)])

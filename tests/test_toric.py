@@ -157,6 +157,38 @@ def test_colinear_models():
     assert gl2z_equivalent(a, c) is None
 
 
+def _primitive(rng):
+    while True:
+        v = (rng.randint(-9, 9), rng.randint(-9, 9))
+        if v != (0, 0) and math.gcd(*v) == 1:
+            return v
+
+
+def test_colinear_equivalence_property():
+    """Models on one line: a unimodular matrix mapping a's multiset onto b's
+    is found, or None exactly when the counts of the two signs differ."""
+    rng = random.Random(2024)
+    for _ in range(400):
+        models, counts = [], []
+        for _ in range(2):
+            p = _primitive(rng)
+            plus, minus = rng.randint(0, 3), rng.randint(0, 3)
+            if plus + minus == 0:
+                plus = 1
+            vectors = [p] * plus + [(-p[0], -p[1])] * minus
+            rng.shuffle(vectors)
+            models.append(ToricModel(tuple(vectors)))
+            counts.append(sorted((plus, minus)))
+        a, b = models
+        A = gl2z_equivalent(a, b)
+        if counts[0] != counts[1]:
+            assert A is None, (a, b)
+            continue
+        assert A is not None, (a, b)
+        assert A[0][0] * A[1][1] - A[0][1] * A[1][0] in (1, -1)
+        assert sorted(mat_apply(A, v) for v in a.vectors) == sorted(b.vectors)
+
+
 def test_unordered_versus_ordered():
     a = ToricModel(((1, 0), (0, 1)))
     b = ToricModel(((0, 1), (1, 0)))
