@@ -3,28 +3,23 @@
 A toric model is encoded by its ordered list of primitive edge-blowup
 directions m_1..m_l (plus, optionally, the ambient fan rays).  Mutation at
 index i negates m_i and applies the primitive half-shear along m_i to the
-other vectors; models are compared up to GL(2, Z), by default as unordered
-multisets.
+other vectors.  Models are compared up to GL(2, Z), by default as unordered
+multisets, through frames: the normal forms that put one vector at (1, 0) and
+a second at (x, y) with 0 <= x < y.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ._record import Record
 from .lattice import Vec, is_primitive, wedge
 
 Matrix = Tuple[Tuple[int, int], Tuple[int, int]]
 
-IDENTITY: Matrix = ((1, 0), (0, 1))
-
 
 def mat_apply(m: Matrix, v: Vec) -> Vec:
     return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
-
-
-def mat_det(m: Matrix) -> int:
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
 def half_shear(v: Vec, w: Vec) -> Vec:
@@ -72,9 +67,6 @@ class ToricModel(Record):
     def __len__(self) -> int:
         return len(self.vectors)
 
-    def key(self) -> Tuple[Vec, ...]:
-        return tuple(sorted(self.vectors))
-
 
 def mutate(model: ToricModel, i: int) -> ToricModel:
     """Mutation at the 1-based index i: negate m_i, half-shear the rest along m_i.
@@ -104,28 +96,7 @@ def apply_word(model: ToricModel, word: Sequence[int]) -> ToricModel:
 
 
 # ---------------------------------------------------------------------------
-# GL(2, Z) comparison
-
-
-def _solve_matrix(src: Tuple[Vec, Vec], dst: Tuple[Vec, Vec]) -> Optional[Matrix]:
-    """Integer matrix A with det +-1 and A src_i = dst_i, if one exists."""
-    (v1, v2), (w1, w2) = src, dst
-    det = wedge(v1, v2)
-    if det == 0:
-        return None
-    # A = [w1 w2] * [v1 v2]^{-1}
-    inv = ((v2[1], -v2[0]), (-v1[1], v1[0]))  # adjugate of [v1 v2]
-    entries = []
-    for r in range(2):
-        for c in range(2):
-            num = w1[r] * inv[0][c] + w2[r] * inv[1][c]
-            if num % det:
-                return None
-            entries.append(num // det)
-    A: Matrix = ((entries[0], entries[1]), (entries[2], entries[3]))
-    if mat_det(A) not in (1, -1):
-        return None
-    return A
+# GL(2, Z) comparison by frames
 
 
 def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
@@ -142,11 +113,37 @@ def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _completion(p: Vec) -> Vec:
-    """A vector c with wedge(p, c) = 1 for the primitive vector p, so that
-    p, c is a basis of Z^2."""
-    _, x, y = _xgcd(*p)
-    return (-y, x)
+def _frame(u: Vec, v: Vec) -> Matrix:
+    """The frame of the primitive u and of v: for v off u's line, the unique M
+    in GL(2, Z) with M u = (1, 0) and M v = (x, y), 0 <= x < y; otherwise the
+    det-1 M taking u and its ``_xgcd`` basis completion to the standard basis."""
+    _, s, t = _xgcd(*u)
+    y = wedge(u, v)
+    bottom = (-u[1], u[0]) if y >= 0 else (u[1], -u[0])
+    k = (s * v[0] + t * v[1]) // abs(y) if y else 0
+    return ((s - k * bottom[0], t - k * bottom[1]), bottom)
+
+
+def _independent_pairs(vectors: Sequence[Vec]) -> Iterator[Tuple[int, int]]:
+    """Index pairs (r, s) of linearly independent vectors, r-major."""
+    n = range(len(vectors))
+    return ((r, s) for r in n for s in n if wedge(vectors[r], vectors[s]) != 0)
+
+
+def _frame_pairs(vectors: Sequence[Vec]) -> List[Tuple[Vec, Vec]]:
+    """The pairs (u, v) whose frames put ``vectors`` in normal form: every
+    ordered independent pair, or else (q, q) for q = +-(the first vector)."""
+    pairs = [(vectors[r], vectors[s]) for r, s in _independent_pairs(vectors)]
+    q = vectors[0]
+    return pairs or [(p, p) for p in {q, (-q[0], -q[1])}]
+
+
+def _class_key(model: ToricModel) -> Tuple[Vec, ...]:
+    """The least sorted image of the vectors over all their frames: equal
+    exactly for unordered GL(2, Z)-equivalent models."""
+    vs = model.vectors
+    frames = (_frame(u, v) for u, v in _frame_pairs(vs))
+    return min(tuple(sorted(mat_apply(M, w) for w in vs)) for M in frames)
 
 
 def gl2z_equivalent(
@@ -155,51 +152,28 @@ def gl2z_equivalent(
     """A matrix in GL(2, Z) taking a's vectors to b's, or None.
 
     With ``ordered`` the match is positionwise; otherwise the vectors are
-    compared as multisets.
+    compared as multisets.  a's first frame M_a is that of its first
+    independent pair i < j, or of its first vector if all are colinear.  b's
+    frames M_b of pairs (u, v) are tried in turn (only b_i, b_j if
+    ``ordered``); the first that puts v where M_a puts a_j, and b where M_a
+    puts a, gives M_b^-1 M_a, the matrix taking a_i, a_j to u, v.
     """
     if len(a) != len(b):
         return None
     va, vb = a.vectors, b.vectors
-
-    def matches(A: Matrix) -> bool:
-        image = [mat_apply(A, v) for v in va]
-        if ordered:
-            return image == list(vb)
-        return sorted(image) == sorted(vb)
-
-    indep = next(
-        (
-            (i, j)
-            for i in range(len(va))
-            for j in range(i + 1, len(va))
-            if wedge(va[i], va[j]) != 0
-        ),
-        None,
-    )
-    if indep is not None:
-        i, j = indep
-        if ordered:
-            candidates = [(vb[i], vb[j])]
-        else:
-            candidates = [
-                (vb[r], vb[s])
-                for r in range(len(vb))
-                for s in range(len(vb))
-                if r != s
-            ]
-        for dst in candidates:
-            A = _solve_matrix((va[i], va[j]), dst)
-            if A is not None and matches(A):
-                return A
-        return None
-
-    # All of a's vectors are colinear: map the basis p, _completion(p) onto
-    # q, _completion(q) for q = +-(b's first vector).
-    p = va[0]
-    for q in {vb[0], (-vb[0][0], -vb[0][1])}:
-        A = _solve_matrix((p, _completion(p)), (q, _completion(q)))
-        if matches(A):
-            return A
+    settle = list if ordered else sorted
+    i, j = next(_independent_pairs(va), (0, 0))
+    frame = _frame(va[i], va[j])
+    target = (mat_apply(frame, va[j]), settle(mat_apply(frame, w) for w in va))
+    # a frame of colinear vectors puts v at (+-1, 0), never at a's (x, y > 0)
+    pairs = [(vb[i], vb[j])] if ordered and i != j else _frame_pairs(vb)
+    for u, v in pairs:
+        M = _frame(u, v)
+        if (mat_apply(M, v), settle(mat_apply(M, w) for w in vb)) == target:
+            (p, q), (r, s), (e, f), (g, h) = M + frame
+            d = p * s - q * r  # M^-1 = d adj(M), as d = +-1
+            return ((d * (s * e - q * g), d * (s * f - q * h)),
+                    (d * (p * g - r * e), d * (p * h - r * f)))
     return None
 
 
@@ -216,18 +190,22 @@ class OrbitNode(Record):
 
 def mutation_orbit(model: ToricModel, depth: int) -> List[OrbitNode]:
     """Breadth-first mutation words up to ``depth``, deduplicated by unordered
-    GL(2, Z) equivalence.  The seed appears first with the empty word."""
+    GL(2, Z) equivalence: a mutation is kept when its ``_class_key`` is new.
+    The seed appears first with the empty word."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     nodes = [OrbitNode(model, ())]
+    seen = {_class_key(model)}
     frontier = [nodes[0]]
     for _ in range(depth):
         new_frontier = []
         for node in frontier:
             for i in range(1, len(model) + 1):
                 cand = mutate(node.model, i)
-                if any(gl2z_equivalent(cand, n.model) is not None for n in nodes):
+                key = _class_key(cand)
+                if key in seen:
                     continue
+                seen.add(key)
                 child = OrbitNode(cand, node.word + (i,))
                 nodes.append(child)
                 new_frontier.append(child)

@@ -126,6 +126,22 @@ GOLDEN = {
         0, '2c2a5787062bf7fc3efd8ea1956bcd4c54e76f25505ff160066d64371c321034'),
     'mutate --model 1,0;-1,0 --word 1 --compare-original --format json': (
         0, 'ff4939040ad61b066c3578d415d4ad24294eb07d8150bf27e43483e1744fe25a'),
+    # an orbit of four vectors, and colinear symmetric models, whose matrix is
+    # the first found as the sign of b's direction runs over the set {q, -q}
+    'mutate --model 1,2;-1,0;0,-1;2,1 --orbit-depth 3': (
+        0, '5dd7dd7c69549066b36d28fb301b296e5a36c2232c179c9343bd6857026090d9'),
+    'mutate --model 1,2;-1,0;0,-1;2,1 --orbit-depth 3 --format json': (
+        0, '9b37c8e4be9e5d7079c09b528cd1ba550d886552b6ead381929ccc814db27aad'),
+    'mutate --model 1,2;-1,0;0,-1;2,1 --orbit-depth 3 --format dot': (
+        0, 'a82cea6035cdb088f8d1e8f6f85e52071ac8d4b3d3f39b7a8ec74ae2e27953e0'),
+    'mutate --model 2,1;-2,-1;2,1;-2,-1 --word 1,2 --compare-original': (
+        0, '3264f37867e69efc69cba80a56ac14eec2b47bcce51d9399d7b9d2cc2e4574e3'),
+    'mutate --model 2,1;-2,-1;2,1;-2,-1 --word 1,2 --compare-original --format json': (
+        0, '0bbfc90340491b2b64bce72d5616a83ad5155248fc144265b68b3a837fd1c5a5'),
+    'mutate --model 0,1;0,-1 --word 2,1 --compare-original': (
+        0, '7dd25ff47166bdc2de46bf42c1d31662fca4ff9acc524a851dbceb785a98ff63'),
+    'mutate --model 0,1;0,-1 --word 2,1 --compare-original --format json': (
+        0, 'bf35eb048c51aa81f5e7abd5f55f5466c030b92f16e837f71e84f72f2d8b6a1e'),
     'mutate --model -1,-3;1,0 --word 5': (2, EMPTY),
     'mutate --model -1,-3;1,0 --word x': (2, EMPTY),
     'mutate --model -1,-3;1,0 --orbit-depth -1': (2, EMPTY),

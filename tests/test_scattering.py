@@ -768,6 +768,26 @@ def test_diagonal_label_matches_reineke(m, order):
     assert S.wall_on_ray((1, 1)).label == reineke_label(m, order)
 
 
+def test_real_root_rays_of_the_thrice_weighted_diagram():
+    """Gross-Pandharipande-Siebert, The tropical vertex, Example 1.6: for the
+    seeds (1 + tx)^3 and (1 + ty)^3, an outgoing ray (a, b) with
+    a^2 - 3ab + b^2 = 1 (a real root of the 3-Kronecker quiver) carries exactly
+    (1 + t^(a+b) x^a y^b)^3, and no ray with a^2 - 3ab + b^2 > 1 carries a
+    wall."""
+    order = 40
+    S = ks_complete(initial_diagram([((1, 0), 3), ((0, 1), 3)], order))
+    real = {}
+    for w in S.outgoing_walls():
+        a, b = w.direction
+        form = a * a - 3 * a * b + b * b
+        assert form <= 1, w.direction
+        if form == 1:
+            real[w.direction] = w.label
+    assert sorted(real) == [(0, 1), (1, 0), (1, 3), (3, 1), (3, 8), (8, 3), (8, 21), (21, 8)]
+    for (a, b), label in real.items():
+        assert label == (TS.one(order) + mono(order, (a, b), a + b)) ** 3, (a, b)
+
+
 # ---------------------------------------------------------------------------
 # change of lattice
 

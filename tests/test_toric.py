@@ -1,10 +1,12 @@
 """Mutation calculus, GL(2,Z) comparison, and the reference fan-ray map."""
 
+import itertools
 import math
 import random
 
 import pytest
 
+from scatstair import toric
 from scatstair.series import wedge
 from scatstair.toric import (
     ToricModel,
@@ -200,6 +202,187 @@ def test_unordered_versus_ordered():
 
 
 # ---------------------------------------------------------------------------
+# the frame search against the solve-and-verify search it replaced
+
+
+def _oracle_solve_matrix(src, dst):
+    """Integer matrix A with det +-1 and A src_i = dst_i, if one exists."""
+    (v1, v2), (w1, w2) = src, dst
+    det = wedge(v1, v2)
+    if det == 0:
+        return None
+    # A = [w1 w2] * [v1 v2]^{-1}
+    inv = ((v2[1], -v2[0]), (-v1[1], v1[0]))  # adjugate of [v1 v2]
+    entries = []
+    for r in range(2):
+        for c in range(2):
+            num = w1[r] * inv[0][c] + w2[r] * inv[1][c]
+            if num % det:
+                return None
+            entries.append(num // det)
+    A = ((entries[0], entries[1]), (entries[2], entries[3]))
+    if A[0][0] * A[1][1] - A[0][1] * A[1][0] not in (1, -1):
+        return None
+    return A
+
+
+def _oracle_xgcd(a, b):
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def _oracle_completion(p):
+    """A vector c with wedge(p, c) = 1 for the primitive vector p, so that
+    p, c is a basis of Z^2."""
+    _, x, y = _oracle_xgcd(*p)
+    return (-y, x)
+
+
+def oracle_gl2z_equivalent(a, b, ordered=False):
+    """The earlier search: solve a 2x2 system for every candidate image of
+    a's first independent pair, then check the whole multiset."""
+    if len(a) != len(b):
+        return None
+    va, vb = a.vectors, b.vectors
+
+    def matches(A):
+        image = [mat_apply(A, v) for v in va]
+        if ordered:
+            return image == list(vb)
+        return sorted(image) == sorted(vb)
+
+    indep = next(
+        (
+            (i, j)
+            for i in range(len(va))
+            for j in range(i + 1, len(va))
+            if wedge(va[i], va[j]) != 0
+        ),
+        None,
+    )
+    if indep is not None:
+        i, j = indep
+        if ordered:
+            candidates = [(vb[i], vb[j])]
+        else:
+            candidates = [
+                (vb[r], vb[s])
+                for r in range(len(vb))
+                for s in range(len(vb))
+                if r != s
+            ]
+        for dst in candidates:
+            A = _oracle_solve_matrix((va[i], va[j]), dst)
+            if A is not None and matches(A):
+                return A
+        return None
+
+    # All of a's vectors are colinear: map the basis p, _completion(p) onto
+    # q, _completion(q) for q = +-(b's first vector).
+    p = va[0]
+    for q in {vb[0], (-vb[0][0], -vb[0][1])}:
+        A = _oracle_solve_matrix((p, _oracle_completion(p)), (q, _oracle_completion(q)))
+        if matches(A):
+            return A
+    return None
+
+
+def _random_unimodular(rng):
+    """A product of a few elementary GL(2, Z) moves."""
+    A = ((1, 0), (0, 1))
+    for _ in range(rng.randint(0, 5)):
+        k = rng.randint(-3, 3)
+        E = rng.choice([((1, k), (0, 1)), ((1, 0), (k, 1)), ((0, 1), (1, 0)), ((-1, 0), (0, 1))])
+        A = tuple(
+            tuple(sum(E[r][m] * A[m][c] for m in range(2)) for c in range(2)) for r in range(2)
+        )
+    return A
+
+
+def _random_model(rng, length, bound=4):
+    vectors = []
+    while len(vectors) < length:
+        v = (rng.randint(-bound, bound), rng.randint(-bound, bound))
+        if v != (0, 0) and math.gcd(*v) == 1:
+            vectors.append(v)
+    return ToricModel(tuple(vectors))
+
+
+def _random_colinear(rng, length):
+    p = _primitive(rng)
+    return ToricModel(tuple(rng.choice([p, (-p[0], -p[1])]) for _ in range(length)))
+
+
+def _random_symmetric(rng):
+    """A model closed under the reflection (x, y) -> (x, -y): it has several
+    frames at one vector that give the same image."""
+    half = _random_model(rng, rng.randint(1, 3)).vectors
+    return ToricModel(((1, 0),) + half + tuple((x, -y) for x, y in half))
+
+
+def _comparison_pairs(rng, count):
+    """Seeded (a, b) pairs: shuffled GL(2, Z) images, mutation words, random
+    pairs, colinear models and shuffled reflection-symmetric models, cycled in
+    that order."""
+    for n in range(count):
+        kind = n % 5
+        if kind == 3:
+            a = _random_colinear(rng, rng.randint(1, 4))
+        elif kind == 4:
+            a = _random_symmetric(rng)
+        else:
+            a = _random_model(rng, rng.randint(1, 5))
+        if kind in (0, 4):
+            A = _random_unimodular(rng)
+            image = [mat_apply(A, v) for v in a.vectors]
+            rng.shuffle(image)
+            b = ToricModel(tuple(image))
+        elif kind == 1:
+            b = apply_word(a, [rng.randint(1, len(a)) for _ in range(rng.randint(0, 4))])
+        elif kind == 2:
+            b = _random_model(rng, len(a) if rng.random() < 0.8 else rng.randint(1, 5))
+        else:
+            A = _random_unimodular(rng)
+            image = [mat_apply(A, v) for v in a.vectors]
+            if rng.random() < 0.3:
+                image[0] = (-image[0][0], -image[0][1])
+            rng.shuffle(image)
+            b = ToricModel(tuple(image))
+        yield a, b
+
+
+def test_frames_match_the_solve_search():
+    """The frame search returns the earlier search's matrix, or None with it,
+    ordered and unordered."""
+    rng = random.Random(1414)
+    found = 0
+    for a, b in _comparison_pairs(rng, 3000):
+        for ordered in (False, True):
+            expected = oracle_gl2z_equivalent(a, b, ordered)
+            assert gl2z_equivalent(a, b, ordered) == expected, (a, b, ordered)
+            found += expected is not None
+    assert found > 1500
+
+
+def test_frame_match_places_the_second_vector():
+    """b's first frame already puts b's multiset where a's frame puts a's, but
+    it puts its own second vector at (1, 2), not at a's (0, 1): the matrix
+    comes from the later frame that places both."""
+    a = ToricModel(((1, 0), (0, 1), (1, 2), (0, -1), (1, -2)))
+    b = ToricModel(((1, 0), (1, -2), (0, 1), (0, -1), (1, 2)))
+    assert gl2z_equivalent(a, b) == oracle_gl2z_equivalent(a, b) == ((1, 0), (0, 1))
+
+
+# ---------------------------------------------------------------------------
 # orbits
 
 
@@ -231,6 +414,37 @@ def test_orbit_export():
     assert all(e["index"] in (1, 2) for e in data["edges"])
     dot = orbit_to_dot(nodes, "seed")
     assert dot.startswith("digraph") and "seed" in dot
+
+
+def test_orbit_nodes_are_the_classes_reached():
+    """Orbit nodes are pairwise inequivalent under the earlier search, and
+    every mutation of a node below the depth limit is equivalent to a node."""
+    rng = random.Random(77)
+    models = [T0, parse_model("1,2;-1,0;0,-1;2,1"), parse_model("1,0;1,0;-1,0")]
+    models += [_random_model(rng, rng.randint(1, 4), bound=3) for _ in range(12)]
+    for model in models:
+        depth = 3
+        nodes = mutation_orbit(model, depth)
+        for x, y in itertools.combinations(nodes, 2):
+            assert oracle_gl2z_equivalent(x.model, y.model) is None, (model, x, y)
+        for node in nodes:
+            if len(node.word) < depth:
+                for i in range(1, len(model) + 1):
+                    child = mutate(node.model, i)
+                    assert any(
+                        oracle_gl2z_equivalent(child, n.model) is not None for n in nodes
+                    ), (model, node, i)
+
+
+def test_orbit_deduplicates_by_class_key(monkeypatch):
+    """The orbit compares no pair of models: each candidate's class key is
+    looked up among the keys found so far."""
+
+    def no_pairwise_search(*args, **kwargs):
+        raise AssertionError("mutation_orbit called gl2z_equivalent")
+
+    monkeypatch.setattr(toric, "gl2z_equivalent", no_pairwise_search)
+    assert len(mutation_orbit(parse_model("1,2;-1,0;0,-1;2,1;1,-3"), 4)) == 358
 
 
 def test_model_parse_format_roundtrip():
