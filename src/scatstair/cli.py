@@ -17,8 +17,9 @@ the transitional window, mutation indices (``IndexError``) and ``--format``.
 Each subcommand imports the layers it uses when it runs, so a command loads
 only those: ``mutate`` the toric layer (and through it the lattice layer),
 ``staircase`` the staircase layer, ``scatter`` the scattering layer,
-``classify`` and ``verify`` the curve layer (and through it the scattering
-and staircase layers).  ``json`` is imported only to write a JSON payload,
+``classify`` the curve layer (and through it the staircase and lattice
+layers), and ``verify`` the curve layer and its cross-check, which adds the
+scattering layer.  ``json`` is imported only to write a JSON payload,
 and ``fractions`` only to parse a rational.
 """
 

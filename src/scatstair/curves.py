@@ -9,22 +9,13 @@ only ever used through the sign of the quadratic x^2 - 7x + 1.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .series import Vec, primitive_part
-from .scattering import (
-    ScatteringDiagram,
-    change_of_lattice,
-    initial_diagram,
-    ks_complete,
-    log_coefficient,
-    ray_spectrum,
-)
-from .staircase import _steps_through, exceeds_tau4, fraction_exceeds_tau4
+from .lattice import Vec, primitive_part
+from .staircase import exceeds_tau4, fib, fibonacci_outer_index, fraction_exceeds_tau4
 
 # Lattice generators of the reference model; the cross-check transports the
 # standard-lattice computation along them.
@@ -59,16 +50,17 @@ def unicuspidal_families(d_max: int) -> List[Tuple[str, int, int, int]]:
         out.append(("a", d, d, d - 1))
     for d in range(4, d_max + 1, 2):
         out.append(("b", d, 2 * d - 1, d // 2))
-    # the steps k >= 1; fib(2k+3) >= tau^(2k+1) > 2^k, so the table passes
-    # d_max by step d_max.bit_length(), which ends both walks
-    steps = _steps_through(d_max.bit_length())[2:]
+    # the steps k >= 1 with fib(2k+3) <= d_max, which hold both walks
+    steps = []
+    k = 1
+    while fib(2 * k + 3) <= d_max:
+        steps.append((fib(2 * k + 1), fib(2 * k + 3), fib(2 * k + 5)))
+        k += 1
     for f1, f3, _ in steps:
         if f3 * f1 > d_max:
             break
         out.append(("c", f3 * f1, f3 * f3, f1 * f1))
     for f1, f3, f5 in steps:
-        if f3 > d_max:
-            break
         out.append(("d", f3, f5, f1))
     if d_max >= 8:
         out.append(("e", 8, 22, 3))
@@ -112,16 +104,6 @@ class Classification:
             "divisible_by_three": self.divisible_by_three,
             "coprime": self.coprime,
         }
-
-
-def fibonacci_outer_index(p: int, q: int) -> Optional[int]:
-    """k >= -1 with (p, q) = (fib(2k+5), fib(2k+1)), or None."""
-    # fib(2k+5) >= tau^(2k+3) = 2^(1.388 (k + 1.5)), which is above
-    # 2^p.bit_length() > p once k >= 3 p.bit_length() / 4 - 1
-    steps = _steps_through(3 * p.bit_length() // 4)
-    i = bisect.bisect_left(steps, p, key=lambda step: step[2])
-    f1, _, f5 = steps[i]
-    return i - 1 if (f5, f1) == (p, q) else None
 
 
 def classify_pair(p: int, q: int) -> Classification:
@@ -418,7 +400,6 @@ def scattering_cross_check(
     order: int,
     term_cap: Optional[int] = 500_000,
     classifier: Callable[[int, int], Classification] = classify_pair,
-    diagram: Optional[ScatteringDiagram] = None,
 ) -> CrossCheckReport:
     """Cross-verify the Diophantine classification against wall detection.
 
@@ -429,8 +410,16 @@ def scattering_cross_check(
     """
     if order < 3:
         raise ValueError("order must be at least 3")
-    if diagram is None:
-        diagram = ks_complete(initial_diagram([((1, 0), 3), ((0, 1), 3)], order), term_cap)
+    # imported here, so that the rest of the curve layer loads without it
+    from .scattering import (
+        change_of_lattice,
+        initial_diagram,
+        ks_complete,
+        log_coefficient,
+        ray_spectrum,
+    )
+
+    diagram = ks_complete(initial_diagram([((1, 0), 3), ((0, 1), 3)], order), term_cap)
     native = change_of_lattice(diagram, M1, M2)
 
     by_pair: Dict[Tuple[int, int], List[Vec]] = {}

@@ -26,13 +26,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._record import Record
-from .series import (
-    TruncatedSeries,
-    Vec,
-    is_primitive,
-    primitive_part,
-    wedge,
-)
+from .lattice import Vec, is_primitive, primitive_part, wedge
+from .series import TruncatedSeries
 
 
 class ConventionError(RuntimeError):

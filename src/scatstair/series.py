@@ -5,9 +5,7 @@ module is exact.  A :class:`TruncatedSeries` is an element of the ring of
 Laurent polynomials in two variables x, y with a formal parameter t, known
 modulo t^K for a fixed truncation order K.  Terms are stored sparsely as a
 map (a, b, k) -> coefficient for the monomial x^a y^b t^k, with no zero
-coefficients and every k < K.  The lattice helpers (``wedge``, ``rot90``,
-``is_primitive``, ``primitive_part``) are defined in :mod:`scatstair.lattice`
-and importable from here too.
+coefficients and every k < K.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from .lattice import Vec, is_primitive, primitive_part, rot90, wedge  # noqa: F401
+from .lattice import Vec
 
 TermKey = Tuple[int, int, int]
 

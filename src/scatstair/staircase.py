@@ -9,6 +9,7 @@ returned as an exact :class:`SqrtValue` marker and compared by squaring.
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
@@ -61,6 +62,16 @@ def _step(k: int) -> Tuple[int, int, int]:
     if k < -1:
         raise ValueError("index must be >= -1")
     return _steps_through(k)[k + 1]
+
+
+def fibonacci_outer_index(p: int, q: int) -> Optional[int]:
+    """k >= -1 with (p, q) = (fib(2k+5), fib(2k+1)), or None."""
+    # fib(2k+5) >= tau^(2k+3) = 2^(1.388 (k + 1.5)), which is above
+    # 2^p.bit_length() > p once k >= 3 p.bit_length() / 4 - 1
+    steps = _steps_through(3 * p.bit_length() // 4)
+    i = bisect.bisect_left(steps, p, key=lambda step: step[2])
+    f1, _, f5 = steps[i]
+    return i - 1 if (f5, f1) == (p, q) else None
 
 
 class WeightSequence(Record):

@@ -111,9 +111,8 @@ def test_criterion_04_change_of_lattice():
     report("4 (native completion matches transported ray set at order 9)", ok)
 
 
-def test_criterion_05_cross_check(triple_seed_12):
-    S, _ = triple_seed_12
-    rep = scattering_cross_check(12, diagram=S)
+def test_criterion_05_cross_check():
+    rep = scattering_cross_check(12)
     detected = set(rep.detected_pairs())
     reachable = set(rep.reachable_pairs())
     ok = (

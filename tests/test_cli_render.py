@@ -92,6 +92,15 @@ GOLDEN = {
         0, '297baef9ab8be0cc7e09a681b7f589bbac3752bc07d8c9b39964e04299e73380'),
     'classify --p 8 --q 1 --format json': (
         0, 'bf80ff43409924d2842a85da6176cbadff6ca215ae14d7408e12cbdea41f3e01'),
+    # the staircase pair of step k = 6, and its near miss
+    'classify --p 1597 --q 233': (
+        0, '4d09a883565169d9966caa7f928d9f3ec2e855741e36fbbc4b2602dddae25aa8'),
+    'classify --p 1597 --q 233 --format json': (
+        0, '3b0e36094ba80af1ac36021edacc727a83828911e6134e2e2fea61b9efd77c1e'),
+    'classify --p 1597 --q 232': (
+        0, 'b50e44c4b2b7fb74d121fed70777c9fe80aad70c1dacb19d0f6b6900c95da804'),
+    'classify --p 1597 --q 232 --format json': (
+        0, 'b9e32d6381d9e8a138ae54e0081969d56e54dece186a76e8d64b9e033724ce16'),
     'classify --p 4 --q 2': (2, EMPTY),
     'classify --p 0 --q 1': (2, EMPTY),
     # mutate: words, both --compare-original verdicts, orbits in every format

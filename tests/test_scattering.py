@@ -8,7 +8,8 @@ from math import comb, gcd
 import pytest
 
 from scatstair import scattering
-from scatstair.series import TruncatedSeries as TS, TruncationMismatch, primitive_part, wedge
+from scatstair.lattice import primitive_part, wedge
+from scatstair.series import TruncatedSeries as TS, TruncationMismatch
 from scatstair.scattering import (
     ConventionError,
     ScatteringDiagram,

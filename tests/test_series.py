@@ -5,14 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from scatstair.series import (
-    TruncatedSeries as TS,
-    TruncationMismatch,
-    is_primitive,
-    primitive_part,
-    rot90,
-    wedge,
-)
+from scatstair.lattice import is_primitive, primitive_part, rot90, wedge
+from scatstair.series import TruncatedSeries as TS, TruncationMismatch
 
 
 def s(order, text):

@@ -18,6 +18,7 @@ from scatstair.staircase import (
     ball_embedding_value,
     enumerate_exceptional_classes,
     fib,
+    fibonacci_outer_index,
     folding_bound,
     fraction_exceeds_tau4,
     inner_corner,
@@ -254,6 +255,83 @@ def test_ball_value_matches_fibonacci_min_form():
         # step k at the outer corner, step k - 1 at the inner corner
         assert ball_embedding_value(outer) == Fraction(F(2 * k + 5), F(2 * k + 3)), k
         assert ball_embedding_value(inner(k)) == Fraction(F(2 * k + 3), F(2 * k + 1)), k
+
+
+def test_fibonacci_outer_index_finds_exactly_the_outer_pairs(monkeypatch):
+    """From an empty step table, in random order: every lookup grows the table
+    far enough to decide, including p one past an outer numerator."""
+    monkeypatch.setattr(staircase, "_STEPS", ((1, 1, 2),))
+    steps = list(range(-1, 301))
+    random.Random(301).shuffle(steps)
+    for k in steps:
+        p, q = F(2 * k + 5), F(2 * k + 1)
+        assert fibonacci_outer_index(p, q) == k
+        assert fibonacci_outer_index(p, q + 1) is None
+        assert fibonacci_outer_index(p, q - 1) is None
+        assert fibonacci_outer_index(p + 1, q) is None
+
+
+# ---------------------------------------------------------------------------
+# ECH capacities as an independent oracle
+#
+# E(1, a) embeds in B(mu) iff N(1, a)_k <= mu N(1, 1)_k for all k (McDuff, The
+# Hofer conjecture on embedding symplectic ellipsoids; Hutchings, Quantitative
+# embedded contact homology).  N(1, 1)_k = d for d(d+1)/2 <= k <= d(d+3)/2, so
+# the ball value is the sup over d of N(1, a)_{d(d+3)/2} / d, here for d <= 120.
+
+ECH_DEGREES = 120
+
+
+def ech_value(p, q):
+    """max over d <= ECH_DEGREES of N(1, p/q)_{d(d+3)/2} / d, where N(1, p/q)
+    is the sorted list of m + n p/q over m, n >= 0 (scaled by q: q m + p n)."""
+    need = ECH_DEGREES * (ECH_DEGREES + 3) // 2 + 1
+    bound = math.isqrt(2 * p * q * need)  # about need values lie below it
+    while True:
+        values = sorted(
+            q * m + p * n for n in range(bound // p + 1) for m in range((bound - p * n) // q + 1)
+        )
+        if len(values) >= need:  # every value up to bound is listed
+            break
+        bound *= 2
+    return max(Fraction(values[d * (d + 3) // 2], q * d) for d in range(1, ECH_DEGREES + 1))
+
+
+def test_ball_value_matches_ech_capacities():
+    rng = random.Random(120)
+    points = [Fraction(F(2 * k + 5), F(2 * k + 1)) for k in range(-1, 4)]
+    points += [inner(k) for k in range(-1, 4)]
+    while len(points) < 40:  # [1, 89/13], the outer corner of step 3
+        q = rng.randint(1, 30)
+        a = Fraction(rng.randint(q, 89 * q // 13), q)
+        points.append(a)
+    while len(points) < 55:  # (tau^4, 7]
+        q = rng.randint(1, 40)
+        a = Fraction(rng.randint(6 * q, 7 * q), q)
+        if not below_tau_fourth(a):
+            points.append(a)
+    for a in points:
+        assert ech_value(a.numerator, a.denominator) == ball_embedding_value(a), a
+
+
+def test_ech_capacities_against_the_volume_bound():
+    # from 8 + 1/36 on, the finite sup stays within the volume bound sqrt(a)
+    rng = random.Random(36)
+    points = [WINDOW_HIGH]
+    while len(points) < 13:
+        q = rng.randint(1, 30)
+        a = Fraction(rng.randint(8 * q, 40 * q), q)
+        if a >= WINDOW_HIGH:
+            points.append(a)
+    for a in points:
+        c = ech_value(a.numerator, a.denominator)
+        assert c * c <= a, a
+    # inside the window (7, 8 + 1/36) it exceeds sqrt(a), which is why the
+    # ball value is unspecified there
+    assert ech_value(8, 1) == Fraction(17, 6)
+    for a in (Fraction(8), Fraction(71, 10), Fraction(82, 11)):
+        c = ech_value(a.numerator, a.denominator)
+        assert c * c > a and ball_embedding_value(a) is UNSPECIFIED, a
 
 
 # Evaluates the JSON list of rationals on stdin with ``threads`` threads in a

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from scatstair import toric
-from scatstair.series import wedge
+from scatstair.lattice import wedge
 from scatstair.toric import (
     ToricModel,
     apply_word,
