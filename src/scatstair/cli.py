@@ -79,6 +79,7 @@ def _parse_vec(text: str):
 
 
 def cmd_scatter(args) -> Tuple[int, Renderers]:
+    """complete a seeded scattering diagram"""
     from .scattering import (
         diagram_to_json,
         diagram_to_svg,
@@ -126,6 +127,7 @@ def cmd_scatter(args) -> Tuple[int, Renderers]:
 
 
 def cmd_staircase(args) -> Tuple[int, Renderers]:
+    """embedding-function values and plots"""
     from . import staircase as stair
 
     if args.range:
@@ -146,7 +148,7 @@ def cmd_staircase(args) -> Tuple[int, Renderers]:
     if wanted == "ball" and isinstance(ball, stair.Unspecified):
         raise CliError(f"a = {a} lies in the transitional window; no point value")
     values = {
-        "ball": "unspecified" if isinstance(ball, stair.Unspecified) else str(ball),
+        "ball": str(ball),
         "stabilized": str(stair.stabilized_value(a)),
         "folding": str(stair.folding_bound(a)),
         "volume": str(stair.SqrtValue(a)),
@@ -168,6 +170,7 @@ def classify_pair(p: int, q: int):
 
 
 def cmd_classify(args) -> Tuple[int, Renderers]:
+    """classify a coprime cusp-parameter pair"""
     result = classify_pair(max(args.p, args.q), min(args.p, args.q))
     verdict = result.verdict
     if result.fibonacci_index is not None:
@@ -182,6 +185,7 @@ def cmd_classify(args) -> Tuple[int, Renderers]:
 
 
 def cmd_mutate(args) -> Tuple[int, Renderers]:
+    """mutate toric-model data or explore its orbit"""
     from .toric import (
         apply_word,
         format_model,
@@ -228,6 +232,7 @@ def cmd_mutate(args) -> Tuple[int, Renderers]:
 
 
 def cmd_verify(args) -> Tuple[int, Renderers]:
+    """cross-check classification against scattering"""
     from .curves import scattering_cross_check
 
     report = scattering_cross_check(args.order, args.term_cap, classify_pair)
@@ -238,6 +243,17 @@ def cmd_verify(args) -> Tuple[int, Renderers]:
 # ---------------------------------------------------------------------------
 
 
+def _add_command(sub, name: str, func, *formats: str) -> argparse.ArgumentParser:
+    """Add subcommand ``name``, run by ``func`` and described by its docstring,
+    with the options all share: ``--format`` (one of ``formats``) and ``--out``."""
+    parser = sub.add_parser(name, help=func.__doc__)
+    parser.add_argument("--format", choices=formats, default="text")
+    parser.add_argument("--out", default=None)
+    parser.set_defaults(func=func)
+    parser._negative_number_matcher = _LEADING_MINUS_VALUE
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scatstair",
@@ -246,17 +262,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_scatter = sub.add_parser("scatter", help="complete a seeded scattering diagram")
+    p_scatter = _add_command(sub, "scatter", cmd_scatter, "text", "json", "svg")
     p_scatter.add_argument("--m", action="append", default=[], help="seed direction a,b")
     p_scatter.add_argument("--k", action="append", type=int, default=[], help="seed exponent")
     p_scatter.add_argument("--order", type=int, required=True, help="truncation order")
     p_scatter.add_argument("--term-cap", type=int, default=500_000)
-    p_scatter.add_argument("--format", choices=["text", "json", "svg"], default="text")
-    p_scatter.add_argument("--out", default=None)
-    p_scatter.set_defaults(func=cmd_scatter)
-    p_scatter._negative_number_matcher = _LEADING_MINUS_VALUE
 
-    p_stair = sub.add_parser("staircase", help="embedding-function values and plots")
+    p_stair = _add_command(sub, "staircase", cmd_staircase, "text", "json", "csv", "svg")
     p_stair.add_argument("--a", default=None, help="aspect ratio p/q")
     p_stair.add_argument("--range", nargs=2, metavar=("LO", "HI"), default=None)
     p_stair.add_argument("--samples", type=int, default=200)
@@ -265,34 +277,20 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["all", "ball", "stabilized", "folding", "volume"],
         default="all",
     )
-    p_stair.add_argument("--format", choices=["text", "json", "csv", "svg"], default="text")
-    p_stair.add_argument("--out", default=None)
-    p_stair.set_defaults(func=cmd_staircase)
-    p_stair._negative_number_matcher = _LEADING_MINUS_VALUE
 
-    p_cls = sub.add_parser("classify", help="classify a coprime cusp-parameter pair")
+    p_cls = _add_command(sub, "classify", cmd_classify, "text", "json")
     p_cls.add_argument("--p", type=int, required=True)
     p_cls.add_argument("--q", type=int, required=True)
-    p_cls.add_argument("--format", choices=["text", "json"], default="text")
-    p_cls.add_argument("--out", default=None)
-    p_cls.set_defaults(func=cmd_classify)
 
-    p_mut = sub.add_parser("mutate", help="mutate toric-model data or explore its orbit")
+    p_mut = _add_command(sub, "mutate", cmd_mutate, "text", "json", "dot")
     p_mut.add_argument("--model", required=True, help="vectors 'a,b;c,d'")
     p_mut.add_argument("--word", default=None, help="comma-separated 1-based indices")
     p_mut.add_argument("--orbit-depth", type=int, default=None)
     p_mut.add_argument("--compare-original", action="store_true")
-    p_mut.add_argument("--format", choices=["text", "json", "dot"], default="text")
-    p_mut.add_argument("--out", default=None)
-    p_mut.set_defaults(func=cmd_mutate)
-    p_mut._negative_number_matcher = _LEADING_MINUS_VALUE
 
-    p_ver = sub.add_parser("verify", help="cross-check classification against scattering")
+    p_ver = _add_command(sub, "verify", cmd_verify, "text", "json")
     p_ver.add_argument("--order", type=int, required=True)
     p_ver.add_argument("--term-cap", type=int, default=500_000)
-    p_ver.add_argument("--format", choices=["text", "json"], default="text")
-    p_ver.add_argument("--out", default=None)
-    p_ver.set_defaults(func=cmd_verify)
 
     return parser
 

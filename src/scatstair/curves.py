@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .lattice import Vec, primitive_part
-from .staircase import exceeds_tau4, fib, fibonacci_outer_index, fraction_exceeds_tau4
+from .staircase import exceeds_tau4, fib, fibonacci_outer_index
 
 # Lattice generators of the reference model; the cross-check transports the
 # standard-lattice computation along them.
@@ -183,7 +183,7 @@ def shift_decomposition_index(x: Fraction) -> int:
     [7, oo); terminates for every rational above the fixed point.
     """
     x = Fraction(x)
-    if not fraction_exceeds_tau4(x):
+    if not (x > 0 and exceeds_tau4(x.numerator, x.denominator)):
         raise ValueError(f"{x} is not above tau^4")
     i = 0
     while x < 7:

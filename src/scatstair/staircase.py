@@ -10,6 +10,7 @@ returned as an exact :class:`SqrtValue` marker and compared by squaring.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
@@ -250,35 +251,47 @@ def obstruction_sup(
 # the staircase and its stabilization
 
 
+@functools.total_ordering
 class SqrtValue(Record):
-    """Exact marker for the square root of a rational number."""
+    """Exact marker for the square root of a nonnegative rational number.
+
+    It compares and hashes like the real number it stands for: with ``int``,
+    ``Fraction``, ``float`` and other markers, by a sign test and squaring.
+    """
 
     __slots__ = ("radicand",)
     radicand: Fraction
 
+    def __post_init__(self) -> None:
+        if self.radicand < 0:
+            raise ValueError("radicand must be nonnegative")
+
     def squared(self) -> Fraction:
         return self.radicand
 
-    def __lt__(self, other) -> bool:
+    def _sign_minus(self, other) -> Optional[int]:
+        """The sign of sqrt(radicand) - other, or None when other is not a number."""
         if isinstance(other, SqrtValue):
-            return self.radicand < other.radicand
-        other = Fraction(other)
-        return other > 0 and self.radicand < other * other
+            x = other.radicand
+        elif isinstance(other, (int, Fraction, float)) and other == other:  # not nan
+            if other < 0 or other == math.inf:
+                return 1 if other < 0 else -1
+            x = Fraction(other) ** 2
+        else:
+            return None
+        return (self.radicand > x) - (self.radicand < x)
 
-    def __gt__(self, other) -> bool:
-        if isinstance(other, SqrtValue):
-            return self.radicand > other.radicand
-        other = Fraction(other)
-        return other <= 0 or self.radicand > other * other
+    def __eq__(self, other):
+        sign = self._sign_minus(other)
+        return NotImplemented if sign is None else sign == 0
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, SqrtValue):
-            return self.radicand == other.radicand
-        other = Fraction(other)
-        return other >= 0 and self.radicand == other * other
+    def __lt__(self, other):
+        sign = self._sign_minus(other)
+        return NotImplemented if sign is None else sign < 0
 
     def __hash__(self):
-        return hash(("sqrt", self.radicand))
+        root = _rational_sqrt(self.radicand)
+        return hash(root if root is not None else ("sqrt", self.radicand))
 
     def __str__(self):
         return f"sqrt({self.radicand})"
@@ -287,15 +300,14 @@ class SqrtValue(Record):
 class Unspecified:
     """Sentinel for the transitional window where no closed form is implemented."""
 
-    _instance: Optional["Unspecified"] = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
         return "Unspecified"
+
+    def __str__(self):
+        return "unspecified"
+
+    def __reduce__(self):
+        return "UNSPECIFIED"
 
 
 UNSPECIFIED = Unspecified()
@@ -317,11 +329,6 @@ def exceeds_tau4(p: int, q: int) -> bool:
 def _above_tau4(n: int, d: int) -> bool:
     """n/d > tau^4 for positive n and d."""
     return n * n + d * d - 7 * n * d > 0 and 2 * n > 7 * d
-
-
-def fraction_exceeds_tau4(x: Fraction) -> bool:
-    """Exact test x > tau^4 for any rational x (equality is impossible)."""
-    return x > 0 and exceeds_tau4(x.numerator, x.denominator)
 
 
 def _rational_sqrt(a: Fraction) -> Optional[Fraction]:
@@ -461,16 +468,10 @@ def staircase_samples(
     return rows
 
 
-def _value_text(v: StaircaseValue) -> str:
-    if isinstance(v, Unspecified):
-        return "unspecified"
-    return str(v)
-
-
 def samples_to_csv(rows) -> str:
     lines = ["a,ball,stabilized,folding"]
     for a, ball, stab, fold in rows:
-        lines.append(f"{a},{_value_text(ball)},{stab},{fold}")
+        lines.append(f"{a},{ball},{stab},{fold}")
     return "\n".join(lines) + "\n"
 
 
@@ -479,7 +480,7 @@ def samples_to_json(rows) -> List[dict]:
     return [
         {
             "a": str(a),
-            "ball": _value_text(ball),
+            "ball": str(ball),
             "stabilized": str(stab),
             "folding": str(fold),
         }

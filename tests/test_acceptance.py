@@ -190,7 +190,7 @@ def test_criterion_08_packing_obstructions():
 
 def test_criterion_09_symmetry_orbit():
     from scatstair.curves import (
-        fraction_exceeds_tau4,
+        exceeds_tau4,
         phi_map,
         psi_map,
         reflect_r,
@@ -218,7 +218,7 @@ def test_criterion_09_symmetry_orbit():
     count = 0
     while count < 100:
         x = Fraction(rng.randint(687, 10000), rng.randint(1, 100))
-        if not fraction_exceeds_tau4(x) or x > 100:
+        if not exceeds_tau4(x.numerator, x.denominator) or x > 100:
             continue
         count += 1
         i = shift_decomposition_index(x)

@@ -1,10 +1,10 @@
 """End-to-end command-line checks, including byte determinism and exit codes."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from scatstair import cli, scattering
+from scatstair.curves import Classification
 
 
 def run_cli(*args, expect: int = 0):
@@ -213,12 +214,40 @@ def test_verify_negative_control(monkeypatch, capsys):
     def flipped(p, q):
         result = real(p, q)
         if (p, q) == (2, 1):
-            result = dataclasses.replace(result, verdict="not_realizable")
+            result = Classification(
+                p=result.p,
+                q=result.q,
+                verdict="not_realizable",
+                fibonacci_index=result.fibonacci_index,
+                diophantine=result.diophantine,
+                divisible_by_three=result.divisible_by_three,
+                coprime=result.coprime,
+            )
         return result
 
     monkeypatch.setattr(cli, "classify_pair", flipped)
     assert cli.main(["verify", "--order", "5"]) == 1
     assert "MISMATCH" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command, formats",
+    [
+        ("scatter", "text,json,svg"),
+        ("staircase", "text,json,csv,svg"),
+        ("classify", "text,json"),
+        ("mutate", "text,json,dot"),
+        ("verify", "text,json"),
+    ],
+)
+def test_subcommand_help_lists_its_formats(command, formats, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, "--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: scatstair {command} ")
+    assert set(re.findall(r"--format \{([a-z,]+)\}", out)) == {formats}
+    assert "--out OUT" in out
 
 
 def test_convention_error_propagates(monkeypatch):

@@ -16,7 +16,6 @@ from scatstair.curves import (
     diophantine_value,
     double_point_count,
     exceeds_tau4,
-    fraction_exceeds_tau4,
     inflation_upper_bound,
     obstruction_lower_bound,
     pair_to_ray,
@@ -161,6 +160,23 @@ def test_phi_psi_preserve_realizability():
                 assert before == after
 
 
+def test_phi_is_the_product_of_the_kronecker_reflections():
+    """On standard rays, phi_map is s1 s2 for the seeds (1 + tx)^3, (1 + ty)^3,
+    with s1(a, b) = (3b - a, b) and s2(a, b) = (a, 3a - b): it sends the ray
+    (a, b) of a visible pair to (8a - 3b, 3a - b) (see
+    ``test_scattering.test_labels_are_invariant_under_kronecker_reflections``)."""
+    count = 0
+    for p in range(1, 300):
+        for q in range(1, p + 1):
+            ray = pair_to_ray(p, q) if math.gcd(p, q) == 1 else None
+            if ray is None or min(ray) < 1:
+                continue
+            a, b = ray
+            assert pair_to_ray(*sorted(phi_map(p, q), reverse=True)) == (8 * a - 3 * b, 3 * a - b)
+            count += 1
+    assert count == 3422
+
+
 def test_alternating_orbit_hits_fibonacci_pairs():
     expected = {(fib(2 * k + 5), fib(2 * k + 1)) for k in range(-1, 21)}
     produced = set()
@@ -213,7 +229,7 @@ def test_shift_decomposition_against_interval_membership():
     count = 0
     while count < 100:
         x = Fraction(rng.randint(687, 10000), rng.randint(1, 100))
-        if not fraction_exceeds_tau4(x) or x > 100:
+        if not exceeds_tau4(x.numerator, x.denominator) or x > 100:
             continue
         count += 1
         i = shift_decomposition_index(x)

@@ -789,6 +789,77 @@ def test_real_root_rays_of_the_thrice_weighted_diagram():
         assert label == (TS.one(order) + mono(order, (a, b), a + b)) ** 3, (a, b)
 
 
+def kronecker_comparisons(l1, l2, order, r1, r2):
+    """Each outgoing wall (a, b) with a, b > 0 of the seeds (1 + tx)^l1,
+    (1 + ty)^l2 against its images s1(a, b) = (r1*b - a, b) and
+    s2(a, b) = (a, r2*a - b) that are positive and not (a, b) itself.
+
+    A label on the ray (a, b) is a series in u = t^(a+b) x^a y^b; each
+    comparison is (ray, image, the ray's u-coefficients, the image's
+    u-coefficients) for u^1 ... u^J, where J is the largest power that both
+    truncations keep.  A ray without a wall has label 1."""
+    S = ks_complete(initial_diagram([((1, 0), l1), ((0, 1), l2)], order))
+    labels = {w.direction: w.label for w in S.outgoing_walls()}
+
+    def u_coefficients(ray, top):
+        label, (a, b) = labels.get(ray), ray
+        if label is None:
+            return [0] * top
+        return [label.coefficient((j * a, j * b), j * (a + b)) for j in range(1, top + 1)]
+
+    comparisons = []
+    for a, b in labels:
+        if a < 1 or b < 1:
+            continue
+        for c, d in ((r1 * b - a, b), (a, r2 * a - b)):
+            if c < 1 or d < 1 or (c, d) == (a, b):
+                continue
+            top = (order - 1) // max(a + b, c + d)
+            ray, image = (a, b), (c, d)
+            comparisons.append((ray, image, u_coefficients(ray, top), u_coefficients(image, top)))
+    return comparisons
+
+
+def _nonzero(comparisons):
+    return [c for c in comparisons if any(c[2]) and any(c[3])]
+
+
+@pytest.mark.parametrize(
+    "l1,l2,order,nonzero",
+    [
+        (3, 3, 40, 240),
+        (2, 2, 30, 52),
+        (2, 3, 30, 124),
+        (1, 4, 30, 52),
+        (4, 4, 30, 132),
+        (2, 5, 24, 86),
+        (5, 2, 24, 86),
+        (3, 5, 24, 86),
+        (1, 3, 30, 4),
+    ],
+)
+def test_labels_are_invariant_under_kronecker_reflections(l1, l2, order, nonzero):
+    """Mutation invariance (Gross-Hacking-Keel-Kontsevich, Canonical bases for
+    cluster algebras): for the seeds (1 + tx)^l1 and (1 + ty)^l2 the label on
+    an outgoing ray (a, b) equals, as a series in t^(a+b) x^a y^b, the label
+    on its Kronecker reflections (l1*b - a, b) and (a, l2*a - b) wherever
+    these are positive.  ``nonzero`` counts the comparisons in which both
+    labels are nontrivial up to the common power."""
+    comparisons = kronecker_comparisons(l1, l2, order, l1, l2)
+    assert [c for c in comparisons if c[2] != c[3]] == []
+    assert len(_nonzero(comparisons)) == nonzero
+
+
+def test_kronecker_reflections_tell_the_weights_apart():
+    """With l1 and l2 exchanged in the reflections, every comparison of two
+    nontrivial labels of the (2, 3) diagram fails."""
+    comparisons = kronecker_comparisons(2, 3, 30, 3, 2)
+    nonzero = _nonzero(comparisons)
+    assert len(nonzero) == 58
+    assert [c for c in nonzero if c[2] == c[3]] == []
+    assert sum(c[2] != c[3] for c in comparisons) == 107
+
+
 # ---------------------------------------------------------------------------
 # change of lattice
 

@@ -1,7 +1,9 @@
 """Weight sequences, exceptional classes, and the embedding staircase."""
 
+import copy
 import json
 import math
+import pickle
 import random
 import subprocess
 import sys
@@ -17,10 +19,10 @@ from scatstair.staircase import (
     WINDOW_HIGH,
     ball_embedding_value,
     enumerate_exceptional_classes,
+    exceeds_tau4,
     fib,
     fibonacci_outer_index,
     folding_bound,
-    fraction_exceeds_tau4,
     inner_corner,
     is_exceptional_class,
     obstruction_sup,
@@ -426,7 +428,7 @@ def test_samples_match_pointwise_values():
             assert ball == ball_embedding_value(a) and type(ball) is type(ball_embedding_value(a))
             assert stab == stabilized_value(a) and type(stab) is Fraction
             assert fold == folding_bound(a) and type(fold) is Fraction
-            kinds.add((type(ball).__name__, fraction_exceeds_tau4(a)))
+            kinds.add((type(ball).__name__, exceeds_tau4(a.numerator, a.denominator)))
     assert Fraction(7) in {a for a, *_ in staircase_samples(*ranges[0])}
     assert kinds == {("Fraction", False), ("Fraction", True), ("Unspecified", True), ("SqrtValue", True)}
     with pytest.raises(ValueError, match="aspect ratio must be >= 1"):
@@ -445,6 +447,59 @@ def test_sqrt_marker_comparisons():
     assert root > 3 and root < Fraction(7, 2)
     assert SqrtValue(Fraction(9)) == 3
     assert not (SqrtValue(Fraction(8)) == 3)
+    assert (root <= 4) is True and (root >= 3) is True
+    assert (SqrtValue(Fraction(0)) > 0) is False
+    assert SqrtValue(Fraction(0)) == 0 and SqrtValue(Fraction(0)) > -1
+    assert (SqrtValue(Fraction(9)) == "3") is False
+    assert (root == None) is False  # noqa: E711
+    assert (UNSPECIFIED in [root]) is False
+    assert len({3, SqrtValue(Fraction(9))}) == 1
+    assert {Fraction(1, 2): 1}[SqrtValue(Fraction(1, 4))] == 1
+
+
+def test_sqrt_marker_orders_like_its_real_value():
+    """Rationals, binary floats and square roots of rationals more than 1e-9
+    apart compare as their floats do; closer ones are equal (no two distinct
+    samples are that close) and hash equally."""
+    rng = random.Random(16)
+    values = [Fraction(rng.randint(0, 400), rng.randint(1, 30)) for _ in range(60)]
+    values += [SqrtValue(Fraction(rng.randint(0, 400), rng.randint(1, 30))) for _ in range(60)]
+    values += [rng.randint(0, 160) / 8 for _ in range(20)]  # exact binary fractions
+    values += [SqrtValue(Fraction(x) ** 2) for x in values[:20] + values[-10:]]
+    real = {
+        id(v): float(v.radicand) ** 0.5 if isinstance(v, SqrtValue) else float(v) for v in values
+    }
+    for u in values:
+        for v in values:
+            gap = real[id(u)] - real[id(v)]
+            if abs(gap) > 1e-9:
+                below, above = gap < 0, gap > 0
+                assert (u < v, u <= v, u > v, u >= v, u == v) == (below, below, above, above, False)
+            else:
+                assert u == v and u <= v and u >= v and hash(u) == hash(v), (u, v)
+    ordered = sorted(values)
+    assert all(real[id(u)] <= real[id(v)] + 1e-9 for u, v in zip(ordered, ordered[1:]))
+    for other in ("3", None, (3,), [9]):
+        assert SqrtValue(Fraction(9)) != other
+        with pytest.raises(TypeError):
+            SqrtValue(Fraction(9)) < other
+    assert SqrtValue(Fraction(10)) < math.inf and SqrtValue(Fraction(10)) > -math.inf
+    assert SqrtValue(Fraction(10)) != math.nan
+    with pytest.raises(ValueError, match="radicand must be nonnegative"):
+        SqrtValue(Fraction(-1))
+
+
+def test_unspecified_renders_and_copies_as_itself():
+    assert str(UNSPECIFIED) == "unspecified" and repr(UNSPECIFIED) == "Unspecified"
+    assert pickle.loads(pickle.dumps(UNSPECIFIED)) is UNSPECIFIED
+    assert copy.deepcopy(UNSPECIFIED) is UNSPECIFIED and copy.copy(UNSPECIFIED) is UNSPECIFIED
+    rows = staircase_samples(Fraction(15, 2), Fraction(17, 2), 3)
+    assert [str(ball) for _, ball, _, _ in rows] == ["unspecified", "unspecified", "sqrt(17/2)"]
+    assert samples_to_csv(rows).splitlines()[1:] == [
+        "15/2,unspecified,45/17,45/17",
+        "8,unspecified,8/3,8/3",
+        "17/2,sqrt(17/2),51/19,51/19",
+    ]
 
 
 def test_tau4_sign_test_matches_float_threshold():
@@ -453,10 +508,12 @@ def test_tau4_sign_test_matches_float_threshold():
     tau4 = (7 + 3 * math.sqrt(5)) / 2
     rng = random.Random(46)
     for _ in range(2000):
-        x = Fraction(rng.randint(-400, 900), rng.randint(1, 90))
-        assert fraction_exceeds_tau4(x) == (float(x) > tau4), x
-    assert not fraction_exceeds_tau4(Fraction(0))
-    assert fraction_exceeds_tau4(Fraction(7))
+        p, q = rng.randint(1, 900), rng.randint(1, 90)
+        assert exceeds_tau4(p, q) == (p / q > tau4), (p, q)
+    assert exceeds_tau4(7, 1) and not exceeds_tau4(1, 1)
+    for p, q in ((0, 1), (-7, 1), (7, 0)):
+        with pytest.raises(ValueError):
+            exceeds_tau4(p, q)
 
 
 def test_stabilized_examples():
@@ -484,7 +541,7 @@ def test_folding_strictly_above_between_corners():
     rng = random.Random(6)
     for _ in range(200):
         a = Fraction(rng.randint(101, 680), 100)
-        if fraction_exceeds_tau4(a):
+        if exceeds_tau4(a.numerator, a.denominator):
             continue
         k = -1
         while outer_corner(k) < a:
