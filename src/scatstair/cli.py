@@ -172,12 +172,9 @@ def classify_pair(p: int, q: int):
 def cmd_classify(args) -> Tuple[int, Renderers]:
     """classify a coprime cusp-parameter pair"""
     result = classify_pair(max(args.p, args.q), min(args.p, args.q))
-    verdict = result.verdict
-    if result.fibonacci_index is not None:
-        verdict += f"(k={result.fibonacci_index})"
     lines = [
         f"pair: ({result.p}, {result.q})",
-        f"verdict: {verdict}",
+        f"verdict: {result.verdict_text()}",
         f"diophantine: {result.diophantine}",
         f"divisible_by_three: {result.divisible_by_three}",
     ]

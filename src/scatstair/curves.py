@@ -94,6 +94,11 @@ class Classification:
     def realizable(self) -> bool:
         return self.verdict != NOT_REALIZABLE
 
+    def verdict_text(self) -> str:
+        """The verdict, followed by ``(k=i)`` for the pair of staircase step i."""
+        k = self.fibonacci_index
+        return self.verdict if k is None else f"{self.verdict}(k={k})"
+
     def to_json(self) -> dict:
         return {
             "p": self.p,
@@ -384,13 +389,10 @@ class CrossCheckReport:
         ]
         for r in sorted(self.rows, key=lambda r: (r.grade, r.p, r.q)):
             ray = f"({r.rays[0][0]},{r.rays[0][1]})"
-            verdict = r.classification.verdict
-            if r.classification.fibonacci_index is not None:
-                verdict += f"(k={r.classification.fibonacci_index})"
             mark = "" if r.consistent() else "   <-- MISMATCH"
             lines.append(
                 f"({r.p:>3},{r.q:>3})  {ray:>8}  {r.grade:>5}  {str(r.log_coefficient):>8}  "
-                f"{str(r.detected):>8}  {verdict}{mark}"
+                f"{str(r.detected):>8}  {r.classification.verdict_text()}{mark}"
             )
         lines.append(f"agreement: {self.agreement}")
         return "\n".join(lines) + "\n"
@@ -412,6 +414,7 @@ def scattering_cross_check(
         raise ValueError("order must be at least 3")
     # imported here, so that the rest of the curve layer loads without it
     from .scattering import (
+        ConventionError,
         change_of_lattice,
         initial_diagram,
         ks_complete,
@@ -438,7 +441,7 @@ def scattering_cross_check(
         coeffs = [log_coefficient(diagram, ray, 1) for ray in rays]
         nonzero = [c for c in coeffs if c != 0]
         if nonzero and len(set(nonzero)) != 1:
-            raise RuntimeError(f"mirror rays of pair ({p},{q}) disagree: {coeffs}")
+            raise ConventionError(f"mirror rays of pair ({p},{q}) disagree: {coeffs}")
         native_rays = tuple(
             primitive_part((r[0] * M1[0] + r[1] * M2[0], r[0] * M1[1] + r[1] * M2[1]))[0]
             for r in rays

@@ -266,9 +266,6 @@ class SqrtValue(Record):
         if self.radicand < 0:
             raise ValueError("radicand must be nonnegative")
 
-    def squared(self) -> Fraction:
-        return self.radicand
-
     def _sign_minus(self, other) -> Optional[int]:
         """The sign of sqrt(radicand) - other, or None when other is not a number."""
         if isinstance(other, SqrtValue):
@@ -294,7 +291,8 @@ class SqrtValue(Record):
         return hash(root if root is not None else ("sqrt", self.radicand))
 
     def __str__(self):
-        return f"sqrt({self.radicand})"
+        root = _rational_sqrt(self.radicand)
+        return str(root) if root is not None else f"sqrt({self.radicand})"
 
 
 class Unspecified:
@@ -356,6 +354,14 @@ def step_height(k: int) -> Fraction:
     return Fraction(f5, f3)
 
 
+def _aspect(a: Fraction) -> Tuple[Fraction, int, int]:
+    """a as a Fraction with its numerator and denominator; a must be >= 1."""
+    a = Fraction(a)
+    if a < 1:
+        raise ValueError("aspect ratio must be >= 1")
+    return a, a.numerator, a.denominator
+
+
 def ball_embedding_value(a: Fraction) -> StaircaseValue:
     """The ellipsoid-into-ball embedding function of the four-ball at aspect a.
 
@@ -366,10 +372,7 @@ def ball_embedding_value(a: Fraction) -> StaircaseValue:
     in the shared step table that costs O(log k) at step k (see
     :func:`_ball_below_tau4`).
     """
-    a = Fraction(a)
-    if a < 1:
-        raise ValueError("aspect ratio must be >= 1")
-    n, d = a.numerator, a.denominator
+    a, n, d = _aspect(a)
     if _above_tau4(n, d):
         return _ball_beyond_tau4(a)
     return _ball_below_tau4(n, d)
@@ -412,21 +415,16 @@ def stabilized_value(a: Fraction) -> Fraction:
     """Stabilized embedding value: the staircase below tau^4, else 3a/(a+1).
 
     It does not depend on the number of stabilizing factors."""
-    a = Fraction(a)
-    if a < 1:
-        raise ValueError("aspect ratio must be >= 1")
-    n, d = a.numerator, a.denominator
+    a, n, d = _aspect(a)
     if _above_tau4(n, d):
-        return 3 * a / (a + 1)
+        return folding_bound(a)
     return _ball_below_tau4(n, d)
 
 
 def folding_bound(a: Fraction) -> Fraction:
     """The folding upper bound 3a/(a+1) for the stabilized problem."""
-    a = Fraction(a)
-    if a < 1:
-        raise ValueError("aspect ratio must be >= 1")
-    return 3 * a / (a + 1)
+    _, n, d = _aspect(a)
+    return Fraction(3 * n, n + d)
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +447,7 @@ def staircase_samples(
     lo, hi = Fraction(lo), Fraction(hi)
     if count < 2 or hi <= lo:
         raise ValueError("need count >= 2 and hi > lo")
-    if lo < 1:
-        raise ValueError("aspect ratio must be >= 1")
+    _aspect(lo)
     span = count - 1
     den = math.lcm(lo.denominator, hi.denominator)
     lo_num = lo.numerator * (den // lo.denominator)

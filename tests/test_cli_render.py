@@ -61,6 +61,13 @@ GOLDEN = {
         0, '4f43a9aa70093a9ce1c1e6da3c5f3d70428e0142a963e9babacb208258f0093a'),
     'staircase --a 5 --value volume --format json': (
         0, '631c1397a184b5dbf8b480bd3242e194b032f7226ec57c6db0f82680a850f20f'),
+    # the volume bound of a rational square renders as its rational root
+    'staircase --a 9': (
+        0, '434ce8d181578ec349274681fe0db6a05707aeb9fa6b3de523acdc8eb56ad8d7'),
+    'staircase --a 4 --format json': (
+        0, 'c5ced77df9e2ec54860ebad7bdb080c601f96a8b696160f98ca9362680ec6e3d'),
+    'staircase --a 9/4 --value volume --format json': (
+        0, 'a94af7f81b8c8196659fb696c194cb8dca3b2d918b137b3d7fc504c6e4fcc39b'),
     'staircase --range 1 4 --samples 9': (
         0, 'd785c09134a586d5bba775e22dad77ab7be6ea0f483b1392f88e66158d848174'),
     'staircase --range 1 4 --samples 9 --format json': (

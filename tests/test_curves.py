@@ -389,6 +389,22 @@ def test_cross_check_negative_control():
     assert (2, 1) in report.mismatches()
 
 
+def test_cross_check_mirror_disagreement_is_an_internal_fault(monkeypatch):
+    # the mirror rays (a, b) and (b, a) of a pair must carry one coefficient;
+    # a disagreement is a fault of the engine, not bad input
+    from scatstair import scattering
+
+    original = scattering.log_coefficient
+
+    def skewed(diagram, ray, k):
+        value = original(diagram, ray, k)
+        return 2 * value if ray[0] < ray[1] else value
+
+    monkeypatch.setattr(scattering, "log_coefficient", skewed)
+    with pytest.raises(scattering.ConventionError, match=r"mirror rays of pair \(2,1\) disagree"):
+        scattering_cross_check(5)
+
+
 def test_cross_check_report_serialization():
     report = scattering_cross_check(5)
     data = report.to_json()

@@ -457,6 +457,13 @@ def test_sqrt_marker_comparisons():
     assert {Fraction(1, 2): 1}[SqrtValue(Fraction(1, 4))] == 1
 
 
+def test_sqrt_marker_renders_a_rational_square_as_its_root():
+    assert str(SqrtValue(Fraction(9, 4))) == "3/2"
+    assert str(SqrtValue(Fraction(9))) == "3" == str(ball_embedding_value(Fraction(9)))
+    assert str(SqrtValue(Fraction(8))) == "sqrt(8)"
+    assert str(SqrtValue(Fraction(0))) == "0"
+
+
 def test_sqrt_marker_orders_like_its_real_value():
     """Rationals, binary floats and square roots of rationals more than 1e-9
     apart compare as their floats do; closer ones are equal (no two distinct
@@ -560,7 +567,7 @@ def test_stabilized_never_exceeds_unstabilized():
             continue
         stab = stabilized_value(a)
         if isinstance(ball, SqrtValue):
-            assert stab * stab <= ball.squared()
+            assert stab * stab <= ball.radicand
         else:
             assert stab <= ball
 
