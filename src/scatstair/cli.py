@@ -10,9 +10,9 @@ cap exceeded, 4 output could not be written.
 Bad input is reported by the layer that rejects it: ``main`` turns each
 ``ValueError`` into exit 2 with its message.  The CLI checks only what no
 library function sees: one ``--k`` per ``--m``, at least one seed and
-``--order >= 2`` for ``scatter``, the syntax of vectors and rationals
-(positive denominators), ``--a`` or ``--range``, ``--value ball`` outside
-the transitional window, mutation indices (``IndexError``) and ``--format``.
+``--order >= 2`` for ``scatter``, the syntax of rationals (positive
+denominators), ``--a`` or ``--range``, ``--value ball`` outside the
+transitional window and ``--format``.
 
 Each subcommand imports the layers it uses when it runs, so a command loads
 only those: ``mutate`` the toric layer (and through it the lattice layer),
@@ -62,13 +62,6 @@ def _parse_fraction(text: str) -> "Fraction":
     return Fraction(int(text))
 
 
-def _parse_vec(text: str):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise CliError(f"bad vector {text!r}; expected 'a,b'")
-    return (int(parts[0]), int(parts[1]))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 #
@@ -80,6 +73,7 @@ def _parse_vec(text: str):
 
 def cmd_scatter(args) -> Tuple[int, Renderers]:
     """complete a seeded scattering diagram"""
+    from .lattice import parse_vec
     from .scattering import (
         diagram_to_json,
         diagram_to_svg,
@@ -90,7 +84,7 @@ def cmd_scatter(args) -> Tuple[int, Renderers]:
 
     if len(args.m) != len(args.k):
         raise CliError("need one --k per --m")
-    seeds = [(_parse_vec(m_text), k) for m_text, k in zip(args.m, args.k)]
+    seeds = [(parse_vec(m_text), k) for m_text, k in zip(args.m, args.k)]
     if not seeds:
         raise CliError("at least one seed (--m/--k) is required")
     if args.order < 2:
@@ -208,10 +202,7 @@ def cmd_mutate(args) -> Tuple[int, Renderers]:
     word: List[int] = []
     if args.word:
         word = [int(t) for t in args.word.split(",") if t.strip()]
-    try:
-        result = apply_word(model, word)
-    except IndexError as exc:
-        raise CliError(str(exc))
+    result = apply_word(model, word)
     payload = {"model": format_model(result)}
     lines = [format_model(result)]
     if args.compare_original:

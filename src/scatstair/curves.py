@@ -23,10 +23,14 @@ M1: Vec = (-1, -3)
 M2: Vec = (1, 0)
 
 
+def _positive(*values) -> None:
+    if min(values) <= 0:
+        raise ValueError("inputs must be positive")
+
+
 def curve_index(d: int, p: int, q: int) -> int:
     """Expected real dimension 2*(3d - p - q) of the constrained moduli space."""
-    if d < 1 or p < 1 or q < 1:
-        raise ValueError("inputs must be positive")
+    _positive(d, p, q)
     return 2 * (3 * d - p - q)
 
 
@@ -36,8 +40,7 @@ def double_point_count(d: int, p: int, q: int) -> Fraction:
     Realizable parameters require a nonnegative integer; the caller interprets
     anything else as non-realizability.
     """
-    if d < 1 or p < 1 or q < 1:
-        raise ValueError("inputs must be positive")
+    _positive(d, p, q)
     return Fraction((d - 1) * (d - 2) - (p - 1) * (q - 1), 2)
 
 
@@ -71,8 +74,7 @@ def unicuspidal_families(d_max: int) -> List[Tuple[str, int, int, int]]:
 
 def diophantine_value(p: int, q: int) -> int:
     """p^2 + q^2 - 7pq + 9; nonnegative exactly on realizable coprime parameters."""
-    if p < 1 or q < 1:
-        raise ValueError("inputs must be positive")
+    _positive(p, q)
     return p * p + q * q - 7 * p * q + 9
 
 
@@ -203,8 +205,7 @@ def shift_decomposition_index(x: Fraction) -> int:
 
 def obstruction_lower_bound(p: int, q: int, area: Fraction) -> Fraction:
     """Lower bound p*q/area for the stabilized embedding function at (p, q)."""
-    if p < 1 or q < 1:
-        raise ValueError("inputs must be positive")
+    _positive(p, q)
     area = Fraction(area)
     if area == 0:
         raise ZeroDivisionError("area must be nonzero")
@@ -215,8 +216,7 @@ def inflation_upper_bound(
     p: int, q: int, self_intersection: int, c: Fraction
 ) -> Optional[Fraction]:
     """The bound c when the class satisfies self_intersection >= p*q, else None."""
-    if p < 1 or q < 1:
-        raise ValueError("inputs must be positive")
+    _positive(p, q)
     if self_intersection >= p * q:
         return Fraction(c)
     return None
@@ -225,8 +225,7 @@ def inflation_upper_bound(
 def visible_area(r: Fraction, p: int, q: int) -> Fraction:
     """Area r*p*q of the visible curve over a slope-(p, q) segment of length scale r."""
     r = Fraction(r)
-    if r <= 0 or p < 1 or q < 1:
-        raise ValueError("inputs must be positive")
+    _positive(r, p, q)
     return r * p * q
 
 
@@ -252,9 +251,7 @@ def degeneration_admissible(
         return total - min(Fraction(p), s * q)
 
     def witness(s: Fraction) -> Vec:
-        a1, a2 = s.denominator, s.numerator
-        g = math.gcd(a1, a2)
-        return (a1 // g, a2 // g)
+        return (s.denominator, s.numerator)
 
     # s -> 0+: deficit ~ s * (sum q_i - q); s -> oo: deficit -> sum p_i - p.
     breakpoints = sorted({Fraction(pi, qi) for pi, qi in parts} | {Fraction(p, q)})
@@ -429,8 +426,6 @@ def scattering_cross_check(
     for s in range(1, order):
         for a in range(0, s + 1):
             b = s - a
-            if math.gcd(a, b) != 1:
-                continue
             pair = ray_to_pair(a, b)
             if pair is None:
                 continue

@@ -1,5 +1,5 @@
 """Rank-two lattice arithmetic: wedge products, quarter turns and primitive
-vectors of Z^2."""
+vectors of Z^2, and the ``a,b`` syntax of a vector."""
 
 from __future__ import annotations
 
@@ -32,3 +32,11 @@ def primitive_part(v: Vec) -> Tuple[Vec, int]:
         raise ValueError("zero vector has no primitive part")
     g = math.gcd(abs(v[0]), abs(v[1]))
     return (v[0] // g, v[1] // g), g
+
+
+def parse_vec(text: str) -> Vec:
+    """Parse the vector syntax ``a,b``."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"bad vector {text!r}; expected 'a,b'")
+    return (int(parts[0]), int(parts[1]))

@@ -171,7 +171,8 @@ class ScatteringDiagram(Record):
 
     def min_t_degree(self, w: Vec) -> Optional[int]:
         """Minimal t-degree at which z^w can appear, from the grading; None if ungraded
-        or w is outside the graded cone (in which case z^w never appears)."""
+        or w is not a nonnegative integral combination of the grading (in which
+        case z^w never appears)."""
         if self.grading is None:
             return None
         g1, g2 = self.grading
@@ -179,10 +180,10 @@ class ScatteringDiagram(Record):
         na = wedge(w, g2)
         nb = wedge(g1, w)
         if na % det or nb % det:
-            return -1
+            return None
         a, b = na // det, nb // det
         if a < 0 or b < 0:
-            return -1
+            return None
         return a + b
 
 
@@ -711,13 +712,10 @@ def log_coefficient(diagram: ScatteringDiagram, direction: Vec, kappa: int) -> F
         raise ValueError("kappa must be >= 1")
     target = (kappa * direction[0], kappa * direction[1])
     min_deg = diagram.min_t_degree(target)
-    if min_deg is not None:
-        if min_deg == -1:
-            return Fraction(0)
-        if min_deg >= diagram.order:
-            raise TruncationTooLow(
-                f"z^{target} first appears at t^{min_deg}, beyond truncation {diagram.order}"
-            )
+    if min_deg is not None and min_deg >= diagram.order:
+        raise TruncationTooLow(
+            f"z^{target} first appears at t^{min_deg}, beyond truncation {diagram.order}"
+        )
     wall = diagram.wall_on_ray(direction, incoming=False)
     if wall is None:
         return Fraction(0)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ._record import Record
-from .lattice import Vec, is_primitive, wedge
+from .lattice import Vec, is_primitive, parse_vec, wedge
 
 Matrix = Tuple[Tuple[int, int], Tuple[int, int]]
 
@@ -75,7 +75,7 @@ def mutate(model: ToricModel, i: int) -> ToricModel:
     corner blowups can always arrange it without changing the vector data.
     """
     if not 1 <= i <= len(model):
-        raise IndexError(f"mutation index {i} out of range 1..{len(model)}")
+        raise ValueError(f"mutation index {i} out of range 1..{len(model)}")
     mi = model.vectors[i - 1]
     new_vectors = []
     for s, m in enumerate(model.vectors, start=1):
@@ -228,9 +228,7 @@ def w_t0(p: int, q: int) -> Vec:
     """
     if p < 0 or q < 0 or (p, q) == (0, 0):
         raise ValueError("w_t0 needs (p, q) nonzero with nonnegative entries")
-    if q == 0 or p * 1 >= 2 * q:
-        if q == 0:
-            return (0, p)
+    if p >= 2 * q:
         return (-q, p - 5 * q)
     if 2 * p >= q:
         return (q - p, q - 2 * p)
@@ -265,13 +263,7 @@ def w_t0_inverse(m: Vec) -> Tuple[int, int]:
 
 def parse_model(text: str) -> ToricModel:
     """Parse the CLI vector syntax ``a,b;c,d``."""
-    vectors = []
-    for chunk in text.split(";"):
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"bad vector {chunk!r}; expected 'a,b'")
-        vectors.append((int(parts[0].strip()), int(parts[1].strip())))
-    return ToricModel(tuple(vectors))
+    return ToricModel(tuple(parse_vec(chunk) for chunk in text.split(";")))
 
 
 def format_model(model: ToricModel) -> str:

@@ -183,7 +183,17 @@ def test_mutate_orbit_dot(tmp_path: Path):
 
 
 def test_mutate_bad_index_exit():
-    run_cli("mutate", "--model", "-1,-3;1,0", "--word", "5", expect=2)
+    out = run_cli("mutate", "--model", "-1,-3;1,0", "--word", "5", expect=2)
+    assert out.stderr == "error: mutation index 5 out of range 1..2\n"
+
+
+@pytest.mark.parametrize("args", [
+    ("scatter", "--m", "1,2,3", "--k", "1", "--order", "4"),
+    ("mutate", "--model", "1,2,3"),
+])
+def test_bad_vector_exit(args):
+    out = run_cli(*args, expect=2)
+    assert out.stderr == "error: bad vector '1,2,3'; expected 'a,b'\n"
 
 
 def test_verify_agreement():

@@ -266,6 +266,19 @@ def test_visible_area():
         visible_area(Fraction(0), 1, 1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: curve_index(0, 1, 1),
+    lambda: double_point_count(1, -1, 1),
+    lambda: diophantine_value(1, 0),
+    lambda: obstruction_lower_bound(0, 1, Fraction(1)),
+    lambda: inflation_upper_bound(1, 0, 1, Fraction(1)),
+    lambda: visible_area(Fraction(-1, 2), 1, 1),
+])
+def test_nonpositive_inputs_rejected(call):
+    with pytest.raises(ValueError, match="^inputs must be positive$"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # degenerations
 

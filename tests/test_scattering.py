@@ -1024,6 +1024,18 @@ def test_log_coefficient_truncation_guard():
         log_coefficient(S, (1, 1), 2)  # z^(2,2) first appears at t^4
 
 
+def test_min_t_degree_none_off_the_graded_cone():
+    S = pentagon(6)
+    assert S.min_t_degree((1, 1)) == 2
+    assert S.min_t_degree((-1, 0)) is None
+    assert log_coefficient(S, (-1, 0), 1) == 0
+    # (0, 1) = (-(-1, -3) - (1, 0)) / 3 is no integral combination of the grading
+    native = initial_diagram([((-1, -3), 1), ((1, 0), 1)], 6)
+    assert native.min_t_degree((0, 1)) is None
+    ungraded = initial_diagram([((1, 0), 1), ((0, 1), 1), ((1, 1), 1)], 6)
+    assert ungraded.grading is None and ungraded.min_t_degree((1, 1)) is None
+
+
 def _full_log_sum(label, target):
     """The z^target coefficient of label.log(), summed over t-degrees."""
     return sum((c for (a, b, _), c in label.log().terms.items() if (a, b) == target), Fraction(0))

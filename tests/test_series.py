@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from scatstair.lattice import is_primitive, primitive_part, rot90, wedge
+from scatstair.lattice import is_primitive, parse_vec, primitive_part, rot90, wedge
 from scatstair.series import TruncatedSeries as TS, TruncationMismatch
 
 
@@ -41,6 +41,16 @@ def test_is_primitive():
     assert is_primitive((2, 3))
     assert not is_primitive((2, 2))
     assert not is_primitive((0, 0))
+
+
+def test_parse_vec():
+    assert parse_vec("-1,3") == (-1, 3)
+    assert parse_vec(" 2, 0 ") == (2, 0)
+    for text in ("1,2,3", "1", ""):
+        with pytest.raises(ValueError, match=f"bad vector {text!r}; expected 'a,b'"):
+            parse_vec(text)
+    with pytest.raises(ValueError):
+        parse_vec("a,b")
 
 
 # ---------------------------------------------------------------------------
