@@ -45,10 +45,6 @@ Renderers = Dict[str, Callable[[], Union[str, dict, list]]]
 _LEADING_MINUS_VALUE = re.compile(r"^-\d")
 
 
-class CliError(ValueError):
-    """Invalid command-line input (exit code 2, like the library's ValueErrors)."""
-
-
 def _parse_fraction(text: str) -> "Fraction":
     from fractions import Fraction
 
@@ -57,7 +53,7 @@ def _parse_fraction(text: str) -> "Fraction":
         num, den = text.split("/", 1)
         d = int(den)
         if d <= 0:
-            raise CliError(f"rational {text!r} must have a positive denominator")
+            raise ValueError(f"rational {text!r} must have a positive denominator")
         return Fraction(int(num), d)
     return Fraction(int(text))
 
@@ -83,12 +79,12 @@ def cmd_scatter(args) -> Tuple[int, Renderers]:
     )
 
     if len(args.m) != len(args.k):
-        raise CliError("need one --k per --m")
+        raise ValueError("need one --k per --m")
     seeds = [(parse_vec(m_text), k) for m_text, k in zip(args.m, args.k)]
     if not seeds:
-        raise CliError("at least one seed (--m/--k) is required")
+        raise ValueError("at least one seed (--m/--k) is required")
     if args.order < 2:
-        raise CliError("scattering needs --order >= 2")
+        raise ValueError("scattering needs --order >= 2")
     diagram = ks_complete(initial_diagram(seeds, args.order), args.term_cap)
     spectrum = ray_spectrum(diagram)
     provenance = (
@@ -135,12 +131,12 @@ def cmd_staircase(args) -> Tuple[int, Renderers]:
             "svg": partial(stair.staircase_svg, rows, f"input: range {lo}..{hi}"),
         }
     if args.a is None:
-        raise CliError("need --a or --range")
+        raise ValueError("need --a or --range")
     a = _parse_fraction(args.a)
     ball = stair.ball_embedding_value(a)
     wanted = args.value
     if wanted == "ball" and isinstance(ball, stair.Unspecified):
-        raise CliError(f"a = {a} lies in the transitional window; no point value")
+        raise ValueError(f"a = {a} lies in the transitional window; no point value")
     values = {
         "ball": str(ball),
         "stabilized": str(stair.stabilized_value(a)),
@@ -288,7 +284,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         code, renderers = args.func(args)
         if args.format not in renderers:
-            raise CliError(
+            raise ValueError(
                 f"--format {args.format} is not available for this query; "
                 f"use {' or '.join(renderers)}"
             )

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .lattice import Vec, primitive_part
-from .staircase import exceeds_tau4, fib, fibonacci_outer_index
+from .lattice import Vec, mat_apply, primitive_part
+from .staircase import exceeds_tau4, fibonacci_outer_index, fibonacci_step
 
 # Lattice generators of the reference model; the cross-check transports the
 # standard-lattice computation along them.
@@ -55,10 +55,8 @@ def unicuspidal_families(d_max: int) -> List[Tuple[str, int, int, int]]:
         out.append(("b", d, 2 * d - 1, d // 2))
     # the steps k >= 1 with fib(2k+3) <= d_max, which hold both walks
     steps = []
-    k = 1
-    while fib(2 * k + 3) <= d_max:
-        steps.append((fib(2 * k + 1), fib(2 * k + 3), fib(2 * k + 5)))
-        k += 1
+    while (step := fibonacci_step(len(steps) + 1))[1] <= d_max:
+        steps.append(step)
     for f1, f3, _ in steps:
         if f3 * f1 > d_max:
             break
@@ -431,16 +429,14 @@ def scattering_cross_check(
                 continue
             by_pair.setdefault(pair, []).append((a, b))
 
+    M = ((M1[0], M2[0]), (M1[1], M2[1]))
     rows = []
     for (p, q), rays in sorted(by_pair.items()):
         coeffs = [log_coefficient(diagram, ray, 1) for ray in rays]
         nonzero = [c for c in coeffs if c != 0]
         if nonzero and len(set(nonzero)) != 1:
             raise ConventionError(f"mirror rays of pair ({p},{q}) disagree: {coeffs}")
-        native_rays = tuple(
-            primitive_part((r[0] * M1[0] + r[1] * M2[0], r[0] * M1[1] + r[1] * M2[1]))[0]
-            for r in rays
-        )
+        native_rays = tuple(primitive_part(mat_apply(M, r))[0] for r in rays)
         rows.append(
             CrossCheckRow(
                 p=p,

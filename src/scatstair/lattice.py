@@ -1,5 +1,5 @@
-"""Rank-two lattice arithmetic: wedge products, quarter turns and primitive
-vectors of Z^2, and the ``a,b`` syntax of a vector."""
+"""Rank-two lattice arithmetic: wedge products, quarter turns, primitive
+vectors and integer matrices of Z^2, and the ``a,b`` syntax of a vector."""
 
 from __future__ import annotations
 
@@ -7,11 +7,17 @@ import math
 from typing import Tuple
 
 Vec = Tuple[int, int]
+Matrix = Tuple[Tuple[int, int], Tuple[int, int]]
 
 
 def wedge(v: Vec, w: Vec) -> int:
     """Determinant of the 2x2 matrix with columns v, w."""
     return v[0] * w[1] - v[1] * w[0]
+
+
+def mat_apply(m: Matrix, v: Vec) -> Vec:
+    """The product m v of the matrix given by its rows and the column v."""
+    return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
 
 
 def rot90(v: Vec) -> Vec:

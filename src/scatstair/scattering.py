@@ -20,13 +20,12 @@ suite):
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._record import Record
-from .lattice import Vec, is_primitive, primitive_part, wedge
+from .lattice import Vec, is_primitive, mat_apply, primitive_part, wedge
 from .series import TruncatedSeries
 
 
@@ -89,48 +88,19 @@ class Wall(Record):
 
 
 def _ray_multiple(v: Vec, m: Vec) -> Optional[int]:
-    """Return j >= 1 with v = j*m, or None."""
-    if m[0] != 0:
-        j, r = divmod(v[0], m[0])
-        if r != 0 or j < 1 or v[1] != j * m[1]:
-            return None
-        return j
-    if v[0] != 0 or m[1] == 0:
+    """Return j >= 1 with v = j*m for the primitive m, or None."""
+    if v == (0, 0):
         return None
-    j, r = divmod(v[1], m[1])
-    if r != 0 or j < 1:
-        return None
-    return j
+    p, j = primitive_part(v)
+    return j if p == m else None
 
 
-def _half_plane(v: Vec) -> int:
-    """0 for angles in [0, pi), 1 for [pi, 2*pi)."""
-    return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-
-
-def direction_cmp(u: Vec, v: Vec) -> int:
-    """Exact comparison of ray directions by angle in [0, 2*pi)."""
-    hu, hv = _half_plane(u), _half_plane(v)
-    if hu != hv:
-        return -1 if hu < hv else 1
-    x = wedge(u, v)
-    if x > 0:
-        return -1
-    if x < 0:
-        return 1
-    return 0
-
-
-def _wall_cmp(w1: Wall, w2: Wall) -> int:
-    c = direction_cmp(w1.direction, w2.direction)
-    if c:
-        return c
-    if w1.incoming != w2.incoming:
-        return -1 if w1.incoming else 1
-    return 0
-
-
-_wall_key = functools.cmp_to_key(_wall_cmp)
+def _wall_key(wall: Wall) -> Tuple[bool, bool, Union[Fraction, int], bool]:
+    """Exact sort key of a wall: its direction's angle in [0, 2*pi), then
+    incoming before outgoing.  The angle is keyed by the half-plane, the
+    x-axis first in each, and then the increasing -a/b = -cot of the angle."""
+    a, b = wall.direction
+    return (b < 0 or (b == 0 and a < 0), b != 0, Fraction(-a, b) if b else 0, not wall.incoming)
 
 
 class ScatteringDiagram(Record):
@@ -628,7 +598,7 @@ def ks_complete(
         for p, terms in factors.items():
             new = _Crossing(p, False, one)
             i = bisect.bisect_left(crossings, _wall_key(new), key=_wall_key)
-            if i == len(crossings) or _wall_cmp(crossings[i], new):
+            if i == len(crossings) or _wall_key(crossings[i]) != _wall_key(new):
                 crossings.insert(i, new)
                 images.insert(i + 1, tuple(s[:k] + [dict(s[k])] for s in images[i]))
             label = crossings[i].label
@@ -682,17 +652,15 @@ def change_of_lattice(
     if wedge(m1, m2) == 0:
         raise ValueError("lattice generators must not be colinear")
 
-    def image(v: Vec) -> Vec:
-        return (v[0] * m1[0] + v[1] * m2[0], v[0] * m1[1] + v[1] * m2[1])
-
+    M = ((m1[0], m2[0]), (m1[1], m2[1]))
     walls = []
     for w in diagram_std.walls:
-        terms = {image((a, b)) + (k,): c for (a, b, k), c in w.label.terms.items()}
-        new_dir, _ = primitive_part(image(w.direction))
+        terms = {mat_apply(M, (a, b)) + (k,): c for (a, b, k), c in w.label.terms.items()}
+        new_dir, _ = primitive_part(mat_apply(M, w.direction))
         walls.append(Wall(new_dir, w.incoming, TruncatedSeries(diagram_std.order, terms)))
     grading = None
     if diagram_std.grading is not None:
-        grading = (image(diagram_std.grading[0]), image(diagram_std.grading[1]))
+        grading = (mat_apply(M, diagram_std.grading[0]), mat_apply(M, diagram_std.grading[1]))
     return ScatteringDiagram(diagram_std.order, tuple(walls), grading)
 
 

@@ -58,7 +58,7 @@ def _steps_through(k: int = -1, n: int = 0, d: int = 1) -> Steps:
     return steps
 
 
-def _step(k: int) -> Tuple[int, int, int]:
+def fibonacci_step(k: int) -> Tuple[int, int, int]:
     """(fib(2k+1), fib(2k+3), fib(2k+5)) of step k >= -1."""
     if k < -1:
         raise ValueError("index must be >= -1")
@@ -338,19 +338,19 @@ def _rational_sqrt(a: Fraction) -> Optional[Fraction]:
 
 def outer_corner(k: int) -> Fraction:
     """x-value fib(2k+5)/fib(2k+1) of the k-th outer staircase corner, k >= -1."""
-    f1, _, f5 = _step(k)
+    f1, _, f5 = fibonacci_step(k)
     return Fraction(f5, f1)
 
 
 def inner_corner(k: int) -> Fraction:
     """x-value fib(2k+3)^2/fib(2k+1)^2 of the k-th inner staircase corner."""
-    f1, f3, _ = _step(k)
+    f1, f3, _ = fibonacci_step(k)
     return Fraction(f3 * f3, f1 * f1)
 
 
 def step_height(k: int) -> Fraction:
     """Constant value fib(2k+5)/fib(2k+3) of the k-th staircase step."""
-    _, f3, f5 = _step(k)
+    _, f3, f5 = fibonacci_step(k)
     return Fraction(f5, f3)
 
 

@@ -13,13 +13,7 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ._record import Record
-from .lattice import Vec, is_primitive, parse_vec, wedge
-
-Matrix = Tuple[Tuple[int, int], Tuple[int, int]]
-
-
-def mat_apply(m: Matrix, v: Vec) -> Vec:
-    return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
+from .lattice import Matrix, Vec, is_primitive, mat_apply, parse_vec, wedge
 
 
 def half_shear(v: Vec, w: Vec) -> Vec:
@@ -41,6 +35,8 @@ def elementary_transform_fan(fan: Sequence[Vec], i: int) -> List[Vec]:
 
     Requires -fan[i] to appear among the rays (existence of the ruling).
     """
+    if not 0 <= i < len(fan):
+        raise ValueError("fan index i out of range 0..n-1")
     v = fan[i]
     if not is_primitive(v):
         raise ValueError("fan rays must be primitive")

@@ -21,6 +21,8 @@ from scatstair.scattering import (
     _monodromy_is_trivial,
     _power_slices,
     _pruned_axis,
+    _ray_multiple,
+    _wall_key,
     apply_wall,
     canonicalize,
     change_of_lattice,
@@ -68,6 +70,43 @@ def test_wall_membership_validation():
         wall((2, 2), "1 + t*x^2*y^2", 5)  # non-primitive ray
     with pytest.raises(ValueError):
         Wall((1, 0), True, TS.from_text(5, "1 + t*x"))  # incoming wants z^(-d)
+
+
+def test_wall_key_orders_walls_counterclockwise():
+    """Sorting by the key gives the order of an exact comparator: the
+    half-plane [0, pi) before [pi, 2*pi), then the sign of the wedge, then
+    incoming before outgoing; and no two walls share a key."""
+
+    def upper(v):
+        return v[1] > 0 or (v[1] == 0 and v[0] > 0)
+
+    def compare(w1, w2):
+        u, v = w1.direction, w2.direction
+        if upper(u) != upper(v):
+            return -1 if upper(u) else 1
+        return -wedge(u, v) or w2.incoming - w1.incoming
+
+    box = range(-7, 8)
+    walls = [
+        Wall((a, b), incoming, TS.one(2))
+        for a in box for b in box if gcd(a, b) == 1 for incoming in (False, True)
+    ]
+    random.Random(19).shuffle(walls)
+    by_key = sorted(walls, key=_wall_key)
+    assert by_key == sorted(walls, key=cmp_to_key(compare))
+    assert len({_wall_key(w) for w in walls}) == len(walls) == 2 * 144
+    ends = [(w.direction, w.incoming) for w in by_key[:3] + by_key[-1:]]
+    assert ends == [((1, 0), True), ((1, 0), False), ((7, 1), True), ((7, -1), False)]
+
+
+def test_ray_multiple_matches_a_search():
+    """j >= 1 with v = j*m for primitive m, else None: the zero vector,
+    negative multiples and non-multiples included."""
+    box = range(-9, 10)
+    for m in [(a, b) for a in range(-3, 4) for b in range(-3, 4) if gcd(a, b) == 1]:
+        for v in [(a, b) for a in box for b in box]:
+            want = next((j for j in range(1, 10) if (j * m[0], j * m[1]) == v), None)
+            assert _ray_multiple(v, m) == want, (v, m)
 
 
 def test_crossing_example_direction_2_3():

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from scatstair import toric
-from scatstair.lattice import wedge
+from scatstair.lattice import mat_apply, wedge
 from scatstair.toric import (
     ToricModel,
     apply_word,
@@ -15,7 +15,6 @@ from scatstair.toric import (
     format_model,
     gl2z_equivalent,
     half_shear,
-    mat_apply,
     mutate,
     mutation_orbit,
     orbit_to_dot,
@@ -78,6 +77,13 @@ def test_elementary_transform_fixed_rays():
 def test_elementary_transform_needs_opposite_ray():
     with pytest.raises(ValueError):
         elementary_transform_fan([(1, 0), (0, 1)], 0)
+
+
+@pytest.mark.parametrize("i", [-1, 4, 5])
+def test_elementary_transform_index_range(i):
+    fan = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    with pytest.raises(ValueError, match=r"^fan index i out of range 0\.\.n-1$"):
+        elementary_transform_fan(fan, i)
 
 
 # ---------------------------------------------------------------------------
