@@ -203,10 +203,8 @@ def shift_decomposition_index(x: Fraction) -> int:
 
 def obstruction_lower_bound(p: int, q: int, area: Fraction) -> Fraction:
     """Lower bound p*q/area for the stabilized embedding function at (p, q)."""
-    _positive(p, q)
     area = Fraction(area)
-    if area == 0:
-        raise ZeroDivisionError("area must be nonzero")
+    _positive(p, q, area)
     return Fraction(p * q) / area
 
 

@@ -462,7 +462,8 @@ def canonicalize(diagram: ScatteringDiagram) -> ScatteringDiagram:
 
 class _Crossing:
     """A wall of a completion in progress: direction, orientation, label
-    series, the label by t-degree and the label's power slices so far.
+    series, the label by t-degree, the label's power slices so far, its
+    :func:`_wall_key` and the images of x and of y after it, by t-degree.
 
     Every power of the label lives only at t-degrees that are multiples of
     ``stride``, the gcd of the label's own t-degrees, so only those slices
@@ -470,11 +471,16 @@ class _Crossing:
     A power has no slice at 0 < n < ``low``, the label's lowest t-degree, so
     at order k only the image degrees a <= k - low are crossed.  Integral
     coefficients are ints, the others Fractions.  No :class:`Wall` is built.
+    ``unchanged`` is the image the wall passes as it is: the one ``axis``
+    prunes (see :func:`_pruned_axis`) when the wall is off its line, or None.
     """
 
-    def __init__(self, direction: Vec, incoming: bool, label: TruncatedSeries):
+    def __init__(self, direction: Vec, incoming: bool, label: TruncatedSeries, axis=None):
         self.direction = direction
         self.incoming = incoming
+        self.key = _wall_key(self)
+        self.unchanged = axis if axis is not None and direction[axis] else None
+        self.images: Tuple[Slices, Slices] = tuple([{base: 1}] for base in _BASES)
         # exponent e -> (degree computed through, nonzero t-degree slices of label^e)
         self.powers: Dict[int, Tuple[int, Dict[int, Dict[Vec, Coeff]]]] = {}
         self.relabel(label, label.order)
@@ -520,8 +526,8 @@ def ks_complete(
 ) -> ScatteringDiagram:
     """Add outgoing walls order by order until the total monodromy is trivial.
 
-    The walls are kept in crossing order together with the images of x and
-    of y after each of them, stored by t-degree.  When the first coordinates
+    The walls are kept in crossing order, each with the images of x and of
+    y after it, stored by t-degree.  When the first coordinates
     of all label monomials are >= 0, or all are <= 0, the image of x is kept
     only at its offsets w from x with w1 = 0, the vertical line through x;
     otherwise, when the second coordinates share a sign, the image of y
@@ -574,21 +580,19 @@ def ks_complete(
     diag = canonicalize(diagram)
     K = diag.order
     axis = _pruned_axis(diag.walls)
-    crossings = [_Crossing(w.direction, w.incoming, w.label) for w in diag.walls]
-    # images[i]: the images of x and of y after the first i walls, by t-degree
-    images = [tuple([{base: 1}] for base in _BASES) for _ in range(len(crossings) + 1)]
+    crossings = [_Crossing(w.direction, w.incoming, w.label, axis) for w in diag.walls]
+    # the images of x and of y before the first wall, by t-degree
+    start: Tuple[Slices, Slices] = tuple([{base: 1}] for base in _BASES)
     one = TruncatedSeries.one(K)
     for k in range(1, K):
-        for slices in images[0]:
+        for slices in start:
             slices.append({})
-        for crossing, before, after in zip(crossings, images, images[1:]):
-            off_line = axis is not None and crossing.direction[axis]
-            for n, (prev, cur) in enumerate(zip(before, after)):
-                if n == axis and off_line:
-                    cur.append(dict(prev[k]))
-                else:
-                    cur.append(crossing.advance(prev, k))
-        defect = _read_defect(k, *images[-1])
+        before = start
+        for crossing in crossings:
+            for n, (prev, cur) in enumerate(zip(before, crossing.images)):
+                cur.append(dict(prev[k]) if n == crossing.unchanged else crossing.advance(prev, k))
+            before = crossing.images
+        defect = _read_defect(k, *before)
         if not defect:
             continue
         factors: Dict[Vec, List[Tuple[Vec, Coeff]]] = {}
@@ -596,29 +600,31 @@ def ks_complete(
             p, j = primitive_part(w)
             factors.setdefault(p, []).append((w, _exact(-j * c)))
         for p, terms in factors.items():
-            new = _Crossing(p, False, one)
-            i = bisect.bisect_left(crossings, _wall_key(new), key=_wall_key)
-            if i == len(crossings) or _wall_key(crossings[i]) != _wall_key(new):
+            new = _Crossing(p, False, one, axis)
+            i = bisect.bisect_left(crossings, new.key, key=lambda cr: cr.key)
+            if i == len(crossings) or crossings[i].key != new.key:
+                prior = crossings[i - 1].images if i else start
+                new.images = tuple(s[:k] + [dict(s[k])] for s in prior)
                 crossings.insert(i, new)
-                images.insert(i + 1, tuple(s[:k] + [dict(s[k])] for s in images[i]))
-            label = crossings[i].label
+            crossing = crossings[i]
+            label = crossing.label
             for w, alpha in terms:
                 label = label + label * TruncatedSeries.monomial(K, w, k, alpha)
-            for n, (base, after) in enumerate(zip(_BASES, zip(*images[i + 1:]))):
+            for n, base in enumerate(_BASES):
                 e = wedge(p, base)
-                if not e or (n == axis and p[axis]):
+                if not e or n == crossing.unchanged:
                     continue
                 for w, alpha in terms:
                     key = (base[0] + w[0], base[1] + w[1])
-                    for slices in after:
-                        s = slices[k]
+                    for later in crossings[i:]:
+                        s = later.images[n][k]
                         s[key] = s.get(key, 0) + e * alpha
                         if not s[key]:
                             del s[key]
             if label == one:
-                del crossings[i], images[i + 1]
+                del crossings[i]
             else:
-                crossings[i].relabel(label, k)
+                crossing.relabel(label, k)
         total = sum(len(cr.label.terms) for cr in crossings)
         if term_cap is not None and total > term_cap:
             raise TermCapExceeded(
@@ -754,15 +760,13 @@ def diagram_to_json(diagram: ScatteringDiagram) -> dict:
 
 def diagram_from_json(data: dict) -> ScatteringDiagram:
     order = int(data["K"])
-    walls = tuple(
-        Wall(
-            (int(w["dir"][0]), int(w["dir"][1])),
-            w["orientation"] == "in",
-            TruncatedSeries.from_records(order, w["label"]),
-        )
-        for w in data["walls"]
-    )
-    return ScatteringDiagram(order, walls)
+    walls = []
+    for w in data["walls"]:
+        if w["orientation"] not in ("in", "out"):
+            raise ValueError(f"wall orientation {w['orientation']!r} is not 'in' or 'out'")
+        label = TruncatedSeries.from_records(order, w["label"])
+        walls.append(Wall((int(w["dir"][0]), int(w["dir"][1])), w["orientation"] == "in", label))
+    return ScatteringDiagram(order, tuple(walls))
 
 
 def diagram_to_svg(diagram: ScatteringDiagram, provenance: str = "") -> str:

@@ -10,6 +10,7 @@ coefficients and every k < K.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
@@ -22,6 +23,16 @@ def _coeff(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     return Fraction(value)
+
+
+def _parsed_coeff(*parts) -> Fraction:
+    """``Fraction(*parts)`` for a coefficient read from input; a zero
+    denominator raises ValueError."""
+    try:
+        return Fraction(*parts)
+    except ZeroDivisionError:
+        text = "/".join(map(str, parts))
+        raise ValueError(f"coefficient {text} has a zero denominator") from None
 
 
 def canonical_term_order(key: TermKey) -> Tuple[int, int, int]:
@@ -56,6 +67,14 @@ class TruncatedSeries:
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def _trusted(order: int, terms: Dict[TermKey, Fraction]) -> "TruncatedSeries":
+        """The series of ``terms`` as given: nonzero Fractions, all below t^order."""
+        res = TruncatedSeries.__new__(TruncatedSeries)
+        res.order = order
+        res.terms = terms
+        return res
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
@@ -121,36 +140,28 @@ class TruncatedSeries:
                 out.pop(key, None)
             else:
                 out[key] = s
-        res = TruncatedSeries.__new__(TruncatedSeries)
-        res.order = self.order
-        res.terms = out
-        return res
+        return TruncatedSeries._trusted(self.order, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncatedSeries":
-        res = TruncatedSeries.__new__(TruncatedSeries)
-        res.order = self.order
-        res.terms = {key: -c for key, c in self.terms.items()}
-        return res
+        return TruncatedSeries._trusted(self.order, {key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other) -> "TruncatedSeries":
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries(self.order, {(0, 0, 0): _coeff(other)})
+        if not isinstance(other, (int, Fraction, TruncatedSeries)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> "TruncatedSeries":
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):
             c = _coeff(other)
-            if c == 0:
-                return TruncatedSeries.zero(self.order)
-            res = TruncatedSeries.__new__(TruncatedSeries)
-            res.order = self.order
-            res.terms = {key: v * c for key, v in self.terms.items()}
-            return res
+            terms = {key: v * c for key, v in self.terms.items()} if c else {}
+            return TruncatedSeries._trusted(self.order, terms)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_order(other)
@@ -170,10 +181,7 @@ class TruncatedSeries:
                     out.pop(key, None)
                 else:
                     out[key] = s
-        res = TruncatedSeries.__new__(TruncatedSeries)
-        res.order = order
-        res.terms = out
-        return res
+        return TruncatedSeries._trusted(order, out)
 
     __rmul__ = __mul__
 
@@ -193,19 +201,22 @@ class TruncatedSeries:
                 base = base * base
         return result
 
+    def _power_sum(self, acc: "TruncatedSeries", coefficient) -> "TruncatedSeries":
+        """acc + sum_{j>=1} coefficient(j) * self^j for self in the ideal (t),
+        stopped at the first power that vanishes modulo t^order."""
+        power = TruncatedSeries.one(self.order)
+        for j in range(1, self.order):
+            power = power * self
+            if not power:
+                break
+            acc = acc + power * coefficient(j)
+        return acc
+
     def inverse(self) -> "TruncatedSeries":
         """Inverse of a unit 1 + g with g in the ideal (t), via the geometric series."""
         if not self.is_unit():
             raise ValueError("only units (constant term 1, rest in (t)) are invertible")
-        g = self - 1
-        acc = TruncatedSeries.one(self.order)
-        power = TruncatedSeries.one(self.order)
-        for _ in range(1, self.order):
-            power = power * (-g)
-            if not power:
-                break
-            acc = acc + power
-        return acc
+        return (1 - self)._power_sum(TruncatedSeries.one(self.order), lambda j: 1)
 
     def log(self) -> "TruncatedSeries":
         """log(1 + g) = sum_{j>=1} (-1)^(j+1) g^j / j, finite modulo t^order."""
@@ -213,15 +224,9 @@ class TruncatedSeries:
             raise ValueError("log requires constant term exactly 1")
         if not self.is_unit():
             raise ValueError("log requires all non-constant terms in the ideal (t)")
-        g = self - 1
-        acc = TruncatedSeries.zero(self.order)
-        power = TruncatedSeries.one(self.order)
-        for j in range(1, self.order):
-            power = power * g
-            if not power:
-                break
-            acc = acc + power * Fraction((-1) ** (j + 1), j)
-        return acc
+        return (self - 1)._power_sum(
+            TruncatedSeries.zero(self.order), lambda j: Fraction((-1) ** (j + 1), j)
+        )
 
     def exp(self) -> "TruncatedSeries":
         """exp(g) = sum g^j / j! for g with zero constant term, in the ideal (t)."""
@@ -229,16 +234,9 @@ class TruncatedSeries:
             raise ValueError("exp requires zero constant term")
         if any(k < 1 for (_, _, k) in self.terms):
             raise ValueError("exp requires the argument to lie in the ideal (t)")
-        acc = TruncatedSeries.one(self.order)
-        power = TruncatedSeries.one(self.order)
-        factorial = 1
-        for j in range(1, self.order):
-            power = power * self
-            if not power:
-                break
-            factorial *= j
-            acc = acc + power * Fraction(1, factorial)
-        return acc
+        return self._power_sum(
+            TruncatedSeries.one(self.order), lambda j: Fraction(1, math.factorial(j))
+        )
 
     # -- reshaping -----------------------------------------------------------
 
@@ -282,10 +280,7 @@ class TruncatedSeries:
     @classmethod
     def from_text(cls, order: int, text: str) -> "TruncatedSeries":
         """Parse the canonical text form produced by :meth:`to_text`."""
-        text = text.strip()
-        if text == "0":
-            return cls.zero(order)
-        tokens = text.replace("- ", "+ -").split("+ ")
+        tokens = text.strip().replace("- ", "+ -").split("+ ")
         terms: Dict[TermKey, Fraction] = {}
         for token in tokens:
             token = token.strip()
@@ -306,7 +301,7 @@ class TruncatedSeries:
                 elif factor.startswith("y"):
                     b = int(factor[2:]) if factor.startswith("y^") else 1
                 else:
-                    coeff = Fraction(factor)
+                    coeff = _parsed_coeff(factor)
             key = (a, b, k)
             terms[key] = terms.get(key, Fraction(0)) + sign * coeff
         return cls(order, terms)
@@ -323,5 +318,6 @@ class TruncatedSeries:
         terms: Dict[TermKey, Fraction] = {}
         for rec in records:
             key = (int(rec["a"]), int(rec["b"]), int(rec["k"]))
-            terms[key] = terms.get(key, Fraction(0)) + Fraction(int(rec["num"]), int(rec["den"]))
+            c = _parsed_coeff(int(rec["num"]), int(rec["den"]))
+            terms[key] = terms.get(key, Fraction(0)) + c
         return cls(order, terms)

@@ -271,6 +271,8 @@ def test_visible_area():
     lambda: double_point_count(1, -1, 1),
     lambda: diophantine_value(1, 0),
     lambda: obstruction_lower_bound(0, 1, Fraction(1)),
+    lambda: obstruction_lower_bound(13, 2, 0),
+    lambda: obstruction_lower_bound(13, 2, -1),
     lambda: inflation_upper_bound(1, 0, 1, Fraction(1)),
     lambda: visible_area(Fraction(-1, 2), 1, 1),
 ])

@@ -778,6 +778,28 @@ def test_completion_builds_each_wall_once(monkeypatch):
     assert len(built) == len(diagram.walls) + len(result.walls) == 65
 
 
+def test_completion_keys_each_wall_once(monkeypatch):
+    """Each crossing computes its wall key once, and the bisect reads the
+    stored keys: besides the sorts of canonicalize and of the final check,
+    one key per crossing built."""
+    diagram = initial_diagram([((1, 0), 3), ((0, 1), 3)], 20)
+    keyed, built = [], []
+    key, init = scattering._wall_key, _Crossing.__init__
+
+    def counted_key(wall):
+        keyed.append(wall.direction)
+        return key(wall)
+
+    def counted_init(self, direction, *args):
+        built.append(direction)
+        init(self, direction, *args)
+
+    monkeypatch.setattr(scattering, "_wall_key", counted_key)
+    monkeypatch.setattr(_Crossing, "__init__", counted_init)
+    result = ks_complete(diagram)
+    assert len(keyed) == len(diagram.walls) + len(built) + len(result.walls) == 200
+
+
 @pytest.mark.parametrize("l1,l2", [(1, 1), (1, 3), (1, 7), (2, 3), (3, 3), (3, 5), (4, 2)])
 def test_x_linear_terms_match_gps(l1, l2):
     """Gross-Pandharipande-Siebert, The tropical vertex: for the seeds
@@ -967,25 +989,27 @@ def kronecker_euler_characteristics(rays, arrows=3):
     return chi
 
 
-def assert_labels_match_kronecker_moduli(bound):
+def assert_labels_match_kronecker_moduli(bound, arrows=3):
     """Gross-Pandharipande, Quivers, curves, and the tropical vertex: for the
-    seeds (1 + tx)^3 and (1 + ty)^3 the t^(a+b) x^a y^b coefficient of the
-    outgoing label on a coprime ray (a, b) is 3 chi(M^st_(a,b)) of the
-    3-Kronecker quiver.  Checks every coprime (a, b) with a, b >= 1 and
-    a + b <= bound at K = bound + 1, and that no wall lies on a ray whose
-    moduli dimension 3ab - a^2 - b^2 + 1 is negative.  Returns the number
-    of rays checked and of those that carry a wall."""
-    S = ks_complete(initial_diagram([((1, 0), 3), ((0, 1), 3)], bound + 1))
+    seeds (1 + tx)^m and (1 + ty)^m, m = ``arrows``, the t^(a+b) x^a y^b
+    coefficient of the outgoing label on a coprime ray (a, b) is
+    m chi(M^st_(a,b)) of the m-Kronecker quiver.  Checks every coprime
+    (a, b) with a, b >= 1 and a + b <= bound at K = bound + 1, and that no
+    wall lies on a ray whose moduli dimension mab - a^2 - b^2 + 1 is
+    negative.  Returns the number of rays checked and of those that carry
+    a wall."""
+    m = arrows
+    S = ks_complete(initial_diagram([((1, 0), m), ((0, 1), m)], bound + 1))
     labels = {w.direction: w.label for w in S.outgoing_walls()}
     for a, b in labels:
-        assert 3 * a * b - a * a - b * b + 1 >= 0, (a, b)
+        assert m * a * b - a * a - b * b + 1 >= 0, (a, b)
     rays = [(a, s - a) for s in range(2, bound + 1) for a in range(1, s) if gcd(a, s) == 1]
-    chi = kronecker_euler_characteristics(rays)
+    chi = kronecker_euler_characteristics(rays, m)
     mismatches = []
     for ray in rays:
         coefficient = labels[ray].coefficient(ray, sum(ray)) if ray in labels else 0
-        if coefficient != 3 * chi[ray]:
-            mismatches.append((ray, coefficient, 3 * chi[ray]))
+        if coefficient != m * chi[ray]:
+            mismatches.append((ray, coefficient, m * chi[ray]))
     assert mismatches == []
     return len(rays), sum(ray in labels for ray in rays)
 
@@ -994,6 +1018,12 @@ def test_labels_match_kronecker_moduli():
     assert assert_labels_match_kronecker_moduli(13) == (57, 31)
     chi = kronecker_euler_characteristics([(1, 1), (2, 1), (3, 2), (4, 3), (5, 4), (6, 5), (7, 5), (7, 6)])
     assert list(chi.values()) == [3, 3, 13, 68, 399, 2530, 4242, 16965]
+
+
+@pytest.mark.parametrize("arrows,bound,rays", [(2, 12, (45, 11)), (4, 11, (41, 27)), (5, 9, (27, 21))])
+def test_labels_match_kronecker_moduli_of_other_arrow_counts(arrows, bound, rays):
+    """The same oracle for the m-Kronecker quiver with m = 2, 4 and 5."""
+    assert assert_labels_match_kronecker_moduli(bound, arrows) == rays
 
 
 def test_kronecker_moduli_tell_the_arrow_count_apart():
@@ -1137,6 +1167,20 @@ def test_diagram_json_roundtrip():
     data = diagram_to_json(S)
     back = diagram_from_json(data)
     assert canonicalize(back) == canonicalize(ScatteringDiagram(S.order, S.walls))
+
+
+def test_diagram_json_rejects_unknown_orientation():
+    data = diagram_to_json(pentagon(4))
+    data["walls"][0]["orientation"] = "incoming"
+    with pytest.raises(ValueError, match="orientation 'incoming' is not 'in' or 'out'"):
+        diagram_from_json(data)
+
+
+def test_diagram_json_rejects_zero_denominator():
+    data = diagram_to_json(pentagon(4))
+    data["walls"][0]["label"][-1]["den"] = 0
+    with pytest.raises(ValueError, match="zero denominator"):
+        diagram_from_json(data)
 
 
 def test_diagram_json_order_is_angular():

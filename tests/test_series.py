@@ -69,6 +69,15 @@ def test_add_rejects_mixed_orders():
         TS.one(4) + TS.one(5)
 
 
+@pytest.mark.parametrize("operand", ["x", 1.5, None])
+def test_sub_rejects_unsupported_operands(operand):
+    f = s(4, "1 + t*x")
+    with pytest.raises(TypeError, match="unsupported operand type.* for -:"):
+        f - operand
+    with pytest.raises(TypeError, match="unsupported operand type.* for -:"):
+        operand - f
+
+
 def test_mul_examples():
     assert s(4, "1 + t*x") * s(4, "1 + t*y") == s(4, "1 + t*x + t*y + t^2*x*y")
     assert s(2, "1 + t*x") * s(2, "1 + t*y") == s(2, "1 + t*x + t*y")
@@ -194,6 +203,14 @@ def test_json_records_roundtrip():
     for _ in range(100):
         f = random_series(rng)
         assert TS.from_records(f.order, f.term_records()) == f
+
+
+def test_zero_denominator_is_a_value_error():
+    with pytest.raises(ValueError, match="^coefficient 1/0 has a zero denominator$"):
+        s(4, "1 + 1/0*t*x")
+    record = {"a": 1, "b": 0, "k": 1, "num": 3, "den": 0}
+    with pytest.raises(ValueError, match="^coefficient 3/0 has a zero denominator$"):
+        TS.from_records(4, [record])
 
 
 def test_record_order_is_canonical():
