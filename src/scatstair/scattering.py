@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._record import Record
 from .lattice import Vec, is_primitive, mat_apply, primitive_part, wedge
-from .series import TruncatedSeries
+from .series import TruncatedSeries, read_int
 
 
 class ConventionError(RuntimeError):
@@ -106,23 +106,29 @@ def _wall_key(wall: Wall) -> Tuple[bool, bool, Union[Fraction, int], bool]:
 class ScatteringDiagram(Record):
     """A finite multiset of walls sharing one truncation order.
 
-    ``grading`` optionally records a basis (g1, g2) such that every monomial
-    z^w appearing in any label satisfies w = a*g1 + b*g2 with a, b >= 0 and
-    t-degree a + b.  Diagrams built from two-seed initial data carry it; it
-    lets coefficient queries certify that a monomial is determined at the
-    stored truncation.
+    It is graded by (g1, g2) when it has exactly two incoming walls, each label
+    is a series in t*z^g (every term above 1 is z^(k*g)*t^k, g read off its t^1
+    term) and g1, g2 are independent.  Then each monomial z^w of its completion
+    has w = a*g1 + b*g2, a, b >= 0, at t^(a + b) (Gross-Pandharipande-Siebert),
+    so a coefficient query can tell whether the truncation determines it.
     """
 
-    __slots__ = ("order", "walls", "grading")
-    _defaults = {"grading": None}
+    __slots__ = ("order", "walls")
     order: int
     walls: Tuple[Wall, ...]
-    grading: Optional[Tuple[Vec, Vec]]
 
     def __post_init__(self):
         for w in self.walls:
             if w.label.order != self.order:
                 raise ValueError("all wall labels must share the diagram truncation order")
+
+    @property
+    def grading(self) -> Optional[Tuple[Vec, Vec]]:
+        """(g1, g2), derived from the walls by the rule above, or None if ungraded."""
+        labels = [w.label.terms for w in self.walls if w.incoming]
+        basis = tuple(next(((a, b) for a, b, k in ts if k == 1), (0, 0)) for ts in labels)
+        fits = (a == k * u and b == k * v for (u, v), ts in zip(basis, labels) for a, b, k in ts)
+        return basis if len(basis) == 2 and wedge(*basis) and all(fits) else None
 
     def sorted_walls(self) -> List[Wall]:
         return sorted(self.walls, key=_wall_key)
@@ -143,9 +149,9 @@ class ScatteringDiagram(Record):
         """Minimal t-degree at which z^w can appear, from the grading; None if ungraded
         or w is not a nonnegative integral combination of the grading (in which
         case z^w never appears)."""
-        if self.grading is None:
+        if (grading := self.grading) is None:
             return None
-        g1, g2 = self.grading
+        g1, g2 = grading
         det = wedge(g1, g2)
         na = wedge(w, g2)
         nb = wedge(g1, w)
@@ -167,10 +173,7 @@ def initial_diagram(seeds: Sequence[Tuple[Vec, int]], order: int) -> ScatteringD
             raise ValueError("seed exponents must be >= 1")
         base = TruncatedSeries.one(order) + TruncatedSeries.monomial(order, m, 1)
         walls.append(Wall((-m[0], -m[1]), True, base ** k))
-    grading = None
-    if len(seeds) == 2 and wedge(seeds[0][0], seeds[1][0]) != 0:
-        grading = (seeds[0][0], seeds[1][0])
-    return ScatteringDiagram(order, tuple(walls), grading)
+    return ScatteringDiagram(order, tuple(walls))
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +460,7 @@ def canonicalize(diagram: ScatteringDiagram) -> ScatteringDiagram:
         if label != one
     ]
     walls.sort(key=_wall_key)
-    return ScatteringDiagram(diagram.order, tuple(walls), diagram.grading)
+    return ScatteringDiagram(diagram.order, tuple(walls))
 
 
 class _Crossing:
@@ -631,7 +634,7 @@ def ks_complete(
                 f"diagram stores {total} terms (cap {term_cap}) after order {k} of {K}", k
             )
     walls = tuple(Wall(cr.direction, cr.incoming, cr.label) for cr in crossings)
-    diag = ScatteringDiagram(K, walls, diag.grading)
+    diag = ScatteringDiagram(K, walls)
     if not _monodromy_is_trivial(diag):
         raise ConventionError("completion finished with nontrivial monodromy")
     return diag
@@ -664,10 +667,7 @@ def change_of_lattice(
         terms = {mat_apply(M, (a, b)) + (k,): c for (a, b, k), c in w.label.terms.items()}
         new_dir, _ = primitive_part(mat_apply(M, w.direction))
         walls.append(Wall(new_dir, w.incoming, TruncatedSeries(diagram_std.order, terms)))
-    grading = None
-    if diagram_std.grading is not None:
-        grading = (mat_apply(M, diagram_std.grading[0]), mat_apply(M, diagram_std.grading[1]))
-    return ScatteringDiagram(diagram_std.order, tuple(walls), grading)
+    return ScatteringDiagram(diagram_std.order, tuple(walls))
 
 
 def log_coefficient(diagram: ScatteringDiagram, direction: Vec, kappa: int) -> Fraction:
@@ -758,14 +758,27 @@ def diagram_to_json(diagram: ScatteringDiagram) -> dict:
     }
 
 
+def _json_objects(value, field: str) -> list:
+    """``value`` as the required list of JSON objects ``field``."""
+    if not isinstance(value, list) or not all(isinstance(item, dict) for item in value):
+        raise ValueError(f"field {field!r} must be a list of objects")
+    return value
+
+
 def diagram_from_json(data: dict) -> ScatteringDiagram:
-    order = int(data["K"])
+    """The exact inverse of :func:`diagram_to_json`; keys it does not write are
+    ignored, and a missing or malformed field raises ValueError."""
+    order = read_int(data.get("K"), "K")
     walls = []
-    for w in data["walls"]:
-        if w["orientation"] not in ("in", "out"):
-            raise ValueError(f"wall orientation {w['orientation']!r} is not 'in' or 'out'")
-        label = TruncatedSeries.from_records(order, w["label"])
-        walls.append(Wall((int(w["dir"][0]), int(w["dir"][1])), w["orientation"] == "in", label))
+    for w in _json_objects(data.get("walls"), "walls"):
+        if w.get("orientation") not in ("in", "out"):
+            raise ValueError(f"wall orientation {w.get('orientation')!r} is not 'in' or 'out'")
+        direction = w.get("dir")
+        if not isinstance(direction, list) or len(direction) != 2:
+            raise ValueError(f"wall dir {direction!r} is not a list of two integers")
+        label = TruncatedSeries.from_records(order, _json_objects(w.get("label"), "label"))
+        d = (read_int(direction[0], "dir"), read_int(direction[1], "dir"))
+        walls.append(Wall(d, w["orientation"] == "in", label))
     return ScatteringDiagram(order, tuple(walls))
 
 

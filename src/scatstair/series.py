@@ -35,6 +35,15 @@ def _parsed_coeff(*parts) -> Fraction:
         raise ValueError(f"coefficient {text} has a zero denominator") from None
 
 
+def read_int(value, field: str) -> int:
+    """``value`` as the required integer ``field`` of loaded data such as JSON,
+    where a missing field reads as None.  Anything but an ``int`` (a ``bool``,
+    a float or a numeric string included) raises ValueError naming the field."""
+    if type(value) is not int:
+        raise ValueError(f"field {field!r} must be an integer, not {value!r}")
+    return value
+
+
 def canonical_term_order(key: TermKey) -> Tuple[int, int, int]:
     """Sort key: t-degree ascending, then z-exponent lexicographic."""
     a, b, k = key
@@ -315,9 +324,10 @@ class TruncatedSeries:
 
     @classmethod
     def from_records(cls, order: int, records: Iterable[Mapping]) -> "TruncatedSeries":
+        """The inverse of :meth:`term_records`; a missing or non-integer field raises
+        ValueError."""
         terms: Dict[TermKey, Fraction] = {}
         for rec in records:
-            key = (int(rec["a"]), int(rec["b"]), int(rec["k"]))
-            c = _parsed_coeff(int(rec["num"]), int(rec["den"]))
-            terms[key] = terms.get(key, Fraction(0)) + c
+            a, b, k, num, den = (read_int(rec.get(f), f) for f in ("a", "b", "k", "num", "den"))
+            terms[(a, b, k)] = terms.get((a, b, k), Fraction(0)) + _parsed_coeff(num, den)
         return cls(order, terms)

@@ -39,6 +39,9 @@ def test_scatter_pentagon_json():
         {"a": 0, "b": 0, "k": 0, "num": 1, "den": 1},
         {"a": 1, "b": 1, "k": 2, "num": 1, "den": 1},
     ]
+    # the added "spectrum" key aside, the payload loads back as the completion
+    seeds = scattering.initial_diagram([((1, 0), 1), ((0, 1), 1)], 8)
+    assert scattering.diagram_from_json(payload) == scattering.ks_complete(seeds)
 
 
 def test_scatter_double_seed_text():

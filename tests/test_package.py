@@ -200,8 +200,8 @@ RECORDS = [
     (Wall, ((-1, 0), True, X), X_WALL_TEXT),
     (
         ScatteringDiagram,
-        (3, (Wall((-1, 0), True, X), Wall((0, -1), True, Y)), ((1, 0), (0, 1))),
-        f"ScatteringDiagram(order=3, walls=({X_WALL_TEXT}, {Y_WALL_TEXT}), grading=((1, 0), (0, 1)))",
+        (3, (Wall((-1, 0), True, X), Wall((0, -1), True, Y))),
+        f"ScatteringDiagram(order=3, walls=({X_WALL_TEXT}, {Y_WALL_TEXT}))",
     ),
 ]
 
@@ -238,8 +238,14 @@ def test_record_defaults():
     assert repr(ToricModel(vectors=((-1, -3), (1, 0)))) == MODEL_TEXT
     assert OrbitNode(MODEL).word == ()
     assert repr(OrbitNode(model=MODEL)) == f"OrbitNode(model={MODEL_TEXT}, word=())"
+    # a diagram's grading is derived from its walls, not a field
+    assert ScatteringDiagram.__slots__ == ("order", "walls")
     assert ScatteringDiagram(2, ()).grading is None
-    assert repr(ScatteringDiagram(2, ())) == "ScatteringDiagram(order=2, walls=(), grading=None)"
+    assert repr(ScatteringDiagram(2, ())) == "ScatteringDiagram(order=2, walls=())"
+    with pytest.raises(TypeError):
+        ScatteringDiagram(2, (), ((1, 0), (0, 1)))
+    with pytest.raises(TypeError):
+        ScatteringDiagram(2, (), grading=None)
 
 
 def test_record_rejects_bad_arguments():

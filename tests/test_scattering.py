@@ -1,5 +1,7 @@
 """Wall crossing, monodromy, completion, lattice transport."""
 
+import copy
+import json
 import random
 from fractions import Fraction
 from functools import cmp_to_key
@@ -8,7 +10,7 @@ from math import comb, gcd
 import pytest
 
 from scatstair import scattering
-from scatstair.lattice import primitive_part, wedge
+from scatstair.lattice import mat_apply, primitive_part, wedge
 from scatstair.series import TruncatedSeries as TS, TruncationMismatch
 from scatstair.scattering import (
     ConventionError,
@@ -348,7 +350,7 @@ def test_monodromy_sees_a_term_at_the_last_degree():
     ray = S.wall_on_ray((1, 1))
     bumped = Wall((1, 1), False, ray.label + mono(order, (2, 2), order - 1))
     walls = tuple(bumped if w is ray else w for w in S.walls)
-    sx, sy = total_monodromy(ScatteringDiagram(order, walls, S.grading))
+    sx, sy = total_monodromy(ScatteringDiagram(order, walls))
     # wedge((1, 1), (1, 0)) = -1 and wedge((1, 1), (0, 1)) = 1
     assert sx == x_series(order) - mono(order, (3, 2), order - 1)
     assert sy == y_series(order) + mono(order, (2, 3), order - 1)
@@ -402,7 +404,7 @@ def test_completion_restores_punctured_pentagon():
     # re-adds exactly the wall 1 + t^2 x y there
     S = pentagon(6)
     walls = tuple(w for w in S.walls if w.direction != (1, 1))
-    repaired = ks_complete(ScatteringDiagram(6, walls, S.grading))
+    repaired = ks_complete(ScatteringDiagram(6, walls))
     assert repaired == S
     assert repaired.wall_on_ray((1, 1)).label == TS.from_text(6, "1 + t^2*x*y")
 
@@ -459,13 +461,64 @@ def test_swap_symmetry():
         assert labels[(mirror, inc)] == swapped
 
 
+def _graded_seed_sets(rng, count):
+    """``count`` seeded two-seed sets with independent directions; every
+    third repeats its first direction with a third seed."""
+    sets = []
+    while len(sets) < count:
+        m1, m2 = _random_primitive(rng), _random_primitive(rng)
+        if wedge(m1, m2):
+            seeds = [(m1, rng.randint(1, 3)), (m2, rng.randint(1, 3))]
+            sets.append(seeds + [(m1, rng.randint(1, 2))] * (len(sets) % 3 == 2))
+    return sets
+
+
 def test_grading_invariant():
-    S = ks_complete(initial_diagram([((1, 0), 3), ((0, 1), 3)], 8))
-    for w in S.walls:
-        for (a, b, k) in w.label.terms:
-            if (a, b, k) == (0, 0, 0):
-                continue
-            assert a >= 0 and b >= 0 and k == a + b
+    """Every label term z^w*t^k above 1 of a graded completion sits at the
+    grade k of w: for seeded two-seed sets, for sets that repeat a direction
+    (canonicalize merges the repeats into one seed wall), and for their
+    transports along (M1, M2), whose matrix has determinant 3."""
+    M1, M2 = (-1, -3), (1, 0)
+    matrix = ((M1[0], M2[0]), (M1[1], M2[1]))
+    seed_sets = [[((1, 0), 3), ((0, 1), 3)]] + _graded_seed_sets(random.Random(462), 15)
+    checked = 0
+    for seeds in seed_sets:
+        basis = {m for m, _ in seeds}
+        initial = initial_diagram(seeds, 7)
+        if len(seeds) == 3:  # three seed walls until canonicalize merges two
+            assert initial.grading is None and set(canonicalize(initial).grading) == basis
+        else:
+            assert set(initial.grading) == basis
+        S = ks_complete(initial)
+        T = change_of_lattice(S, M1, M2)
+        assert set(S.grading) == basis
+        assert set(T.grading) == {mat_apply(matrix, g) for g in basis}
+        for D in (S, T):
+            for w in D.walls:
+                for (a, b, k) in w.label.terms:
+                    if k:
+                        assert D.min_t_degree((a, b)) == k, (seeds, w.direction, (a, b, k))
+                        checked += 1
+    assert checked > 600
+
+
+def test_grading_needs_two_independent_seeds():
+    """Three or four distinct seed directions, or two dependent ones, leave the
+    diagram and its completion ungraded."""
+    rng = random.Random(463)
+    seed_sets = [
+        [((1, 0), 1), ((-1, 0), 2)],
+        [((1, 2), 1), ((-1, -2), 1)],
+        [((1, 0), 1), ((1, 1), 1), ((0, 1), 1), ((-1, 1), 1)],
+    ]
+    while len(seed_sets) < 12:
+        seeds = _random_seeds(rng)
+        if len({m for m, _ in seeds}) == 3:
+            seed_sets.append(seeds)
+    for seeds in seed_sets:
+        for D in (initial_diagram(seeds, 5), ks_complete(initial_diagram(seeds, 5))):
+            assert D.grading is None, seeds
+            assert D.min_t_degree(seeds[0][0]) is None
 
 
 def test_completion_determinism():
@@ -597,14 +650,15 @@ def _order_totals(completed):
     return {k: incoming + outgoing.get(k, 0) for k in sorted(added)}
 
 
-def _random_seeds(rng):
-    def primitive():
-        while True:
-            v = (rng.randint(-3, 3), rng.randint(-3, 3))
-            if v != (0, 0) and gcd(*v) == 1:
-                return v
+def _random_primitive(rng):
+    while True:
+        v = (rng.randint(-3, 3), rng.randint(-3, 3))
+        if v != (0, 0) and gcd(*v) == 1:
+            return v
 
-    return [(primitive(), rng.randint(1, 2)) for _ in range(rng.randint(2, 3))]
+
+def _random_seeds(rng):
+    return [(_random_primitive(rng), rng.randint(1, 2)) for _ in range(rng.randint(2, 3))]
 
 
 _rng = random.Random(20250)
@@ -711,7 +765,7 @@ def _perturbed(rng, diagram):
         j = rng.randint(1, 3)
         term = mono(K, (j * m[0], j * m[1]), rng.randint(1, K - 1), _random_coeff(rng))
         walls[i] = Wall(w.direction, w.incoming, w.label + term)
-    return ScatteringDiagram(K, tuple(walls), diagram.grading)
+    return ScatteringDiagram(K, tuple(walls))
 
 
 @pytest.mark.parametrize("seeds,order,axis", PRUNING_CASES, ids=PRUNING_IDS)
@@ -1166,7 +1220,96 @@ def test_diagram_json_roundtrip():
     S = pentagon(8)
     data = diagram_to_json(S)
     back = diagram_from_json(data)
-    assert canonicalize(back) == canonicalize(ScatteringDiagram(S.order, S.walls))
+    assert back == S and back.grading == S.grading
+
+
+def _through_json(diagram):
+    return diagram_from_json(json.loads(json.dumps(diagram_to_json(diagram))))
+
+
+def _json_cases():
+    """Seeded initial diagrams: graded two-seed sets (every third repeating a
+    direction), and ungraded sets of three and of four distinct directions."""
+    rng = random.Random(1168)
+    cases = _graded_seed_sets(rng, 6)
+    while len(cases) < 12:
+        seeds = [(_random_primitive(rng), rng.randint(1, 2)) for _ in range(3 + len(cases) % 2)]
+        if len({m for m, _ in seeds}) == len(seeds):
+            cases.append(seeds)
+    return [initial_diagram(seeds, 6) for seeds in cases]
+
+
+def test_diagram_json_roundtrip_is_exact():
+    """Loading the JSON of a diagram gives back its walls in angular order, and
+    the completion itself: graded, ungraded and transported diagrams alike."""
+    graded = 0
+    for initial in _json_cases():
+        S = ks_complete(initial)
+        T = change_of_lattice(S, (-1, -3), (1, 0))
+        assert _through_json(S) == S
+        for D in (initial, T):
+            assert _through_json(D) == ScatteringDiagram(D.order, tuple(D.sorted_walls()))
+        for D in (initial, S, T):
+            loaded = _through_json(D).grading
+            assert set(loaded or ()) == set(D.grading or ())
+            graded += loaded is not None
+    assert graded == 6 * 3 - 2  # the two repeated-seed initial diagrams are ungraded
+
+
+def test_loaded_diagram_knows_its_truncation():
+    """z^(5,4) of (1 + tx)^3, (1 + ty)^3 first appears at t^9: at K = 8 the
+    loaded diagram, like the original, refuses to answer."""
+    S = ks_complete(initial_diagram([((1, 0), 3), ((0, 1), 3)], 8))
+    for D in (S, _through_json(S)):
+        with pytest.raises(TruncationTooLow, match="first appears at t\\^9"):
+            log_coefficient(D, (5, 4), 1)
+
+
+def _corruptions(rng, data):
+    """Six seeded corruptions of each kind of a valid diagram payload, as
+    (kind, payload) pairs."""
+    walls = data["walls"]
+    out = []
+    for kind in ("drop", "float", "bool", "string", "dir", "orientation", "object"):
+        for _ in range(6):
+            bad = copy.deepcopy(data)
+            i = rng.randrange(len(walls))
+            wall, label = bad["walls"][i], bad["walls"][i]["label"]
+            j = rng.randrange(len(label))
+            rec = label[j]
+            if kind == "drop":
+                where = rng.choice([bad, wall, rec])
+                del where[rng.choice(sorted(where))]
+            elif kind == "dir":
+                wall["dir"].append(rng.randint(-2, 2))
+            elif kind == "object":
+                where, key = rng.choice([(bad["walls"], i), (label, j), (wall, "dir")])
+                where[key] = rng.choice([5, "1,0", None, [where[key]]])
+            elif kind == "orientation":
+                swapped = {"in": "out", "out": "in"}[wall["orientation"]]
+                wall["orientation"] = rng.choice([swapped, "incoming", "IN", "", None, 1, True])
+            else:
+                where, key = rng.choice(
+                    [(bad, "K"), (wall["dir"], rng.randrange(2))] + [(rec, key) for key in sorted(rec)]
+                )
+                value = where[key]
+                where[key] = {"float": float(value), "bool": bool(value), "string": str(value)}[kind]
+            out.append((kind, bad))
+    return out
+
+
+def test_diagram_json_rejects_corruptions():
+    """A dropped key, a float, a bool or a string for an integer, an extra
+    dir component, a wrong orientation, and a wall, a term record or a dir
+    of the wrong JSON type each raise ValueError."""
+    rng = random.Random(1183)
+    for initial in _json_cases()[::3]:
+        for kind, bad in _corruptions(rng, json.loads(json.dumps(diagram_to_json(ks_complete(initial))))):
+            try:
+                diagram_from_json(bad)
+            except ValueError:
+                continue
+            pytest.fail(f"a {kind} corruption was accepted: {bad}")
 
 
 def test_diagram_json_rejects_unknown_orientation():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from scatstair.lattice import is_primitive, parse_vec, primitive_part, rot90, wedge
-from scatstair.series import TruncatedSeries as TS, TruncationMismatch
+from scatstair.series import TruncatedSeries as TS, TruncationMismatch, read_int
 
 
 def s(order, text):
@@ -211,6 +211,22 @@ def test_zero_denominator_is_a_value_error():
     record = {"a": 1, "b": 0, "k": 1, "num": 3, "den": 0}
     with pytest.raises(ValueError, match="^coefficient 3/0 has a zero denominator$"):
         TS.from_records(4, [record])
+
+
+def test_records_take_only_integers():
+    """A float, a bool or a numeric string in a record, or a missing field,
+    raises ValueError naming the field instead of being rounded or read."""
+    good = {"a": 1, "b": 0, "k": 1, "num": 3, "den": 2}
+    assert TS.from_records(4, [good]) == s(4, "3/2*t*x")
+    for field in good:
+        for bad in (1.0, 1.9, True, "1", None):
+            with pytest.raises(ValueError, match=f"^field '{field}' must be an integer, not "):
+                TS.from_records(4, [{**good, field: bad}])
+        missing = dict(good)
+        del missing[field]
+        with pytest.raises(ValueError, match=f"^field '{field}' must be an integer, not None$"):
+            TS.from_records(4, [missing])
+    assert read_int(-7, "K") == -7
 
 
 def test_record_order_is_canonical():
