@@ -9,10 +9,10 @@ cap exceeded, 4 output could not be written.
 
 Bad input is reported by the layer that rejects it: ``main`` turns each
 ``ValueError`` into exit 2 with its message.  The CLI checks only what no
-library function sees: one ``--k`` per ``--m``, at least one seed and
-``--order >= 2`` for ``scatter``, the syntax of rationals (positive
-denominators), ``--a`` or ``--range``, ``--value ball`` outside the
-transitional window and ``--format``.
+library function sees: one ``--k`` per ``--m`` and at least one seed for
+``scatter``, the syntax of rationals (positive denominators), ``--a`` or
+``--range``, ``--value ball`` outside the transitional window and
+``--format``.
 
 Each subcommand imports the layers it uses when it runs, so a command loads
 only those: ``mutate`` the toric layer (and through it the lattice layer),
@@ -83,8 +83,6 @@ def cmd_scatter(args) -> Tuple[int, Renderers]:
     seeds = [(parse_vec(m_text), k) for m_text, k in zip(args.m, args.k)]
     if not seeds:
         raise ValueError("at least one seed (--m/--k) is required")
-    if args.order < 2:
-        raise ValueError("scattering needs --order >= 2")
     diagram = ks_complete(initial_diagram(seeds, args.order), args.term_cap)
     spectrum = ray_spectrum(diagram)
     provenance = (

@@ -118,6 +118,8 @@ class ScatteringDiagram(Record):
     walls: Tuple[Wall, ...]
 
     def __post_init__(self):
+        if type(self.order) is not int or self.order < 1:
+            raise ValueError(f"diagram truncation order must be an integer >= 1, not {self.order!r}")
         for w in self.walls:
             if w.label.order != self.order:
                 raise ValueError("all wall labels must share the diagram truncation order")
@@ -165,6 +167,8 @@ class ScatteringDiagram(Record):
 
 def initial_diagram(seeds: Sequence[Tuple[Vec, int]], order: int) -> ScatteringDiagram:
     """Diagram with incoming walls along -m_s labelled (1 + t z^{m_s})^{k_s}."""
+    if order < 2:
+        raise ValueError(f"seed labels 1 + t*z^m need order >= 2, not {order}")
     walls = []
     for m, k in seeds:
         if not is_primitive(m):

@@ -5,7 +5,10 @@ module is exact.  A :class:`TruncatedSeries` is an element of the ring of
 Laurent polynomials in two variables x, y with a formal parameter t, known
 modulo t^K for a fixed truncation order K.  Terms are stored sparsely as a
 map (a, b, k) -> coefficient for the monomial x^a y^b t^k, with no zero
-coefficients and every k < K.
+coefficients and every k < K.  A series holds exactly what it is given: its
+constructor raises ValueError for any other term, for a coefficient that is
+not an ``int`` or a ``Fraction`` and for an order that is not an integer >= 1.
+Terms are dropped only by ``truncate`` and by the products' degree bounds.
 """
 
 from __future__ import annotations
@@ -19,10 +22,9 @@ from .lattice import Vec
 TermKey = Tuple[int, int, int]
 
 
-def _coeff(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(value)
+def _is_coeff(value) -> bool:
+    """Whether ``value`` is an ``int`` (not a ``bool``) or a ``Fraction``."""
+    return type(value) is int or isinstance(value, Fraction)
 
 
 def _parsed_coeff(*parts) -> Fraction:
@@ -60,20 +62,17 @@ class TruncatedSeries:
     __slots__ = ("order", "terms")
 
     def __init__(self, order: int, terms: Optional[Mapping[TermKey, Fraction]] = None):
-        if order < 1:
-            raise ValueError("truncation order must be >= 1")
+        if type(order) is not int or order < 1:
+            raise ValueError(f"truncation order must be an integer >= 1, not {order!r}")
         self.order = order
-        clean: Dict[TermKey, Fraction] = {}
-        if terms:
-            for (a, b, k), c in terms.items():
-                if k < 0:
-                    raise ValueError("negative t-degree")
-                if k >= order:
-                    continue
-                c = _coeff(c)
-                if c != 0:
-                    clean[(a, b, k)] = c
-        self.terms = clean
+        self.terms = {}
+        for (a, b, k), c in (terms or {}).items():
+            if not (type(a) is type(b) is type(k) is int and 0 <= k < order):
+                raise ValueError(f"term {(a, b, k)} needs integers a, b and 0 <= k < {order}")
+            if not _is_coeff(c):
+                raise ValueError(f"coefficient {c!r} is not an int or a Fraction")
+            if c:
+                self.terms[(a, b, k)] = Fraction(c) if type(c) is int else c
 
     # -- constructors ------------------------------------------------------
 
@@ -95,7 +94,7 @@ class TruncatedSeries:
 
     @classmethod
     def monomial(cls, order: int, exponent: Vec, t_degree: int, coeff=1) -> "TruncatedSeries":
-        return cls(order, {(exponent[0], exponent[1], t_degree): _coeff(coeff)})
+        return cls(order, {(exponent[0], exponent[1], t_degree): coeff})
 
     # -- basic protocol ----------------------------------------------------
 
@@ -137,8 +136,8 @@ class TruncatedSeries:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other) -> "TruncatedSeries":
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries(self.order, {(0, 0, 0): _coeff(other)})
+        if _is_coeff(other):
+            other = TruncatedSeries(self.order, {(0, 0, 0): other})
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_order(other)
@@ -157,19 +156,18 @@ class TruncatedSeries:
         return TruncatedSeries._trusted(self.order, {key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other) -> "TruncatedSeries":
-        if not isinstance(other, (int, Fraction, TruncatedSeries)):
+        if not (_is_coeff(other) or isinstance(other, TruncatedSeries)):
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> "TruncatedSeries":
-        if not isinstance(other, (int, Fraction)):
+        if not _is_coeff(other):
             return NotImplemented
         return (-self) + other
 
     def __mul__(self, other) -> "TruncatedSeries":
-        if isinstance(other, (int, Fraction)):
-            c = _coeff(other)
-            terms = {key: v * c for key, v in self.terms.items()} if c else {}
+        if _is_coeff(other):
+            terms = {key: v * other for key, v in self.terms.items()} if other else {}
             return TruncatedSeries._trusted(self.order, terms)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -229,18 +227,14 @@ class TruncatedSeries:
 
     def log(self) -> "TruncatedSeries":
         """log(1 + g) = sum_{j>=1} (-1)^(j+1) g^j / j, finite modulo t^order."""
-        if self.constant_term() != 1:
-            raise ValueError("log requires constant term exactly 1")
         if not self.is_unit():
-            raise ValueError("log requires all non-constant terms in the ideal (t)")
+            raise ValueError("log requires constant term 1 and every other term in the ideal (t)")
         return (self - 1)._power_sum(
             TruncatedSeries.zero(self.order), lambda j: Fraction((-1) ** (j + 1), j)
         )
 
     def exp(self) -> "TruncatedSeries":
         """exp(g) = sum g^j / j! for g with zero constant term, in the ideal (t)."""
-        if self.constant_term() != 0:
-            raise ValueError("exp requires zero constant term")
         if any(k < 1 for (_, _, k) in self.terms):
             raise ValueError("exp requires the argument to lie in the ideal (t)")
         return self._power_sum(

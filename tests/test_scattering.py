@@ -873,7 +873,7 @@ def reineke_label(m, order):
     (sum_j C((m-1)^2 j, j) / ((m^2 - 2m) j + 1) * (t^2 xy)^j)^(m^2)."""
     base = TS(order, {
         (j, j, 2 * j): Fraction(comb((m - 1) ** 2 * j, j), (m * m - 2 * m) * j + 1)
-        for j in range(order // 2 + 1)
+        for j in range((order + 1) // 2)
     })
     return base ** (m * m)
 
@@ -1300,8 +1300,9 @@ def _corruptions(rng, data):
 
 def test_diagram_json_rejects_corruptions():
     """A dropped key, a float, a bool or a string for an integer, an extra
-    dir component, a wrong orientation, and a wall, a term record or a dir
-    of the wrong JSON type each raise ValueError."""
+    dir component, a wrong orientation, a wall, a term record or a dir of the
+    wrong JSON type, a label record at or above t^K and an order below 1 each
+    raise ValueError."""
     rng = random.Random(1183)
     for initial in _json_cases()[::3]:
         for kind, bad in _corruptions(rng, json.loads(json.dumps(diagram_to_json(ks_complete(initial))))):
@@ -1310,6 +1311,20 @@ def test_diagram_json_rejects_corruptions():
             except ValueError:
                 continue
             pytest.fail(f"a {kind} corruption was accepted: {bad}")
+    data = diagram_to_json(pentagon(4))
+    for k in (4, 9):
+        bad = copy.deepcopy(data)
+        bad["walls"][0]["label"][-1]["k"] = k
+        with pytest.raises(ValueError, match=rf"^term \(-?\d+, -?\d+, {k}\) needs integers a, b and 0 <= k < 4$"):
+            diagram_from_json(bad)
+    for K in (0, -5):
+        with pytest.raises(ValueError, match=f"^diagram truncation order must be an integer >= 1, not {K}$"):
+            diagram_from_json({"K": K, "walls": []})
+
+
+def test_seed_labels_need_order_two():
+    with pytest.raises(ValueError, match="^seed labels 1 \\+ t\\*z\\^m need order >= 2, not 1$"):
+        initial_diagram([((1, 0), 1)], 1)
 
 
 def test_diagram_json_rejects_unknown_orientation():

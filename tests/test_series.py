@@ -1,6 +1,7 @@
 """Ring laws and lattice primitives of the exact core."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -69,7 +70,7 @@ def test_add_rejects_mixed_orders():
         TS.one(4) + TS.one(5)
 
 
-@pytest.mark.parametrize("operand", ["x", 1.5, None])
+@pytest.mark.parametrize("operand", ["x", 1.5, None, True])
 def test_sub_rejects_unsupported_operands(operand):
     f = s(4, "1 + t*x")
     with pytest.raises(TypeError, match="unsupported operand type.* for -:"):
@@ -234,6 +235,42 @@ def test_record_order_is_canonical():
     recs = f.term_records()
     keys = [(r["k"], r["a"], r["b"]) for r in recs]
     assert keys == sorted(keys)
+
+
+def test_constructor_holds_exactly_what_it_is_given():
+    """For random orders and term maps, a series keeps every nonzero term as
+    given when each degree is in [0, K) and each coefficient is an int or a
+    Fraction, and equals the sum of its monomials; a degree outside [0, K), a
+    float, a numeric string or a bool coefficient, or an order that is not an
+    int >= 1 raises ValueError instead of being dropped or converted, and so
+    does a term beyond the order read by from_text or built by monomial."""
+    rng = random.Random(2210)
+    for _ in range(300):
+        K = rng.randint(1, 7)
+        terms = {
+            (rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-2, K + 5)): rng.choice(
+                [rng.randint(-3, 3), Fraction(rng.randint(-6, 6), rng.randint(1, 4))]
+            )
+            for _ in range(rng.randint(0, 6))
+        }
+        valid = {key: c for key, c in terms.items() if 0 <= key[2] < K}
+        f = TS(K, valid)
+        assert f.terms == {key: c for key, c in valid.items() if c}
+        assert all(type(c) is Fraction for c in f.terms.values())
+        assert f == sum((TS.monomial(K, key[:2], key[2], c) for key, c in valid.items()), TS.zero(K))
+        for key in sorted(set(terms) - set(valid)):
+            with pytest.raises(ValueError, match=re.escape(f"term {key} needs integers a, b and 0 <= k < {K}")):
+                TS(K, {**valid, key: 1})
+        key = (rng.randint(-2, 2), rng.randint(-2, 2), rng.randrange(K))
+        for bad in (0.1, float(rng.randint(-3, 3)), "3/2", str(rng.randint(-3, 3)), True, False):
+            with pytest.raises(ValueError, match="^coefficient .* is not an int or a Fraction$"):
+                TS(K, {**valid, key: bad})
+    for order in (2.5, 3.0, True, "3", None, 0, -1):
+        with pytest.raises(ValueError, match="^truncation order must be an integer >= 1, not "):
+            TS(order)
+    for build in (lambda: TS.from_text(4, "1 + t^4*x"), lambda: TS.monomial(4, (1, 0), 4)):
+        with pytest.raises(ValueError, match=re.escape("term (1, 0, 4) needs integers a, b and 0 <= k < 4")):
+            build()
 
 
 def test_truncate_drops_high_terms():
