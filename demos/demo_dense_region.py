@@ -32,6 +32,6 @@ print("  dense-cone rays:", sorted(dense))
 
 print("\n  first-order log coefficients along the lower fan:")
 for ray in [(1, 0), (3, 1), (8, 3)]:
-    print(f"    {ray}: {log_coefficient(triple, ray, 1)}")
+    print(f"    {ray}: {log_coefficient(triple, ray)}")
 print("  a ray strictly between the fan rays stays empty:",
-      log_coefficient(triple, (4, 1), 1) == 0)
+      log_coefficient(triple, (4, 1)) == 0)

@@ -11,15 +11,14 @@ _set = object.__setattr__
 class Record:
     """An immutable record whose fields are its class's ``__slots__``.
 
-    It is built from the fields by position or keyword, with the defaults in
-    ``_defaults``, and then ``__post_init__`` checks it.  Two records are equal
-    when they are of the same class and their fields are equal; ``hash``,
-    ``repr`` and the ``AttributeError`` on assignment are those of a frozen
-    dataclass, and ``pickle`` and ``copy`` rebuild a record from its fields.
+    It is built from every field, by position or keyword, and then
+    ``__post_init__`` checks it.  Two records are equal when they are of the
+    same class and their fields are equal; ``hash``, ``repr`` and the
+    ``AttributeError`` on assignment are those of a frozen dataclass, and
+    ``pickle`` and ``copy`` rebuild a record from its fields.
     """
 
     __slots__ = ()
-    _defaults: dict = {}
 
     def __init__(self, *args, **kwargs):
         fields = self.__slots__
@@ -28,13 +27,9 @@ class Record:
         for name, value in zip(fields, args):
             _set(self, name, value)
         for name in fields[len(args):]:
-            if name in kwargs:
-                value = kwargs.pop(name)
-            elif name in self._defaults:
-                value = self._defaults[name]
-            else:
+            if name not in kwargs:
                 raise TypeError(f"{type(self).__name__}() missing argument {name!r}")
-            _set(self, name, value)
+            _set(self, name, kwargs.pop(name))
         if kwargs:
             raise TypeError(f"{type(self).__name__}() got unexpected arguments {sorted(kwargs)}")
         self.__post_init__()

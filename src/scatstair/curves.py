@@ -23,6 +23,14 @@ M1: Vec = (-1, -3)
 M2: Vec = (1, 0)
 
 
+def _integers(*values) -> None:
+    """The one check on integer parameters: each is an ``int``; a ``bool``, a
+    float or a numeric string raises ValueError."""
+    for value in values:
+        if type(value) is not int:
+            raise ValueError(f"integer input expected, not {value!r}")
+
+
 def _positive(*values) -> None:
     if min(values) <= 0:
         raise ValueError("inputs must be positive")
@@ -30,6 +38,7 @@ def _positive(*values) -> None:
 
 def curve_index(d: int, p: int, q: int) -> int:
     """Expected real dimension 2*(3d - p - q) of the constrained moduli space."""
+    _integers(d, p, q)
     _positive(d, p, q)
     return 2 * (3 * d - p - q)
 
@@ -40,12 +49,14 @@ def double_point_count(d: int, p: int, q: int) -> Fraction:
     Realizable parameters require a nonnegative integer; the caller interprets
     anything else as non-realizability.
     """
+    _integers(d, p, q)
     _positive(d, p, q)
     return Fraction((d - 1) * (d - 2) - (p - 1) * (q - 1), 2)
 
 
 def unicuspidal_families(d_max: int) -> List[Tuple[str, int, int, int]]:
     """All members (tag, d, p, q) of the six classified families with d <= d_max."""
+    _integers(d_max)
     if d_max < 3:
         raise ValueError("d_max must be at least 3")
     out: List[Tuple[str, int, int, int]] = []
@@ -72,6 +83,7 @@ def unicuspidal_families(d_max: int) -> List[Tuple[str, int, int, int]]:
 
 def diophantine_value(p: int, q: int) -> int:
     """p^2 + q^2 - 7pq + 9; nonnegative exactly on realizable coprime parameters."""
+    _integers(p, q)
     _positive(p, q)
     return p * p + q * q - 7 * p * q + 9
 
@@ -117,6 +129,7 @@ def classify_pair(p: int, q: int) -> Classification:
     The divisibility of p + q by 3 is reported but not enforced: the verdict
     follows the ratio test alone.
     """
+    _integers(p, q)
     if q < 1 or p < q:
         raise ValueError("need p >= q >= 1")
     if math.gcd(p, q) != 1:
@@ -149,6 +162,7 @@ def phi_map(p: int, q: int) -> Tuple[int, int]:
     A single zero coordinate is allowed: the boundary classes (p, 0) are the
     smooth-point tangency data and the maps exchange them with honest pairs.
     """
+    _integers(p, q)
     if p < 0 or q < 0 or (p, q) == (0, 0):
         raise ValueError("inputs must be nonnegative and not both zero")
     if 7 * p >= q:
@@ -159,6 +173,7 @@ def phi_map(p: int, q: int) -> Tuple[int, int]:
 
 def psi_map(p: int, q: int) -> Tuple[int, int]:
     """Second mutation symmetry on cusp parameters; an involution."""
+    _integers(p, q)
     if p < 0 or q < 0 or (p, q) == (0, 0):
         raise ValueError("inputs must be nonnegative and not both zero")
     if p >= 7 * q:
@@ -203,6 +218,7 @@ def shift_decomposition_index(x: Fraction) -> int:
 
 def obstruction_lower_bound(p: int, q: int, area: Fraction) -> Fraction:
     """Lower bound p*q/area for the stabilized embedding function at (p, q)."""
+    _integers(p, q)
     area = Fraction(area)
     _positive(p, q, area)
     return Fraction(p * q) / area
@@ -212,6 +228,7 @@ def inflation_upper_bound(
     p: int, q: int, self_intersection: int, c: Fraction
 ) -> Optional[Fraction]:
     """The bound c when the class satisfies self_intersection >= p*q, else None."""
+    _integers(p, q, self_intersection)
     _positive(p, q)
     if self_intersection >= p * q:
         return Fraction(c)
@@ -220,6 +237,7 @@ def inflation_upper_bound(
 
 def visible_area(r: Fraction, p: int, q: int) -> Fraction:
     """Area r*p*q of the visible curve over a slope-(p, q) segment of length scale r."""
+    _integers(p, q)
     r = Fraction(r)
     _positive(r, p, q)
     return r * p * q
@@ -236,9 +254,11 @@ def degeneration_admissible(
     witness is a primitive integer vector a with the inequality violated.
     """
     p, q = target
+    _integers(p, q)
     if p < 1 or q < 1 or not parts:
         raise ValueError("need a positive target and a nonempty parts list")
     for pi, qi in parts:
+        _integers(pi, qi)
         if pi < 1 or qi < 1:
             raise ValueError("parts must be positive")
 
@@ -282,6 +302,7 @@ def degeneration_admissible(
 def pair_to_ray(p: int, q: int) -> Optional[Vec]:
     """Standard-lattice ray detecting the sorted coprime pair (p, q), or None
     when the pair is invisible to this lattice (3 does not divide p + q)."""
+    _integers(p, q)
     if q < 1 or p < q:
         raise ValueError("need p >= q >= 1")
     if (p + q) % 3:
@@ -299,6 +320,7 @@ def ray_to_pair(a: int, b: int) -> Optional[Tuple[int, int]]:
     rays whose nominal pair is non-coprime (3 | a + b) carry only multiple
     data; both give None.
     """
+    _integers(a, b)
     if a < 0 or b < 0 or (a, b) == (0, 0):
         raise ValueError("need a nonzero ray in the closed first quadrant")
     if math.gcd(a, b) != 1:
@@ -403,6 +425,7 @@ def scattering_cross_check(
     reachable below the truncation, scattering detection against the
     classifier's verdict.
     """
+    _integers(order)
     if order < 3:
         raise ValueError("order must be at least 3")
     # imported here, so that the rest of the curve layer loads without it
@@ -430,7 +453,7 @@ def scattering_cross_check(
     M = ((M1[0], M2[0]), (M1[1], M2[1]))
     rows = []
     for (p, q), rays in sorted(by_pair.items()):
-        coeffs = [log_coefficient(diagram, ray, 1) for ray in rays]
+        coeffs = [log_coefficient(diagram, ray) for ray in rays]
         nonzero = [c for c in coeffs if c != 0]
         if nonzero and len(set(nonzero)) != 1:
             raise ConventionError(f"mirror rays of pair ({p},{q}) disagree: {coeffs}")

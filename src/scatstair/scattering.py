@@ -138,9 +138,10 @@ class ScatteringDiagram(Record):
     def outgoing_walls(self) -> List[Wall]:
         return [w for w in self.sorted_walls() if not w.incoming]
 
-    def wall_on_ray(self, direction: Vec, incoming: bool = False) -> Optional[Wall]:
+    def wall_on_ray(self, direction: Vec) -> Optional[Wall]:
+        """The outgoing wall on the ray ``direction``, or None."""
         for w in self.walls:
-            if w.direction == direction and w.incoming == incoming:
+            if w.direction == direction and not w.incoming:
                 return w
         return None
 
@@ -173,8 +174,8 @@ def initial_diagram(seeds: Sequence[Tuple[Vec, int]], order: int) -> ScatteringD
     for m, k in seeds:
         if not is_primitive(m):
             raise ValueError(f"seed direction {m} is not primitive")
-        if k < 1:
-            raise ValueError("seed exponents must be >= 1")
+        if type(k) is not int or k < 1:
+            raise ValueError(f"seed exponent {k!r} must be an integer >= 1")
         base = TruncatedSeries.one(order) + TruncatedSeries.monomial(order, m, 1)
         walls.append(Wall((-m[0], -m[1]), True, base ** k))
     return ScatteringDiagram(order, tuple(walls))
@@ -482,7 +483,7 @@ class _Crossing:
     prunes (see :func:`_pruned_axis`) when the wall is off its line, or None.
     """
 
-    def __init__(self, direction: Vec, incoming: bool, label: TruncatedSeries, axis=None):
+    def __init__(self, direction: Vec, incoming: bool, label: TruncatedSeries, axis: Optional[int]):
         self.direction = direction
         self.incoming = incoming
         self.key = _wall_key(self)
@@ -674,49 +675,26 @@ def change_of_lattice(
     return ScatteringDiagram(diagram_std.order, tuple(walls))
 
 
-def log_coefficient(diagram: ScatteringDiagram, direction: Vec, kappa: int) -> Fraction:
-    """Coefficient of z^{kappa*direction} in log of the outgoing label on the ray,
-    summed over all t-degrees (the t = 1 specialization is finite per monomial).
+def log_coefficient(diagram: ScatteringDiagram, direction: Vec) -> Fraction:
+    """First-order coefficient of z^direction in log of the outgoing label on
+    the ray, summed over all t-degrees (the t = 1 specialization is finite per
+    monomial).
 
-    Every label term above 1 sits on z^(j*direction) with j >= 1, so only
-    the terms with j <= kappa and the powers g^i with i <= kappa of
-    g = label - 1 reach z^(kappa*direction); for kappa = 1 the value is the
-    sum of the z^direction coefficients.  The powers are truncated at t^K as
-    in :meth:`TruncatedSeries.log`.
+    Every label term above 1 sits on z^(j*direction) with j >= 1, so of the
+    powers of g = label - 1 only g itself reaches z^direction: the value is
+    the sum of the label's z^direction coefficients.
     """
     if not is_primitive(direction):
         raise ValueError("direction must be primitive")
-    if kappa < 1:
-        raise ValueError("kappa must be >= 1")
-    target = (kappa * direction[0], kappa * direction[1])
-    min_deg = diagram.min_t_degree(target)
+    min_deg = diagram.min_t_degree(direction)
     if min_deg is not None and min_deg >= diagram.order:
         raise TruncationTooLow(
-            f"z^{target} first appears at t^{min_deg}, beyond truncation {diagram.order}"
+            f"z^{direction} first appears at t^{min_deg}, beyond truncation {diagram.order}"
         )
-    wall = diagram.wall_on_ray(direction, incoming=False)
+    wall = diagram.wall_on_ray(direction)
     if wall is None:
         return Fraction(0)
-    K = diagram.order
-    # g by (multiple j of the direction, t-degree), for j <= kappa
-    g: Dict[Tuple[int, int], Fraction] = {}
-    for (a, b, k), c in wall.label.terms.items():
-        if k:
-            j = _ray_multiple((a, b), direction)
-            if j <= kappa:
-                g[(j, k)] = c
-    total = Fraction(0)
-    power: Dict[Tuple[int, int], Fraction] = {(0, 0): Fraction(1)}
-    for i in range(1, kappa + 1):
-        product: Dict[Tuple[int, int], Fraction] = {}
-        for (j1, k1), c1 in power.items():
-            for (j2, k2), c2 in g.items():
-                if j1 + j2 <= kappa and k1 + k2 < K:
-                    key = (j1 + j2, k1 + k2)
-                    product[key] = product.get(key, 0) + c1 * c2
-        power = product
-        total += Fraction((-1) ** (i + 1), i) * sum(c for (j, _), c in power.items() if j == kappa)
-    return total
+    return sum((c for (a, b, _), c in wall.label.terms.items() if (a, b) == direction), Fraction(0))
 
 
 def _lowest_terms(wall: Wall) -> List[Tuple[Tuple[int, int, int], Fraction]]:

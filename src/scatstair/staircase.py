@@ -319,6 +319,8 @@ WINDOW_HIGH = Fraction(7) + Fraction(1) + Fraction(1, 36)  # 8 + 1/36
 
 def exceeds_tau4(p: int, q: int) -> bool:
     """Exact test p/q > tau^4, via the larger root of x^2 - 7x + 1."""
+    if not (type(p) is type(q) is int):
+        raise ValueError(f"integer inputs expected, not {p!r}, {q!r}")
     if p < 1 or q < 1:
         raise ValueError("inputs must be positive")
     return _above_tau4(p, q)

@@ -1,11 +1,10 @@
 """Toric-model mutation calculus on rank-two lattice data.
 
 A toric model is encoded by its ordered list of primitive edge-blowup
-directions m_1..m_l (plus, optionally, the ambient fan rays).  Mutation at
-index i negates m_i and applies the primitive half-shear along m_i to the
-other vectors.  Models are compared up to GL(2, Z), by default as unordered
-multisets, through frames: the normal forms that put one vector at (1, 0) and
-a second at (x, y) with 0 <= x < y.
+directions m_1..m_l.  Mutation at index i negates m_i and applies the
+primitive half-shear along m_i to the other vectors.  Models are compared up
+to GL(2, Z) as unordered multisets, through frames: the normal forms that put
+one vector at (1, 0) and a second at (x, y) with 0 <= x < y.
 """
 
 from __future__ import annotations
@@ -46,12 +45,10 @@ def elementary_transform_fan(fan: Sequence[Vec], i: int) -> List[Vec]:
 
 
 class ToricModel(Record):
-    """Edge-blowup data: ordered primitive vectors, optional ambient fan rays."""
+    """Edge-blowup data: ordered primitive vectors."""
 
-    __slots__ = ("vectors", "fan_rays")
-    _defaults = {"fan_rays": None}
+    __slots__ = ("vectors",)
     vectors: Tuple[Vec, ...]
-    fan_rays: Optional[Tuple[Vec, ...]]
 
     def __post_init__(self):
         if not self.vectors:
@@ -79,10 +76,7 @@ def mutate(model: ToricModel, i: int) -> ToricModel:
             new_vectors.append((-mi[0], -mi[1]))
         else:
             new_vectors.append(half_shear(mi, m))
-    fan = None
-    if model.fan_rays is not None:
-        fan = tuple(half_shear(mi, v) for v in model.fan_rays)
-    return ToricModel(tuple(new_vectors), fan)
+    return ToricModel(tuple(new_vectors))
 
 
 def apply_word(model: ToricModel, word: Sequence[int]) -> ToricModel:
@@ -142,30 +136,23 @@ def _class_key(model: ToricModel) -> Tuple[Vec, ...]:
     return min(tuple(sorted(mat_apply(M, w) for w in vs)) for M in frames)
 
 
-def gl2z_equivalent(
-    a: ToricModel, b: ToricModel, ordered: bool = False
-) -> Optional[Matrix]:
-    """A matrix in GL(2, Z) taking a's vectors to b's, or None.
+def gl2z_equivalent(a: ToricModel, b: ToricModel) -> Optional[Matrix]:
+    """A matrix in GL(2, Z) taking a's vectors to b's as multisets, or None.
 
-    With ``ordered`` the match is positionwise; otherwise the vectors are
-    compared as multisets.  a's first frame M_a is that of its first
-    independent pair i < j, or of its first vector if all are colinear.  b's
-    frames M_b of pairs (u, v) are tried in turn (only b_i, b_j if
-    ``ordered``); the first that puts v where M_a puts a_j, and b where M_a
+    a's first frame M_a is that of its first independent pair i < j, or of
+    its first vector if all are colinear.  b's frames M_b of pairs (u, v) are
+    tried in turn; the first that puts v where M_a puts a_j, and b where M_a
     puts a, gives M_b^-1 M_a, the matrix taking a_i, a_j to u, v.
     """
     if len(a) != len(b):
         return None
     va, vb = a.vectors, b.vectors
-    settle = list if ordered else sorted
     i, j = next(_independent_pairs(va), (0, 0))
     frame = _frame(va[i], va[j])
-    target = (mat_apply(frame, va[j]), settle(mat_apply(frame, w) for w in va))
-    # a frame of colinear vectors puts v at (+-1, 0), never at a's (x, y > 0)
-    pairs = [(vb[i], vb[j])] if ordered and i != j else _frame_pairs(vb)
-    for u, v in pairs:
+    target = (mat_apply(frame, va[j]), sorted(mat_apply(frame, w) for w in va))
+    for u, v in _frame_pairs(vb):
         M = _frame(u, v)
-        if (mat_apply(M, v), settle(mat_apply(M, w) for w in vb)) == target:
+        if (mat_apply(M, v), sorted(mat_apply(M, w) for w in vb)) == target:
             (p, q), (r, s), (e, f), (g, h) = M + frame
             d = p * s - q * r  # M^-1 = d adj(M), as d = +-1
             return ((d * (s * e - q * g), d * (s * f - q * h)),
@@ -179,7 +166,6 @@ def gl2z_equivalent(
 
 class OrbitNode(Record):
     __slots__ = ("model", "word")
-    _defaults = {"word": ()}
     model: ToricModel
     word: Tuple[int, ...]
 
@@ -222,6 +208,8 @@ def w_t0(p: int, q: int) -> Vec:
     Branches by the ratio p/q; the branch matrices are unimodular and agree
     on the shared boundary rays p = 2q and q = 2p.
     """
+    if not (type(p) is type(q) is int):
+        raise ValueError(f"w_t0 needs integers, not {p!r}, {q!r}")
     if p < 0 or q < 0 or (p, q) == (0, 0):
         raise ValueError("w_t0 needs (p, q) nonzero with nonnegative entries")
     if p >= 2 * q:

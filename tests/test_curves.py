@@ -1,5 +1,6 @@
 """Classification, symmetries, bounds, degenerations, and the cross-check."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -30,6 +31,7 @@ from scatstair.curves import (
     visible_area,
 )
 from scatstair.staircase import fib
+from scatstair.toric import w_t0
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +283,62 @@ def test_nonpositive_inputs_rejected(call):
         call()
 
 
+def _coprime_pair(rng):
+    while True:
+        p, q = rng.randint(1, 60), rng.randint(1, 60)
+        if math.gcd(p, q) == 1:
+            return [max(p, q), min(p, q)]
+
+
+def _ints(n, lo, hi):
+    return lambda rng: [rng.randint(lo, hi) for _ in range(n)]
+
+
+# (a call of each function on integers only, seeded integers in its domain)
+INTEGER_FORMULAS = [
+    (curve_index, _ints(3, 1, 30)),
+    (double_point_count, _ints(3, 1, 30)),
+    (diophantine_value, _ints(2, 1, 60)),
+    (phi_map, lambda rng: [rng.randint(1, 60), rng.randint(0, 60)]),
+    (psi_map, lambda rng: [rng.randint(0, 60), rng.randint(1, 60)]),
+    (pair_to_ray, lambda rng: sorted(_ints(2, 1, 60)(rng), reverse=True)),
+    (ray_to_pair, lambda rng: [rng.randint(1, 30), rng.randint(0, 30)]),
+    (classify_pair, _coprime_pair),
+    (unicuspidal_families, _ints(1, 3, 40)),
+    (exceeds_tau4, _ints(2, 1, 60)),
+    (w_t0, lambda rng: [rng.randint(1, 60), rng.randint(0, 60)]),
+    (lambda p, q: obstruction_lower_bound(p, q, Fraction(3, 2)), _ints(2, 1, 30)),
+    (lambda p, q, s: inflation_upper_bound(p, q, s, Fraction(5, 2)), _ints(3, 1, 30)),
+    (lambda p, q: visible_area(Fraction(1, 3), p, q), _ints(2, 1, 30)),
+    (lambda p, q, *parts: degeneration_admissible((p, q), [parts[:2], parts[2:]]), _ints(6, 1, 20)),
+]
+
+# sha256 of the repr of every integer result below, recorded at the commit
+# before these functions checked their integer parameters
+INTEGER_RESULTS_DIGEST = "4f48ce5f1a50b8e3653c8b9d1d7d7c02df83d963cab3954382bbf1b92f49be45"
+
+
+def _integer_formula_cases(seed=3141):
+    """(call, integer inputs) for ten seeded inputs per function."""
+    rng = random.Random(seed)
+    return [(call, gen(rng)) for call, gen in INTEGER_FORMULAS for _ in range(10)]
+
+
+def test_integer_formulas_reject_other_numbers():
+    """Each integer parameter must be an int: a float (integral or not), a
+    bool or a numeric string in its place raises ValueError; the integers
+    themselves give the values recorded before the check existed."""
+    results = []
+    for call, ints in _integer_formula_cases():
+        results.append(call(*ints))
+        for i, v in enumerate(ints):
+            for bad in (float(v), v + 0.5, True, str(v)):
+                with pytest.raises(ValueError):
+                    call(*ints[:i], bad, *ints[i + 1:])
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert digest == INTEGER_RESULTS_DIGEST
+
+
 # ---------------------------------------------------------------------------
 # degenerations
 
@@ -411,8 +469,8 @@ def test_cross_check_mirror_disagreement_is_an_internal_fault(monkeypatch):
 
     original = scattering.log_coefficient
 
-    def skewed(diagram, ray, k):
-        value = original(diagram, ray, k)
+    def skewed(diagram, ray):
+        value = original(diagram, ray)
         return 2 * value if ray[0] < ray[1] else value
 
     monkeypatch.setattr(scattering, "log_coefficient", skewed)

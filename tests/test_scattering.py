@@ -3,6 +3,7 @@
 import copy
 import json
 import random
+import re
 from fractions import Fraction
 from functools import cmp_to_key
 from math import comb, gcd
@@ -302,7 +303,7 @@ def test_crossing_relabeled_shrinks_the_stride():
     """1 + t^2*x*y has stride 2; gaining a t^3 term at order 3 drops it to 1,
     and the powers computed before carry over correctly."""
     order = 12
-    crossing = _Crossing((1, 1), False, TS.from_text(order, "1 + t^2*x*y"))
+    crossing = _Crossing((1, 1), False, TS.from_text(order, "1 + t^2*x*y"), None)
     assert crossing.stride == 2
     for e in (-3, -1, 1, 2):
         crossing.power(e, 3)
@@ -315,7 +316,7 @@ def test_crossing_relabeled_shrinks_the_stride():
             for n in range(1, order) for (a, b), c in crossing.power(e, n).items()
         }) + 1
         assert got == new_label ** e, e
-    assert _Crossing((1, 1), False, TS.one(order)).stride == 1
+    assert _Crossing((1, 1), False, TS.one(order), None).stride == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1128,30 +1129,30 @@ def test_change_of_lattice_rejects_colinear():
 
 def test_log_coefficient_pentagon():
     S = pentagon(10)
-    assert log_coefficient(S, (1, 1), 1) == 1
-    assert log_coefficient(S, (2, 1), 1) == 0  # no wall on that ray
-    assert log_coefficient(S, (1, 0), 1) == 1
+    assert log_coefficient(S, (1, 1)) == 1
+    assert log_coefficient(S, (2, 1)) == 0  # no wall on that ray
+    assert log_coefficient(S, (1, 0)) == 1
 
 
 def test_log_coefficient_double_seed():
+    """The first-order coefficient on (1,1) is 4; the multiple-cover
+    coefficient, at z^(2,2) of the label's log, is 2."""
     S = ks_complete(initial_diagram([((1, 0), 2), ((0, 1), 2)], 9))
-    assert log_coefficient(S, (1, 1), 1) == 4
-    assert log_coefficient(S, (1, 1), 2) == 2
+    assert log_coefficient(S, (1, 1)) == 4
+    assert _full_log_sum(S.wall_on_ray((1, 1)).label, (2, 2)) == 2
 
 
 def test_log_coefficient_truncation_guard():
-    from scatstair.scattering import TruncationTooLow
-
-    S = pentagon(4)
-    with pytest.raises(TruncationTooLow):
-        log_coefficient(S, (1, 1), 2)  # z^(2,2) first appears at t^4
+    S = pentagon(2)
+    with pytest.raises(TruncationTooLow, match="first appears at t\\^2"):
+        log_coefficient(S, (1, 1))  # z^(1,1) first appears at t^2
 
 
 def test_min_t_degree_none_off_the_graded_cone():
     S = pentagon(6)
     assert S.min_t_degree((1, 1)) == 2
     assert S.min_t_degree((-1, 0)) is None
-    assert log_coefficient(S, (-1, 0), 1) == 0
+    assert log_coefficient(S, (-1, 0)) == 0
     # (0, 1) = (-(-1, -3) - (1, 0)) / 3 is no integral combination of the grading
     native = initial_diagram([((-1, -3), 1), ((1, 0), 1)], 6)
     assert native.min_t_degree((0, 1)) is None
@@ -1172,19 +1173,8 @@ LOG_CASES = [([((1, 0), m), ((0, 1), m)], 12) for m in (1, 2, 3)] + [
 @pytest.mark.parametrize("seeds,order", LOG_CASES, ids=map(_case_id, LOG_CASES))
 def test_log_coefficient_matches_the_full_log(seeds, order):
     S = ks_complete(initial_diagram(seeds, order))
-    nonzero = 0
     for w in S.outgoing_walls():
-        for kappa in (1, 2, 3):
-            target = (kappa * w.direction[0], kappa * w.direction[1])
-            lowest = S.min_t_degree(target)
-            if lowest is not None and lowest >= order:
-                with pytest.raises(TruncationTooLow):
-                    log_coefficient(S, w.direction, kappa)
-                continue
-            value = log_coefficient(S, w.direction, kappa)
-            assert value == _full_log_sum(w.label, target), (w.direction, kappa)
-            nonzero += kappa > 1 and value != 0
-    assert nonzero
+        assert log_coefficient(S, w.direction) == _full_log_sum(w.label, w.direction), w.direction
 
 
 def test_ray_spectrum_pentagon():
@@ -1262,7 +1252,7 @@ def test_loaded_diagram_knows_its_truncation():
     S = ks_complete(initial_diagram([((1, 0), 3), ((0, 1), 3)], 8))
     for D in (S, _through_json(S)):
         with pytest.raises(TruncationTooLow, match="first appears at t\\^9"):
-            log_coefficient(D, (5, 4), 1)
+            log_coefficient(D, (5, 4))
 
 
 def _corruptions(rng, data):
@@ -1325,6 +1315,14 @@ def test_diagram_json_rejects_corruptions():
 def test_seed_labels_need_order_two():
     with pytest.raises(ValueError, match="^seed labels 1 \\+ t\\*z\\^m need order >= 2, not 1$"):
         initial_diagram([((1, 0), 1)], 1)
+
+
+def test_seed_exponents_must_be_positive_integers():
+    """A seed exponent is an int >= 1; any other value is refused by name."""
+    for k in (1.5, 2.0, Fraction(2), True, "2", 0, -1):
+        with pytest.raises(ValueError, match=f"^seed exponent {re.escape(repr(k))} must be an integer >= 1$"):
+            initial_diagram([((1, 0), k), ((0, 1), 1)], 3)
+    assert initial_diagram([((1, 0), 2)], 3).walls[0].label == TS.from_text(3, "1 + 2*t*x + t^2*x^2")
 
 
 def test_diagram_json_rejects_unknown_orientation():
