@@ -19,12 +19,12 @@ ORDER = 10
 
 seed = initial_diagram([((1, 0), 1), ((0, 1), 1)], ORDER)
 print("seed walls (incoming only):")
-for wall in seed.sorted_walls():
+for wall in seed.walls:
     print(f"  {wall.direction}  {wall.label.to_text()}")
 
 completed = ks_complete(seed)
 print("\ncompleted diagram:")
-for wall in completed.sorted_walls():
+for wall in completed.walls:
     tag = "in " if wall.incoming else "out"
     print(f"  {tag} {wall.direction}  {wall.label.to_text()}")
 

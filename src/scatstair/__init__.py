@@ -27,7 +27,6 @@ _LAYERS = {
         "TruncationTooLow",
         "Wall",
         "apply_wall",
-        "canonicalize",
         "change_of_lattice",
         "diagram_from_json",
         "diagram_to_json",

@@ -93,7 +93,7 @@ def cmd_scatter(args) -> Tuple[int, Renderers]:
 
     def text() -> str:
         lines = [f"completed diagram at order {args.order}: {len(diagram.walls)} walls"]
-        for w in diagram.sorted_walls():
+        for w in diagram.walls:
             tag = "in " if w.incoming else "out"
             lines.append(f"  {tag} ({w.direction[0]},{w.direction[1]})  {w.label.to_text()}")
         lines.append("lowest-order spectrum:")

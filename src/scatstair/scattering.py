@@ -104,7 +104,10 @@ def _wall_key(wall: Wall) -> Tuple[bool, bool, Union[Fraction, int], bool]:
 
 
 class ScatteringDiagram(Record):
-    """A finite multiset of walls sharing one truncation order.
+    """Walls sharing one truncation order, in normal form: at most one wall
+    per ray and orientation, none labelled 1, in crossing order.  The
+    constructor sorts the walls by :func:`_wall_key` and raises ValueError
+    for a second wall on a ray and orientation or a wall labelled 1.
 
     It is graded by (g1, g2) when it has exactly two incoming walls, each label
     is a series in t*z^g (every term above 1 is z^(k*g)*t^k, g read off its t^1
@@ -120,9 +123,17 @@ class ScatteringDiagram(Record):
     def __post_init__(self):
         if type(self.order) is not int or self.order < 1:
             raise ValueError(f"diagram truncation order must be an integer >= 1, not {self.order!r}")
-        for w in self.walls:
+        walls = tuple(sorted(self.walls, key=_wall_key))
+        rays = [(w.direction, w.incoming) for w in walls]
+        for w, ray, before in zip(walls, rays, [None] + rays):
             if w.label.order != self.order:
                 raise ValueError("all wall labels must share the diagram truncation order")
+            name = f"{'incoming' if w.incoming else 'outgoing'} ray {w.direction}"
+            if len(w.label.terms) == 1:  # the constant 1 alone
+                raise ValueError(f"the wall on the {name} is labelled 1")
+            if ray == before:
+                raise ValueError(f"two walls on the {name}")
+        object.__setattr__(self, "walls", walls)
 
     @property
     def grading(self) -> Optional[Tuple[Vec, Vec]]:
@@ -132,11 +143,8 @@ class ScatteringDiagram(Record):
         fits = (a == k * u and b == k * v for (u, v), ts in zip(basis, labels) for a, b, k in ts)
         return basis if len(basis) == 2 and wedge(*basis) and all(fits) else None
 
-    def sorted_walls(self) -> List[Wall]:
-        return sorted(self.walls, key=_wall_key)
-
     def outgoing_walls(self) -> List[Wall]:
-        return [w for w in self.sorted_walls() if not w.incoming]
+        return [w for w in self.walls if not w.incoming]
 
     def wall_on_ray(self, direction: Vec) -> Optional[Wall]:
         """The outgoing wall on the ray ``direction``, or None."""
@@ -167,15 +175,18 @@ class ScatteringDiagram(Record):
 
 
 def initial_diagram(seeds: Sequence[Tuple[Vec, int]], order: int) -> ScatteringDiagram:
-    """Diagram with incoming walls along -m_s labelled (1 + t z^{m_s})^{k_s}."""
+    """Diagram with incoming walls along -m labelled (1 + t z^m)^k; a repeated m sums its k."""
     if order < 2:
         raise ValueError(f"seed labels 1 + t*z^m need order >= 2, not {order}")
-    walls = []
+    exponents: Dict[Vec, int] = {}
     for m, k in seeds:
         if not is_primitive(m):
             raise ValueError(f"seed direction {m} is not primitive")
         if type(k) is not int or k < 1:
             raise ValueError(f"seed exponent {k!r} must be an integer >= 1")
+        exponents[m] = exponents.get(m, 0) + k
+    walls = []
+    for m, k in exponents.items():
         base = TruncatedSeries.one(order) + TruncatedSeries.monomial(order, m, 1)
         walls.append(Wall((-m[0], -m[1]), True, base ** k))
     return ScatteringDiagram(order, tuple(walls))
@@ -364,13 +375,13 @@ def _pruned_axis(walls: Sequence[Wall]) -> Optional[int]:
 
 
 def _monodromy_slices(walls: Sequence[Wall], K: int, axis: Optional[int] = None) -> List[Slices]:
-    """The images of x and y by t-degree under the counterclockwise
-    composition of the crossings of ``walls``, each crossed in place (see
-    :func:`_cross_in_place`).  The image of the ``axis``-th base, if any,
-    crosses only the walls on its line (see :func:`_pruned_axis`) and so
-    holds only its terms on that line."""
+    """The images of x and y by t-degree under the composition of the
+    crossings of ``walls``, given in crossing order, each crossed in place
+    (see :func:`_cross_in_place`).  The image of the ``axis``-th base, if
+    any, crosses only the walls on its line (see :func:`_pruned_axis`) and
+    so holds only its terms on that line."""
     images = [[{base: 1}] + [{} for _ in range(K - 1)] for base in _BASES]
-    for wall in sorted(walls, key=_wall_key):
+    for wall in walls:
         label = _label_slices(wall.label)
         for n, slices in enumerate(images):
             if n != axis or not wall.direction[axis]:
@@ -449,29 +460,11 @@ def _read_defect(k: int, sx: Slices, sy: Slices) -> Dict[Vec, Coeff]:
     return merged
 
 
-def canonicalize(diagram: ScatteringDiagram) -> ScatteringDiagram:
-    """One wall per (ray, orientation): merge labels, drop trivial walls, sort."""
-    merged: Dict[Tuple[Vec, bool], TruncatedSeries] = {}
-    for w in diagram.walls:
-        key = (w.direction, w.incoming)
-        if key in merged:
-            merged[key] = merged[key] * w.label
-        else:
-            merged[key] = w.label
-    one = TruncatedSeries.one(diagram.order)
-    walls = [
-        Wall(d, inc, label)
-        for (d, inc), label in merged.items()
-        if label != one
-    ]
-    walls.sort(key=_wall_key)
-    return ScatteringDiagram(diagram.order, tuple(walls))
-
-
 class _Crossing:
     """A wall of a completion in progress: direction, orientation, label
     series, the label by t-degree, the label's power slices so far, its
     :func:`_wall_key` and the images of x and of y after it, by t-degree.
+    Crossings keep the normal form of :class:`ScatteringDiagram`'s walls.
 
     Every power of the label lives only at t-degrees that are multiples of
     ``stride``, the gcd of the label's own t-degrees, so only those slices
@@ -534,8 +527,8 @@ def ks_complete(
 ) -> ScatteringDiagram:
     """Add outgoing walls order by order until the total monodromy is trivial.
 
-    The walls are kept in crossing order, each with the images of x and of
-    y after it, stored by t-degree.  When the first coordinates
+    The walls are kept in the normal form of :class:`ScatteringDiagram`, each
+    with the images of x and of y after it, stored by t-degree.  When the first coordinates
     of all label monomials are >= 0, or all are <= 0, the image of x is kept
     only at its offsets w from x with w1 = 0, the vertical line through x;
     otherwise, when the second coordinates share a sign, the image of y
@@ -585,10 +578,9 @@ def ks_complete(
     """
     if term_cap is not None and term_cap < 0:
         raise ValueError("term cap must be >= 0")
-    diag = canonicalize(diagram)
-    K = diag.order
-    axis = _pruned_axis(diag.walls)
-    crossings = [_Crossing(w.direction, w.incoming, w.label, axis) for w in diag.walls]
+    K = diagram.order
+    axis = _pruned_axis(diagram.walls)
+    crossings = [_Crossing(w.direction, w.incoming, w.label, axis) for w in diagram.walls]
     # the images of x and of y before the first wall, by t-degree
     start: Tuple[Slices, Slices] = tuple([{base: 1}] for base in _BASES)
     one = TruncatedSeries.one(K)
@@ -735,7 +727,7 @@ def diagram_to_json(diagram: ScatteringDiagram) -> dict:
                 "orientation": "in" if w.incoming else "out",
                 "label": w.label.term_records(),
             }
-            for w in diagram.sorted_walls()
+            for w in diagram.walls
         ],
     }
 
@@ -779,7 +771,7 @@ def diagram_to_svg(diagram: ScatteringDiagram, provenance: str = "") -> str:
     lines.append(
         f'<circle cx="{center}" cy="{center}" r="2.5" fill="black"/>'
     )
-    for wall in diagram.sorted_walls():
+    for wall in diagram.walls:
         a, b = wall.direction
         norm = (a * a + b * b) ** 0.5
         ux, uy = a / norm, b / norm

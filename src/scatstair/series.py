@@ -318,10 +318,15 @@ class TruncatedSeries:
 
     @classmethod
     def from_records(cls, order: int, records: Iterable[Mapping]) -> "TruncatedSeries":
-        """The inverse of :meth:`term_records`; a missing or non-integer field raises
-        ValueError."""
+        """The inverse of :meth:`term_records`; a missing or non-integer field, a
+        second record of one term and a zero coefficient raise ValueError."""
         terms: Dict[TermKey, Fraction] = {}
         for rec in records:
             a, b, k, num, den = (read_int(rec.get(f), f) for f in ("a", "b", "k", "num", "den"))
-            terms[(a, b, k)] = terms.get((a, b, k), Fraction(0)) + _parsed_coeff(num, den)
+            c = _parsed_coeff(num, den)
+            if not c:
+                raise ValueError(f"term {(a, b, k)} has a zero coefficient")
+            if (a, b, k) in terms:
+                raise ValueError(f"term {(a, b, k)} has two records")
+            terms[(a, b, k)] = c
         return cls(order, terms)

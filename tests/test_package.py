@@ -30,7 +30,7 @@ PUBLIC = {
     "series": ("TruncatedSeries", "TruncationMismatch"),
     "scattering": (
         "ConventionError", "ScatteringDiagram", "TermCapExceeded", "TruncationTooLow", "Wall",
-        "apply_wall", "canonicalize", "change_of_lattice", "diagram_from_json",
+        "apply_wall", "change_of_lattice", "diagram_from_json",
         "diagram_to_json", "diagram_to_svg", "initial_diagram", "ks_complete",
         "log_coefficient", "ray_spectrum", "total_monodromy",
     ),

@@ -27,7 +27,6 @@ from scatstair.scattering import (
     _ray_multiple,
     _wall_key,
     apply_wall,
-    canonicalize,
     change_of_lattice,
     diagram_from_json,
     diagram_to_json,
@@ -358,23 +357,29 @@ def test_monodromy_sees_a_term_at_the_last_degree():
 
 
 # ---------------------------------------------------------------------------
-# canonicalize
+# normal form
 
 
-def test_canonicalize_merges_same_ray():
+def test_diagram_refuses_a_repeated_or_trivial_wall():
+    """A second wall on a ray and orientation, or a wall labelled 1, raises
+    ValueError naming the ray; the other orientation of a ray is another wall."""
     w1 = wall((1, 0), "1 + t*x", 5)
-    d = ScatteringDiagram(5, (w1, w1))
-    merged = canonicalize(d)
-    assert len(merged.walls) == 1
-    assert merged.walls[0].label == TS.from_text(5, "1 + t*x") ** 2
+    with pytest.raises(ValueError, match=r"^two walls on the outgoing ray \(1, 0\)$"):
+        ScatteringDiagram(5, (w1, wall((0, 1), "1 + t*y", 5), w1))
+    with pytest.raises(ValueError, match=r"^the wall on the incoming ray \(1, 0\) is labelled 1$"):
+        ScatteringDiagram(5, (Wall((1, 0), True, TS.one(5)), w1))
+    opposite = Wall((1, 0), True, TS.from_text(5, "1 + t*x^-1"))
+    assert [w.incoming for w in ScatteringDiagram(5, (w1, opposite)).walls] == [True, False]
 
 
-def test_canonicalize_drops_trivial_and_is_idempotent():
-    w_triv = Wall((1, 0), False, TS.one(5))
-    d = ScatteringDiagram(5, (w_triv, wall((0, 1), "1 + t*y", 5)))
-    c1 = canonicalize(d)
-    assert [w.direction for w in c1.walls] == [(0, 1)]
-    assert canonicalize(c1) == c1
+def test_initial_diagram_merges_repeated_seeds():
+    """(1 + t*z^m)^k1 and (1 + t*z^m)^k2 are one seed wall (1 + t*z^m)^(k1 + k2),
+    and two such directions grade the diagram at once."""
+    d = initial_diagram([((1, 0), 1), ((0, 1), 2), ((1, 0), 2)], 5)
+    assert d == initial_diagram([((0, 1), 2), ((1, 0), 3)], 5)
+    assert [w.direction for w in d.walls] == [(-1, 0), (0, -1)]
+    assert d.walls[0].label == TS.from_text(5, "1 + t*x") ** 3
+    assert d.grading == ((1, 0), (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +418,7 @@ def test_completion_restores_punctured_pentagon():
 def test_completion_idempotent():
     S = pentagon(8)
     again = ks_complete(S)
-    assert canonicalize(again) == canonicalize(S)
+    assert again == S
 
 
 def test_completion_term_cap():
@@ -477,7 +482,7 @@ def _graded_seed_sets(rng, count):
 def test_grading_invariant():
     """Every label term z^w*t^k above 1 of a graded completion sits at the
     grade k of w: for seeded two-seed sets, for sets that repeat a direction
-    (canonicalize merges the repeats into one seed wall), and for their
+    (their repeats are one seed wall, so they are graded at once), and for their
     transports along (M1, M2), whose matrix has determinant 3."""
     M1, M2 = (-1, -3), (1, 0)
     matrix = ((M1[0], M2[0]), (M1[1], M2[1]))
@@ -486,10 +491,7 @@ def test_grading_invariant():
     for seeds in seed_sets:
         basis = {m for m, _ in seeds}
         initial = initial_diagram(seeds, 7)
-        if len(seeds) == 3:  # three seed walls until canonicalize merges two
-            assert initial.grading is None and set(canonicalize(initial).grading) == basis
-        else:
-            assert set(initial.grading) == basis
+        assert set(initial.grading) == basis
         S = ks_complete(initial)
         T = change_of_lattice(S, M1, M2)
         assert set(S.grading) == basis
@@ -616,7 +618,7 @@ def assert_consistent_completion(diagram, completed):
     assert {key: f for key, f in layout.items() if key[1]} == _merged_incoming(diagram)
     assert TS.one(K) not in layout.values()
     images = identity = (x_series(K), y_series(K))
-    for w in completed.sorted_walls():
+    for w in completed.walls:
         images = tuple(reference_apply_wall(w, s) for s in images)
     assert images == identity
 
@@ -739,16 +741,19 @@ PRUNING_IDS = [_case_id(case[:2]) for case in PRUNING_CASES]
 
 @pytest.mark.parametrize("seeds,order,axis", PRUNING_CASES, ids=PRUNING_IDS)
 def test_pruned_axis_by_seed_set(seeds, order, axis):
-    assert _pruned_axis(canonicalize(initial_diagram(seeds, order)).walls) == axis
+    assert _pruned_axis(initial_diagram(seeds, order).walls) == axis
 
 
 def _perturbed(rng, diagram):
-    """``diagram`` with one wall dropped, or one one-term wall added on a random
-    primitive ray, or one term z^(j*m)*t^k added to one label."""
-    K, walls = diagram.order, list(diagram.walls)
+    """``diagram`` with one wall dropped, or one one-term wall crossed on a
+    random primitive ray (multiplied into the wall already on that ray and
+    orientation, if any), or one term z^(j*m)*t^k added to one label.  A
+    perturbation that would leave a label equal to 1 is drawn again."""
+    K, labels = diagram.order, {(w.direction, w.incoming): w.label for w in diagram.walls}
+    one = TS.one(K)
     kind = rng.randrange(3)
     if kind == 0:
-        del walls[rng.randrange(len(walls))]
+        del labels[rng.choice(list(labels))]
     elif kind == 1:
         while True:
             d = (rng.randint(-4, 4), rng.randint(-4, 4))
@@ -758,15 +763,16 @@ def _perturbed(rng, diagram):
         m = (-d[0], -d[1]) if incoming else d
         j = rng.randint(1, 2)
         term = mono(K, (j * m[0], j * m[1]), rng.randint(1, K - 1), _random_coeff(rng))
-        walls.append(Wall(d, incoming, TS.one(K) + term))
+        labels[d, incoming] = labels.get((d, incoming), one) * (one + term)
     else:
-        i = rng.randrange(len(walls))
-        w = walls[i]
-        m = w.monomial_direction()
+        d, incoming = key = rng.choice(list(labels))
+        m = (-d[0], -d[1]) if incoming else d
         j = rng.randint(1, 3)
         term = mono(K, (j * m[0], j * m[1]), rng.randint(1, K - 1), _random_coeff(rng))
-        walls[i] = Wall(w.direction, w.incoming, w.label + term)
-    return ScatteringDiagram(K, tuple(walls))
+        labels[key] = labels[key] + term
+    if one in labels.values():
+        return _perturbed(rng, diagram)
+    return ScatteringDiagram(K, tuple(Wall(d, incoming, f) for (d, incoming), f in labels.items()))
 
 
 @pytest.mark.parametrize("seeds,order,axis", PRUNING_CASES, ids=PRUNING_IDS)
@@ -818,8 +824,8 @@ def test_a_dropped_defect_term_fails_the_final_check(seeds, order, axis, monkeyp
 
 
 def test_completion_builds_each_wall_once(monkeypatch):
-    """Only canonicalize and the returned diagram build Walls: a new factor
-    relabels its crossing in place, with no Wall to validate."""
+    """Only the returned diagram builds Walls: a new factor relabels its
+    crossing in place, with no Wall to validate."""
     diagram = initial_diagram([((1, 0), 3), ((0, 1), 3)], 20)
     built = []
     check = Wall.__post_init__
@@ -830,13 +836,13 @@ def test_completion_builds_each_wall_once(monkeypatch):
 
     monkeypatch.setattr(Wall, "__post_init__", counted)
     result = ks_complete(diagram)
-    assert len(built) == len(diagram.walls) + len(result.walls) == 65
+    assert len(built) == len(result.walls) == 63
 
 
 def test_completion_keys_each_wall_once(monkeypatch):
     """Each crossing computes its wall key once, and the bisect reads the
-    stored keys: besides the sorts of canonicalize and of the final check,
-    one key per crossing built."""
+    stored keys: besides the sort of the returned diagram's constructor, one
+    key per crossing built."""
     diagram = initial_diagram([((1, 0), 3), ((0, 1), 3)], 20)
     keyed, built = [], []
     key, init = scattering._wall_key, _Crossing.__init__
@@ -852,7 +858,7 @@ def test_completion_keys_each_wall_once(monkeypatch):
     monkeypatch.setattr(scattering, "_wall_key", counted_key)
     monkeypatch.setattr(_Crossing, "__init__", counted_init)
     result = ks_complete(diagram)
-    assert len(keyed) == len(diagram.walls) + len(built) + len(result.walls) == 200
+    assert len(keyed) == len(built) + len(result.walls) == 198
 
 
 @pytest.mark.parametrize("l1,l2", [(1, 1), (1, 3), (1, 7), (2, 3), (3, 3), (3, 5), (4, 2)])
@@ -1229,21 +1235,57 @@ def _json_cases():
     return [initial_diagram(seeds, 6) for seeds in cases]
 
 
+def _diagram_cases():
+    """The initial diagrams of :func:`_json_cases` and three ungraded ones whose
+    seeds are out of crossing order, one of them with a repeated seed."""
+    extra = [
+        [((1, 0), 1), ((0, 1), 1), ((1, 1), 1)],
+        [((0, 1), 1), ((1, 0), 1), ((1, 1), 1)],
+        [((1, 1), 2), ((1, 0), 1), ((1, 1), 1), ((0, 1), 3)],
+    ]
+    return _json_cases() + [initial_diagram(seeds, 5) for seeds in extra]
+
+
 def test_diagram_json_roundtrip_is_exact():
-    """Loading the JSON of a diagram gives back its walls in angular order, and
-    the completion itself: graded, ungraded and transported diagrams alike."""
+    """Loading the JSON of a diagram gives back the diagram itself: initial,
+    completed and transported diagrams, graded and ungraded alike."""
     graded = 0
-    for initial in _json_cases():
+    for initial in _diagram_cases():
         S = ks_complete(initial)
         T = change_of_lattice(S, (-1, -3), (1, 0))
-        assert _through_json(S) == S
-        for D in (initial, T):
-            assert _through_json(D) == ScatteringDiagram(D.order, tuple(D.sorted_walls()))
         for D in (initial, S, T):
+            assert _through_json(D) == D
             loaded = _through_json(D).grading
             assert set(loaded or ()) == set(D.grading or ())
             graded += loaded is not None
-    assert graded == 6 * 3 - 2  # the two repeated-seed initial diagrams are ungraded
+    assert graded == 6 * 3
+
+
+def test_a_diagram_is_its_normal_form():
+    """For seeded initial diagrams (seeds out of crossing order and repeated
+    seeds included), their completions and their transports: the walls are in
+    crossing order, one per key, every permutation of them builds an equal diagram with
+    an equal hash, and a second wall on a ray and orientation or a wall
+    labelled 1 is refused."""
+    rng = random.Random(2404)
+    for initial in _diagram_cases():
+        S = ks_complete(initial)
+        for D in (initial, S, change_of_lattice(S, (-1, -3), (1, 0))):
+            keys = [_wall_key(w) for w in D.walls]
+            assert keys == sorted(set(keys))
+            for _ in range(4):
+                walls = list(D.walls)
+                rng.shuffle(walls)
+                shuffled = ScatteringDiagram(D.order, tuple(walls))
+                assert shuffled == D and hash(shuffled) == hash(D)
+            i = rng.randrange(len(walls))
+            w = walls[i]
+            ray = f"{'incoming' if w.incoming else 'outgoing'} ray {w.direction}"
+            with pytest.raises(ValueError, match=f"^{re.escape(f'two walls on the {ray}')}$"):
+                ScatteringDiagram(D.order, tuple(walls) + (Wall(w.direction, w.incoming, w.label ** 2),))
+            walls[i] = Wall(w.direction, w.incoming, TS.one(D.order))
+            with pytest.raises(ValueError, match=f"^{re.escape(f'the wall on the {ray} is labelled 1')}$"):
+                ScatteringDiagram(D.order, tuple(walls))
 
 
 def test_loaded_diagram_knows_its_truncation():
@@ -1291,8 +1333,9 @@ def _corruptions(rng, data):
 def test_diagram_json_rejects_corruptions():
     """A dropped key, a float, a bool or a string for an integer, an extra
     dir component, a wrong orientation, a wall, a term record or a dir of the
-    wrong JSON type, a label record at or above t^K and an order below 1 each
-    raise ValueError."""
+    wrong JSON type, a label record at or above t^K, an order below 1, a
+    repeated term record, a zero term record and a repeated wall each raise
+    ValueError."""
     rng = random.Random(1183)
     for initial in _json_cases()[::3]:
         for kind, bad in _corruptions(rng, json.loads(json.dumps(diagram_to_json(ks_complete(initial))))):
@@ -1310,6 +1353,20 @@ def test_diagram_json_rejects_corruptions():
     for K in (0, -5):
         with pytest.raises(ValueError, match=f"^diagram truncation order must be an integer >= 1, not {K}$"):
             diagram_from_json({"K": K, "walls": []})
+    for i, w in enumerate(data["walls"]):
+        term = tuple(w["label"][-1][f] for f in "abk")
+        ray = f"{'incoming' if w['orientation'] == 'in' else 'outgoing'} ray {tuple(w['dir'])}"
+        repeated, zero, twice = (copy.deepcopy(data) for _ in range(3))
+        repeated["walls"][i]["label"].append(w["label"][-1])
+        zero["walls"][i]["label"][-1]["num"] = 0
+        twice["walls"].insert(rng.randrange(len(data["walls"]) + 1), w)
+        for bad, message in (
+            (repeated, f"term {term} has two records"),
+            (zero, f"term {term} has a zero coefficient"),
+            (twice, f"two walls on the {ray}"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                diagram_from_json(bad)
 
 
 def test_seed_labels_need_order_two():

@@ -230,6 +230,18 @@ def test_records_take_only_integers():
     assert read_int(-7, "K") == -7
 
 
+def test_records_hold_each_term_once_and_nonzero():
+    """A second record of one term, or a record whose coefficient is 0, raises
+    ValueError naming the term instead of being summed or dropped."""
+    one, two = ({"a": 1, "b": 0, "k": 1, "num": n, "den": 1} for n in (1, 2))
+    with pytest.raises(ValueError, match=r"^term \(1, 0, 1\) has two records$"):
+        TS.from_records(4, [one, two])
+    for den in (1, 5, -3):
+        with pytest.raises(ValueError, match=r"^term \(1, 0, 1\) has a zero coefficient$"):
+            TS.from_records(4, [{**one, "num": 0, "den": den}])
+    assert TS.from_records(4, [one, {**two, "k": 2}]) == s(4, "t*x + 2*t^2*x")
+
+
 def test_record_order_is_canonical():
     f = s(5, "1 + t*y + t*x + t^2*x^2")
     recs = f.term_records()
