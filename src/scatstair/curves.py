@@ -14,21 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .lattice import Vec, mat_apply, primitive_part
+from .lattice import Vec, integers, mat_apply, primitive_part
 from .staircase import exceeds_tau4, fibonacci_outer_index, fibonacci_step
 
 # Lattice generators of the reference model; the cross-check transports the
 # standard-lattice computation along them.
 M1: Vec = (-1, -3)
 M2: Vec = (1, 0)
-
-
-def _integers(*values) -> None:
-    """The one check on integer parameters: each is an ``int``; a ``bool``, a
-    float or a numeric string raises ValueError."""
-    for value in values:
-        if type(value) is not int:
-            raise ValueError(f"integer input expected, not {value!r}")
 
 
 def _positive(*values) -> None:
@@ -38,7 +30,7 @@ def _positive(*values) -> None:
 
 def curve_index(d: int, p: int, q: int) -> int:
     """Expected real dimension 2*(3d - p - q) of the constrained moduli space."""
-    _integers(d, p, q)
+    integers(d, p, q)
     _positive(d, p, q)
     return 2 * (3 * d - p - q)
 
@@ -49,14 +41,14 @@ def double_point_count(d: int, p: int, q: int) -> Fraction:
     Realizable parameters require a nonnegative integer; the caller interprets
     anything else as non-realizability.
     """
-    _integers(d, p, q)
+    integers(d, p, q)
     _positive(d, p, q)
     return Fraction((d - 1) * (d - 2) - (p - 1) * (q - 1), 2)
 
 
 def unicuspidal_families(d_max: int) -> List[Tuple[str, int, int, int]]:
     """All members (tag, d, p, q) of the six classified families with d <= d_max."""
-    _integers(d_max)
+    integers(d_max)
     if d_max < 3:
         raise ValueError("d_max must be at least 3")
     out: List[Tuple[str, int, int, int]] = []
@@ -83,7 +75,7 @@ def unicuspidal_families(d_max: int) -> List[Tuple[str, int, int, int]]:
 
 def diophantine_value(p: int, q: int) -> int:
     """p^2 + q^2 - 7pq + 9; nonnegative exactly on realizable coprime parameters."""
-    _integers(p, q)
+    integers(p, q)
     _positive(p, q)
     return p * p + q * q - 7 * p * q + 9
 
@@ -129,7 +121,7 @@ def classify_pair(p: int, q: int) -> Classification:
     The divisibility of p + q by 3 is reported but not enforced: the verdict
     follows the ratio test alone.
     """
-    _integers(p, q)
+    integers(p, q)
     if q < 1 or p < q:
         raise ValueError("need p >= q >= 1")
     if math.gcd(p, q) != 1:
@@ -162,7 +154,7 @@ def phi_map(p: int, q: int) -> Tuple[int, int]:
     A single zero coordinate is allowed: the boundary classes (p, 0) are the
     smooth-point tangency data and the maps exchange them with honest pairs.
     """
-    _integers(p, q)
+    integers(p, q)
     if p < 0 or q < 0 or (p, q) == (0, 0):
         raise ValueError("inputs must be nonnegative and not both zero")
     if 7 * p >= q:
@@ -173,7 +165,7 @@ def phi_map(p: int, q: int) -> Tuple[int, int]:
 
 def psi_map(p: int, q: int) -> Tuple[int, int]:
     """Second mutation symmetry on cusp parameters; an involution."""
-    _integers(p, q)
+    integers(p, q)
     if p < 0 or q < 0 or (p, q) == (0, 0):
         raise ValueError("inputs must be nonnegative and not both zero")
     if p >= 7 * q:
@@ -218,7 +210,7 @@ def shift_decomposition_index(x: Fraction) -> int:
 
 def obstruction_lower_bound(p: int, q: int, area: Fraction) -> Fraction:
     """Lower bound p*q/area for the stabilized embedding function at (p, q)."""
-    _integers(p, q)
+    integers(p, q)
     area = Fraction(area)
     _positive(p, q, area)
     return Fraction(p * q) / area
@@ -228,7 +220,7 @@ def inflation_upper_bound(
     p: int, q: int, self_intersection: int, c: Fraction
 ) -> Optional[Fraction]:
     """The bound c when the class satisfies self_intersection >= p*q, else None."""
-    _integers(p, q, self_intersection)
+    integers(p, q, self_intersection)
     _positive(p, q)
     if self_intersection >= p * q:
         return Fraction(c)
@@ -237,7 +229,7 @@ def inflation_upper_bound(
 
 def visible_area(r: Fraction, p: int, q: int) -> Fraction:
     """Area r*p*q of the visible curve over a slope-(p, q) segment of length scale r."""
-    _integers(p, q)
+    integers(p, q)
     r = Fraction(r)
     _positive(r, p, q)
     return r * p * q
@@ -254,11 +246,11 @@ def degeneration_admissible(
     witness is a primitive integer vector a with the inequality violated.
     """
     p, q = target
-    _integers(p, q)
+    integers(p, q)
     if p < 1 or q < 1 or not parts:
         raise ValueError("need a positive target and a nonempty parts list")
     for pi, qi in parts:
-        _integers(pi, qi)
+        integers(pi, qi)
         if pi < 1 or qi < 1:
             raise ValueError("parts must be positive")
 
@@ -266,20 +258,12 @@ def degeneration_admissible(
         total = sum(min(Fraction(pi), s * qi) for pi, qi in parts)
         return total - min(Fraction(p), s * q)
 
-    def witness(s: Fraction) -> Vec:
-        return (s.denominator, s.numerator)
-
-    # s -> 0+: deficit ~ s * (sum q_i - q); s -> oo: deficit -> sum p_i - p.
+    # Below every breakpoint the deficit is s * (sum q_i - q), above them all
+    # sum p_i - p, so one point on each side decides the asymptotic slopes.
     breakpoints = sorted({Fraction(pi, qi) for pi, qi in parts} | {Fraction(p, q)})
-    if sum(qi for _, qi in parts) < q:
-        s = breakpoints[0] / 2
-        return (False, witness(s))
-    if sum(pi for pi, _ in parts) < p:
-        s = breakpoints[-1] * 2
-        return (False, witness(s))
-    for s in breakpoints:
+    for s in [breakpoints[0] / 2, breakpoints[-1] * 2] + breakpoints:
         if deficit(s) < 0:
-            return (False, witness(s))
+            return (False, (s.denominator, s.numerator))
     return (True, None)
 
 
@@ -302,7 +286,7 @@ def degeneration_admissible(
 def pair_to_ray(p: int, q: int) -> Optional[Vec]:
     """Standard-lattice ray detecting the sorted coprime pair (p, q), or None
     when the pair is invisible to this lattice (3 does not divide p + q)."""
-    _integers(p, q)
+    integers(p, q)
     if q < 1 or p < q:
         raise ValueError("need p >= q >= 1")
     if (p + q) % 3:
@@ -320,7 +304,7 @@ def ray_to_pair(a: int, b: int) -> Optional[Tuple[int, int]]:
     rays whose nominal pair is non-coprime (3 | a + b) carry only multiple
     data; both give None.
     """
-    _integers(a, b)
+    integers(a, b)
     if a < 0 or b < 0 or (a, b) == (0, 0):
         raise ValueError("need a nonzero ray in the closed first quadrant")
     if math.gcd(a, b) != 1:
@@ -425,7 +409,7 @@ def scattering_cross_check(
     reachable below the truncation, scattering detection against the
     classifier's verdict.
     """
-    _integers(order)
+    integers(order)
     if order < 3:
         raise ValueError("order must be at least 3")
     # imported here, so that the rest of the curve layer loads without it

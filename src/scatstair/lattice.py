@@ -1,5 +1,6 @@
-"""Rank-two lattice arithmetic: wedge products, quarter turns, primitive
-vectors and integer matrices of Z^2, and the ``a,b`` syntax of a vector."""
+"""Rank-two lattice arithmetic: the integer check, wedge products, quarter
+turns, primitive vectors and integer matrices of Z^2, and the ``a,b`` syntax
+of a vector."""
 
 from __future__ import annotations
 
@@ -8,6 +9,14 @@ from typing import Tuple
 
 Vec = Tuple[int, int]
 Matrix = Tuple[Tuple[int, int], Tuple[int, int]]
+
+
+def integers(*values) -> None:
+    """The one check on integer parameters: each is an ``int``; a ``bool``, a
+    float or a numeric string raises ValueError."""
+    for value in values:
+        if type(value) is not int:
+            raise ValueError(f"integer input expected, not {value!r}")
 
 
 def wedge(v: Vec, w: Vec) -> int:
@@ -26,14 +35,17 @@ def rot90(v: Vec) -> Vec:
 
 
 def is_primitive(v: Vec) -> bool:
+    """Whether v is nonzero with coprime entries; a non-int entry raises ValueError."""
+    integers(*v)
     return v != (0, 0) and math.gcd(abs(v[0]), abs(v[1])) == 1
 
 
 def primitive_part(v: Vec) -> Tuple[Vec, int]:
     """Write v = j*p with p primitive and j = gcd(|a|, |b|) > 0.
 
-    Raises ValueError on the zero vector.
+    Raises ValueError on the zero vector and on entries that are not ``int``s.
     """
+    integers(*v)
     if v == (0, 0):
         raise ValueError("zero vector has no primitive part")
     g = math.gcd(abs(v[0]), abs(v[1]))

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._record import Record
-from .lattice import Vec, is_primitive, mat_apply, primitive_part, wedge
+from .lattice import Vec, integers, is_primitive, mat_apply, primitive_part, wedge
 from .series import TruncatedSeries, read_int
 
 
@@ -81,10 +81,6 @@ class Wall(Record):
         """Direction of the monomials the label is supported on."""
         d = self.direction
         return (-d[0], -d[1]) if self.incoming else d
-
-    def crossing_exponent(self, w: Vec) -> int:
-        """Exponent <w, rot90(direction)> = wedge(direction, w)."""
-        return wedge(self.direction, w)
 
 
 def _ray_multiple(v: Vec, m: Vec) -> Optional[int]:
@@ -345,8 +341,6 @@ def apply_wall(wall: Wall, s: TruncatedSeries) -> TruncatedSeries:
     coefficients as ints; the returned series holds Fractions again.
     """
     s._check_order(wall.label)
-    if not any(wall.crossing_exponent((a, b)) for (a, b, _) in s.terms):
-        return s
     slices: Slices = [{} for _ in range(s.order)]
     for (a, b, k), c in s.terms.items():
         slices[k][(a, b)] = _exact(c)
@@ -556,7 +550,8 @@ def ks_complete(
     Fraction.  A wall is a :class:`_Crossing`, relabelled in place; each
     :class:`Wall` is built once, when the diagram (of Fractions) is returned.
 
-    Raises ValueError for a negative ``term_cap``; ``None`` means no cap.
+    Raises ValueError for a ``term_cap`` that is not an integer >= 0; ``None``
+    means no cap.
     Raises :class:`TermCapExceeded` when, after the walls of some order are
     added, the diagram (one merged label per ray and orientation) stores
     more than ``term_cap`` label terms.  The full-order total monodromy is
@@ -576,8 +571,10 @@ def ks_complete(
     whole completions against the slope-ordered factorization of the
     incoming walls' product.
     """
-    if term_cap is not None and term_cap < 0:
-        raise ValueError("term cap must be >= 0")
+    if term_cap is not None:
+        integers(term_cap)
+        if term_cap < 0:
+            raise ValueError("term cap must be >= 0")
     K = diagram.order
     axis = _pruned_axis(diagram.walls)
     crossings = [_Crossing(w.direction, w.incoming, w.label, axis) for w in diagram.walls]
@@ -694,8 +691,6 @@ def _lowest_terms(wall: Wall) -> List[Tuple[Tuple[int, int, int], Fraction]]:
     of the wall's monomial direction they sit on.  A graded diagram has one
     such term per wall; an ungraded one may have several."""
     nontrivial = [(key, c) for key, c in wall.label.terms.items() if key != (0, 0, 0)]
-    if not nontrivial:
-        return []
     k0 = min(key[2] for key, _ in nontrivial)
     m = wall.monomial_direction()
     return sorted(
@@ -756,8 +751,9 @@ def diagram_from_json(data: dict) -> ScatteringDiagram:
     return ScatteringDiagram(order, tuple(walls))
 
 
-def diagram_to_svg(diagram: ScatteringDiagram, provenance: str = "") -> str:
-    """Static SVG with unit-length rays annotated by their lowest-order term."""
+def diagram_to_svg(diagram: ScatteringDiagram, provenance: str) -> str:
+    """Static SVG with unit-length rays annotated by their lowest-order terms.
+    ``provenance``, the input echo, is required and goes in a comment."""
     size = 480
     center = size / 2
     scale = size * 0.42
@@ -765,12 +761,9 @@ def diagram_to_svg(diagram: ScatteringDiagram, provenance: str = "") -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
         f"<!-- truncation order: {diagram.order} -->",
+        f"<!-- {provenance} -->",
+        f'<circle cx="{center}" cy="{center}" r="2.5" fill="black"/>',
     ]
-    if provenance:
-        lines.append(f"<!-- {provenance} -->")
-    lines.append(
-        f'<circle cx="{center}" cy="{center}" r="2.5" fill="black"/>'
-    )
     for wall in diagram.walls:
         a, b = wall.direction
         norm = (a * a + b * b) ** 0.5
@@ -782,11 +775,8 @@ def diagram_to_svg(diagram: ScatteringDiagram, provenance: str = "") -> str:
             f'<line x1="{center:.2f}" y1="{center:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
             f'style="{style};stroke-width:1.6"/>'
         )
-        lowest = _lowest_terms(wall)
-        if lowest:
-            text = f"1 + {TruncatedSeries(diagram.order, dict(lowest)).to_text()} + ..."
-        else:
-            text = "1"
+        lowest = TruncatedSeries(diagram.order, dict(_lowest_terms(wall)))
+        text = f"1 + {lowest.to_text()} + ..."
         tx = center + (scale + 14) * ux
         ty = center - (scale + 14) * uy
         lines.append(

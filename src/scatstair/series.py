@@ -46,10 +46,14 @@ def read_int(value, field: str) -> int:
     return value
 
 
-def canonical_term_order(key: TermKey) -> Tuple[int, int, int]:
-    """Sort key: t-degree ascending, then z-exponent lexicographic."""
-    a, b, k = key
-    return (k, a, b)
+def _put_term(terms: Dict[TermKey, Fraction], key: TermKey, c: Fraction) -> None:
+    """Add the term ``key`` with coefficient ``c`` read from input to ``terms``;
+    a zero coefficient and a term already there raise ValueError."""
+    if not c:
+        raise ValueError(f"term {key} has a zero coefficient")
+    if key in terms:
+        raise ValueError(f"term {key} has two records")
+    terms[key] = c
 
 
 class TruncationMismatch(ValueError):
@@ -85,10 +89,6 @@ class TruncatedSeries:
         return res
 
     @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls(order)
-
-    @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
         return cls(order, {(0, 0, 0): Fraction(1)})
 
@@ -113,7 +113,8 @@ class TruncatedSeries:
         return f"TruncatedSeries(order={self.order}, {self.to_text()!r})"
 
     def __iter__(self) -> Iterator[Tuple[TermKey, Fraction]]:
-        return iter(sorted(self.terms.items(), key=lambda kv: canonical_term_order(kv[0])))
+        """The terms by t-degree ascending, then z-exponent lexicographic."""
+        return iter(sorted(self.terms.items(), key=lambda kv: (kv[0][2], kv[0][0], kv[0][1])))
 
     def _check_order(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:
@@ -230,7 +231,7 @@ class TruncatedSeries:
         if not self.is_unit():
             raise ValueError("log requires constant term 1 and every other term in the ideal (t)")
         return (self - 1)._power_sum(
-            TruncatedSeries.zero(self.order), lambda j: Fraction((-1) ** (j + 1), j)
+            TruncatedSeries(self.order), lambda j: Fraction((-1) ** (j + 1), j)
         )
 
     def exp(self) -> "TruncatedSeries":
@@ -282,7 +283,11 @@ class TruncatedSeries:
 
     @classmethod
     def from_text(cls, order: int, text: str) -> "TruncatedSeries":
-        """Parse the canonical text form produced by :meth:`to_text`."""
+        """Parse the canonical text form produced by :meth:`to_text`, ``0`` for
+        the zero series; a second term of one monomial and a zero coefficient
+        raise ValueError."""
+        if text.strip() == "0":
+            return cls(order)
         tokens = text.strip().replace("- ", "+ -").split("+ ")
         terms: Dict[TermKey, Fraction] = {}
         for token in tokens:
@@ -305,8 +310,7 @@ class TruncatedSeries:
                     b = int(factor[2:]) if factor.startswith("y^") else 1
                 else:
                     coeff = _parsed_coeff(factor)
-            key = (a, b, k)
-            terms[key] = terms.get(key, Fraction(0)) + sign * coeff
+            _put_term(terms, (a, b, k), sign * coeff)
         return cls(order, terms)
 
     def term_records(self) -> List[dict]:
@@ -323,10 +327,5 @@ class TruncatedSeries:
         terms: Dict[TermKey, Fraction] = {}
         for rec in records:
             a, b, k, num, den = (read_int(rec.get(f), f) for f in ("a", "b", "k", "num", "den"))
-            c = _parsed_coeff(num, den)
-            if not c:
-                raise ValueError(f"term {(a, b, k)} has a zero coefficient")
-            if (a, b, k) in terms:
-                raise ValueError(f"term {(a, b, k)} has two records")
-            terms[(a, b, k)] = c
+            _put_term(terms, (a, b, k), _parsed_coeff(num, den))
         return cls(order, terms)

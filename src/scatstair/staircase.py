@@ -22,10 +22,8 @@ def fib(i: int) -> int:
     """Fibonacci numbers with fib(-1) = 1, fib(0) = 0."""
     if i < -1:
         raise ValueError("index must be >= -1")
-    if i == -1:
-        return 1
-    a, b = 0, 1
-    for _ in range(i):
+    a, b = 1, 0
+    for _ in range(i + 1):
         a, b = b, a + b
     return a
 
@@ -495,9 +493,10 @@ def _plot_y(v: StaircaseValue) -> Optional[float]:
     return float(v)
 
 
-def staircase_svg(rows, provenance: str = "") -> str:
+def staircase_svg(rows, provenance: str) -> str:
     """Static SVG of ``staircase_samples`` rows: the ball staircase and the
-    folding curve, with the outer and inner corners in range marked."""
+    folding curve, with the outer and inner corners in range marked.
+    ``provenance``, the input echo, is required and goes in a comment."""
     lo, hi, count = rows[0][0], rows[-1][0], len(rows)
     width, height = 640, 420
     pad = 40.0
@@ -516,9 +515,8 @@ def staircase_svg(rows, provenance: str = "") -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f"<!-- range: [{lo}, {hi}] samples: {count} -->",
+        f"<!-- {provenance} -->",
     ]
-    if provenance:
-        out.append(f"<!-- {provenance} -->")
     stair_pts = [
         f"{px(float(a)):.2f},{py(_plot_y(ball)):.2f}"
         for a, ball, _, _ in rows

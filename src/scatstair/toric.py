@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ._record import Record
-from .lattice import Matrix, Vec, is_primitive, mat_apply, parse_vec, wedge
+from .lattice import Matrix, Vec, integers, is_primitive, mat_apply, parse_vec, wedge
 
 
 def half_shear(v: Vec, w: Vec) -> Vec:
@@ -21,11 +21,10 @@ def half_shear(v: Vec, w: Vec) -> Vec:
     Fixes the closed half-plane {w : w ^ v <= 0} pointwise and shears the
     other half along v; a bijection of Z^2.
     """
+    integers(*w)
     if not is_primitive(v):
         raise ValueError(f"half-shear direction {v} must be primitive")
-    c = wedge(w, v)
-    if c <= 0:
-        return w
+    c = max(wedge(w, v), 0)
     return (w[0] + c * v[0], w[1] + c * v[1])
 
 
@@ -34,6 +33,7 @@ def elementary_transform_fan(fan: Sequence[Vec], i: int) -> List[Vec]:
 
     Requires -fan[i] to appear among the rays (existence of the ruling).
     """
+    integers(i)
     if not 0 <= i < len(fan):
         raise ValueError("fan index i out of range 0..n-1")
     v = fan[i]
@@ -67,6 +67,7 @@ def mutate(model: ToricModel, i: int) -> ToricModel:
     The requirement that -m_i be an ambient fan ray is not enforced; extra
     corner blowups can always arrange it without changing the vector data.
     """
+    integers(i)
     if not 1 <= i <= len(model):
         raise ValueError(f"mutation index {i} out of range 1..{len(model)}")
     mi = model.vectors[i - 1]
@@ -174,6 +175,7 @@ def mutation_orbit(model: ToricModel, depth: int) -> List[OrbitNode]:
     """Breadth-first mutation words up to ``depth``, deduplicated by unordered
     GL(2, Z) equivalence: a mutation is kept when its ``_class_key`` is new.
     The seed appears first with the empty word."""
+    integers(depth)
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     nodes = [OrbitNode(model, ())]
@@ -208,8 +210,7 @@ def w_t0(p: int, q: int) -> Vec:
     Branches by the ratio p/q; the branch matrices are unimodular and agree
     on the shared boundary rays p = 2q and q = 2p.
     """
-    if not (type(p) is type(q) is int):
-        raise ValueError(f"w_t0 needs integers, not {p!r}, {q!r}")
+    integers(p, q)
     if p < 0 or q < 0 or (p, q) == (0, 0):
         raise ValueError("w_t0 needs (p, q) nonzero with nonnegative entries")
     if p >= 2 * q:
@@ -273,10 +274,10 @@ def orbit_to_json(nodes: Sequence[OrbitNode]) -> dict:
     }
 
 
-def orbit_to_dot(nodes: Sequence[OrbitNode], provenance: str = "") -> str:
-    lines = ["digraph mutation_orbit {"]
-    if provenance:
-        lines.append(f"  // {provenance}")
+def orbit_to_dot(nodes: Sequence[OrbitNode], provenance: str) -> str:
+    """DOT graph of an orbit; ``provenance``, the input echo, is required and
+    goes in a comment on the second line."""
+    lines = ["digraph mutation_orbit {", f"  // {provenance}"]
     for n in nodes:
         lines.append(f'  "{format_model(n.model)}";')
     for parent, n in _edges(nodes):

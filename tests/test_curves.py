@@ -30,8 +30,9 @@ from scatstair.curves import (
     unicuspidal_families,
     visible_area,
 )
+from scatstair.lattice import wedge
 from scatstair.staircase import fib
-from scatstair.toric import w_t0
+from scatstair.toric import half_shear, w_t0
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +387,42 @@ def test_degeneration_matches_grid_bruteforce():
             assert sum(min(a1 * pi, a2 * qi) for pi, qi in parts) < min(
                 a1 * target[0], a2 * target[1]
             )
+
+
+# sha256 of the repr of the values below, recorded at the commit before fib,
+# half_shear and degeneration_admissible lost their special cases
+GENERAL_FORMULA_DIGEST = "178c87e9ec4e10a35591859d9a1d6e3f882e156f8fca65df0e12580bda653e96"
+
+
+def test_general_formulas_keep_the_special_cases():
+    """fib(-1..300), half_shear on seeded vectors on both sides of its fixed
+    half-plane, and degeneration_admissible with its witnesses on seeded
+    targets and parts give the values recorded while each had a branch of its
+    own for fib(-1), for a fixed vector, and for each asymptotic slope.  The
+    degenerations fail at both slopes and at a breakpoint."""
+    rng = random.Random(1597)
+    values = [fib(i) for i in range(-1, 301)]
+    sides = set()
+    while len(values) < 302 + 300:
+        v = (rng.randint(-5, 5), rng.randint(-5, 5))
+        if math.gcd(*v) == 1:
+            w = (rng.randint(-9, 9), rng.randint(-9, 9))
+            sides.add(wedge(w, v) > 0)
+            values.append(half_shear(v, w))
+    witnesses = set()
+    for _ in range(600):
+        target = (rng.randint(1, 12), rng.randint(1, 12))
+        parts = [(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(rng.randint(1, 3))]
+        ok, witness = degeneration_admissible(target, parts)
+        values.append((ok, witness))
+        if witness:
+            s = Fraction(witness[1], witness[0])
+            breakpoints = [Fraction(p, q) for p, q in parts + [target]]
+            side = "below" if s < min(breakpoints) else "above" if s > max(breakpoints) else "at"
+            witnesses.add(side)
+    assert sides == {False, True}
+    assert witnesses == {"below", "above", "at"}
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == GENERAL_FORMULA_DIGEST
 
 
 # ---------------------------------------------------------------------------

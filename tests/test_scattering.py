@@ -199,7 +199,7 @@ def test_apply_wall_matches_power_products():
     for case in range(320):
         order = rng.randint(2, 9)
         w, s = _random_wall(rng, order), _random_probe(rng, order)
-        widest = max([widest] + [abs(w.crossing_exponent(key[:2])) for key in s.terms])
+        widest = max([widest] + [abs(wedge(w.direction, key[:2])) for key in s.terms])
         assert apply_wall(w, s) == reference_apply_wall(w, s), (case, w, s)
     assert widest >= 10
 
@@ -224,7 +224,7 @@ def test_apply_wall_at_the_reach_of_the_label(low):
         for k in (order - 1 - low, order - low):
             while True:
                 v = (rng.randint(-6, 6), rng.randint(-6, 6))
-                if w.crossing_exponent(v):
+                if wedge(w.direction, v):
                     break
             probe[(v[0], v[1], k)] = c = _random_coeff(rng)
             edge.append(mono(order, v, k, c))

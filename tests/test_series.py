@@ -60,7 +60,7 @@ def test_parse_vec():
 
 def test_add_identity_and_cancellation():
     f = s(5, "1 + t*x")
-    assert f + TS.zero(5) == f
+    assert f + TS(5) == f
     assert f + s(5, "-t*x") == TS.one(5)
     assert s(5, "t*x") + s(5, "t*x") == s(5, "2*t*x")
 
@@ -105,7 +105,7 @@ def test_log_examples():
     g = (TS.one(5) - TS.monomial(5, (1, 1), 2)) ** -4
     # oracle: -4 * log(1 - u) = 4u + 2u^2 + ... termwise in u = t^2 x y
     assert g.log() == TS.monomial(5, (1, 1), 2, 4) + TS.monomial(5, (2, 2), 4, 2)
-    assert TS.one(5).log() == TS.zero(5)
+    assert TS.one(5).log() == TS(5)
 
 
 def test_log_requires_constant_one():
@@ -114,7 +114,7 @@ def test_log_requires_constant_one():
 
 
 def test_exp_examples():
-    assert TS.zero(5).exp() == TS.one(5)
+    assert TS(5).exp() == TS.one(5)
     e = TS.monomial(5, (1, 1), 2).exp()
     assert e == TS.one(5) + TS.monomial(5, (1, 1), 2) + TS.monomial(5, (2, 2), 4, Fraction(1, 2))
     f = s(6, "1 + t*x")
@@ -255,7 +255,9 @@ def test_constructor_holds_exactly_what_it_is_given():
     Fraction, and equals the sum of its monomials; a degree outside [0, K), a
     float, a numeric string or a bool coefficient, or an order that is not an
     int >= 1 raises ValueError instead of being dropped or converted, and so
-    does a term beyond the order read by from_text or built by monomial."""
+    does a term beyond the order read by from_text or built by monomial.
+    from_text also refuses a term given twice or with coefficient 0, as
+    from_records does, and reads "0", the text of the zero series, as it."""
     rng = random.Random(2210)
     for _ in range(300):
         K = rng.randint(1, 7)
@@ -269,7 +271,7 @@ def test_constructor_holds_exactly_what_it_is_given():
         f = TS(K, valid)
         assert f.terms == {key: c for key, c in valid.items() if c}
         assert all(type(c) is Fraction for c in f.terms.values())
-        assert f == sum((TS.monomial(K, key[:2], key[2], c) for key, c in valid.items()), TS.zero(K))
+        assert f == sum((TS.monomial(K, key[:2], key[2], c) for key, c in valid.items()), TS(K))
         for key in sorted(set(terms) - set(valid)):
             with pytest.raises(ValueError, match=re.escape(f"term {key} needs integers a, b and 0 <= k < {K}")):
                 TS(K, {**valid, key: 1})
@@ -283,6 +285,16 @@ def test_constructor_holds_exactly_what_it_is_given():
     for build in (lambda: TS.from_text(4, "1 + t^4*x"), lambda: TS.monomial(4, (1, 0), 4)):
         with pytest.raises(ValueError, match=re.escape("term (1, 0, 4) needs integers a, b and 0 <= k < 4")):
             build()
+    for text, message in (
+        ("t*x + 2*t*x", "term (1, 0, 1) has two records"),
+        ("1 - t*x + t*x", "term (1, 0, 1) has two records"),
+        ("0*t*x", "term (1, 0, 1) has a zero coefficient"),
+        ("1 + 0*t^2*y", "term (0, 1, 2) has a zero coefficient"),
+        ("0 + t*x", "term (0, 0, 0) has a zero coefficient"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TS.from_text(4, text)
+    assert TS.from_text(4, "0") == TS(4) and TS(4).to_text() == "0"
 
 
 def test_truncate_drops_high_terms():

@@ -585,5 +585,5 @@ def test_samples_and_renderings():
     assert len(rows) == 17
     csv = samples_to_csv(rows)
     assert csv.splitlines()[0] == "a,ball,stabilized,folding"
-    svg = staircase_svg(staircase_samples(Fraction(1), Fraction(9), 40))
+    svg = staircase_svg(staircase_samples(Fraction(1), Fraction(9), 40), "input: range 1..9")
     assert svg.startswith("<svg") and "polyline" in svg

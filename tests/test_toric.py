@@ -1,5 +1,8 @@
-"""Mutation calculus, GL(2,Z) comparison, and the reference fan-ray map."""
+"""Mutation calculus, GL(2,Z) comparison, the reference fan-ray map, and the
+integer check on vectors and indices of the lattice, scattering and toric
+layers."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -7,7 +10,15 @@ import random
 import pytest
 
 from scatstair import toric
-from scatstair.lattice import mat_apply, wedge
+from scatstair.lattice import is_primitive, mat_apply, primitive_part, wedge
+from scatstair.scattering import (
+    Wall,
+    change_of_lattice,
+    initial_diagram,
+    ks_complete,
+    log_coefficient,
+)
+from scatstair.series import TruncatedSeries
 from scatstair.toric import (
     ToricModel,
     apply_word,
@@ -514,3 +525,96 @@ def test_w_t0_inverse_roundtrip():
 def test_w_t0_inverse_rejects_zero():
     with pytest.raises(ValueError):
         w_t0_inverse((0, 0))
+
+
+# ---------------------------------------------------------------------------
+# integer vectors and indices
+
+
+def _coprime(rng):
+    """A primitive vector with entries in [-4, 4], as a list."""
+    while True:
+        v = [rng.randint(-4, 4), rng.randint(-4, 4)]
+        if math.gcd(*v) == 1:
+            return v
+
+
+def _basis(rng):
+    """Two independent primitive vectors, as one list of four entries."""
+    while True:
+        m1, m2 = _coprime(rng), _coprime(rng)
+        if wedge(m1, m2):
+            return m1 + m2
+
+
+def _fan(rng):
+    """A primitive v, -v and a primitive w, then the index of v or of -v."""
+    v = _coprime(rng)
+    return v + [-v[0], -v[1]] + _coprime(rng) + [rng.randint(0, 1)]
+
+
+# graded by (1, 0), (0, 1) at order 8, so log_coefficient answers on every
+# ray with entries in [-4, 4]
+DIAGRAM = ks_complete(initial_diagram([((1, 0), 2), ((0, 1), 2)], 8))
+SEEDS = initial_diagram([((1, 0), 2), ((0, 1), 1)], 6)
+
+# (a call of each function on integers only, seeded integers in its domain);
+# every integer is an entry of a vector, an index, a depth or a term cap
+VECTOR_FORMULAS = [
+    (lambda a, b: Wall((a, b), False, TruncatedSeries.one(4)), _coprime),
+    (
+        lambda a, b, k: initial_diagram([((a, b), k)], 4),
+        lambda rng: _coprime(rng) + [rng.randint(1, 3)],
+    ),
+    (lambda a, b, c, d: change_of_lattice(DIAGRAM, (a, b), (c, d)), _basis),
+    (lambda a, b: log_coefficient(DIAGRAM, (a, b)), _coprime),
+    (lambda a, b, c, d: ToricModel(((a, b), (c, d))), lambda rng: _coprime(rng) + _coprime(rng)),
+    (lambda a, b, c, d: half_shear((a, b), (c, d)), lambda rng: _coprime(rng) + _coprime(rng)),
+    (lambda a, b: primitive_part((a, b)), _coprime),
+    (lambda a, b: is_primitive((a, b)), lambda rng: [rng.randint(-4, 4), rng.randint(-4, 4)]),
+    (
+        lambda a, b, c, d, i: mutate(ToricModel(((a, b), (c, d))), i),
+        lambda rng: _basis(rng) + [rng.randint(1, 2)],
+    ),
+    (lambda a, b, c, d, e, f, i: elementary_transform_fan([(a, b), (c, d), (e, f)], i), _fan),
+    (
+        lambda a, b, c, d, n: mutation_orbit(ToricModel(((a, b), (c, d))), n),
+        lambda rng: _basis(rng) + [rng.randint(0, 2)],
+    ),
+    (lambda cap: ks_complete(SEEDS, cap), lambda rng: [rng.randint(100, 10**6)]),
+]
+
+# sha256 of the repr of every integer result of the default seed, recorded at
+# the commit before these functions checked their vector entries and indices
+VECTOR_RESULTS_DIGEST = "ba7b8d6171867453b03569e59ef567d038ef83654521b85d8c3b6a6d7797a38a"
+
+
+def assert_vector_inputs_refused(seeds=(2718,)):
+    """Call each function of VECTOR_FORMULAS on ten seeded integer inputs per
+    seed, then once for each integer replaced by an integral float, a float, a
+    bool and a numeric string, each of which must raise ValueError.  Returns
+    the integer results and the number of calls refused."""
+    results, refused = [], 0
+    for seed in seeds:
+        rng = random.Random(seed)
+        for call, gen in VECTOR_FORMULAS:
+            for _ in range(10):
+                ints = gen(rng)
+                results.append(call(*ints))
+                for i, v in enumerate(ints):
+                    for bad in (float(v), v + 0.5, bool(v), str(v)):
+                        with pytest.raises(ValueError):
+                            call(*ints[:i], bad, *ints[i + 1:])
+                        refused += 1
+    return results, refused
+
+
+def test_vector_entries_and_indices_must_be_integers():
+    """A float (integral or not), a bool or a numeric string as a vector entry,
+    a mutation or fan index, an orbit depth or a term cap raises ValueError
+    from the lattice check, not a TypeError from the arithmetic or indexing
+    below it; the integers themselves give the values recorded before the
+    check existed."""
+    results, refused = assert_vector_inputs_refused()
+    assert refused == 1640  # four bad values for each of 41 integers, ten times
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == VECTOR_RESULTS_DIGEST
