@@ -16,11 +16,16 @@ library function sees: one ``--k`` per ``--m`` and at least one seed for
 
 Each subcommand imports the layers it uses when it runs, so a command loads
 only those: ``mutate`` the toric layer (and through it the lattice layer),
-``staircase`` the staircase layer, ``scatter`` the scattering layer,
+``staircase`` the staircase layer (and through it the lattice layer, which
+owns the checks on numeric parameters), ``scatter`` the scattering layer,
 ``classify`` the curve layer (and through it the staircase and lattice
 layers), and ``verify`` the curve layer and its cross-check, which adds the
 scattering layer.  ``json`` is imported only to write a JSON payload,
 and ``fractions`` only to parse a rational.
+
+Exact inputs and answers can have more digits than CPython's limit on
+int/str conversion (4,300 by default): ``main`` lifts it while it runs, where
+the interpreter has one, and restores the caller's limit on return.
 """
 
 from __future__ import annotations
@@ -278,6 +283,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv: Optional[Sequence[str]]) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, renderers = args.func(args)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .lattice import Vec, integers, mat_apply, primitive_part
+from .lattice import Vec, integers, mat_apply, primitive_part, rational
 from .staircase import exceeds_tau4, fibonacci_outer_index, fibonacci_step
 
 # Lattice generators of the reference model; the cross-check transports the
@@ -175,14 +175,15 @@ def psi_map(p: int, q: int) -> Tuple[int, int]:
 
 def shift_s(x: Fraction) -> Fraction:
     """The shift symmetry S(x) = 7 - 1/x of the realizable ratio set."""
+    x = rational(x)
     if x == 0:
         raise ValueError("S has a pole at 0")
-    return 7 - 1 / Fraction(x)
+    return 7 - 1 / x
 
 
 def reflect_r(x: Fraction) -> Fraction:
     """The reflection symmetry R(x) = 7 + 1/(x - 7); an involution fixing 8."""
-    x = Fraction(x)
+    x = rational(x)
     if x == 7:
         raise ValueError("R has a pole at 7")
     return 7 + 1 / (x - 7)
@@ -194,7 +195,7 @@ def shift_decomposition_index(x: Fraction) -> int:
     Computed by iterating the inverse shift x -> 1/(7 - x) until reaching
     [7, oo); terminates for every rational above the fixed point.
     """
-    x = Fraction(x)
+    x = rational(x)
     if not (x > 0 and exceeds_tau4(x.numerator, x.denominator)):
         raise ValueError(f"{x} is not above tau^4")
     i = 0
@@ -211,7 +212,7 @@ def shift_decomposition_index(x: Fraction) -> int:
 def obstruction_lower_bound(p: int, q: int, area: Fraction) -> Fraction:
     """Lower bound p*q/area for the stabilized embedding function at (p, q)."""
     integers(p, q)
-    area = Fraction(area)
+    area = rational(area)
     _positive(p, q, area)
     return Fraction(p * q) / area
 
@@ -221,16 +222,17 @@ def inflation_upper_bound(
 ) -> Optional[Fraction]:
     """The bound c when the class satisfies self_intersection >= p*q, else None."""
     integers(p, q, self_intersection)
+    c = rational(c)
     _positive(p, q)
     if self_intersection >= p * q:
-        return Fraction(c)
+        return c
     return None
 
 
 def visible_area(r: Fraction, p: int, q: int) -> Fraction:
     """Area r*p*q of the visible curve over a slope-(p, q) segment of length scale r."""
     integers(p, q)
-    r = Fraction(r)
+    r = rational(r)
     _positive(r, p, q)
     return r * p * q
 

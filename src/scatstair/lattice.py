@@ -1,6 +1,6 @@
-"""Rank-two lattice arithmetic: the integer check, wedge products, quarter
-turns, primitive vectors and integer matrices of Z^2, and the ``a,b`` syntax
-of a vector."""
+"""Rank-two lattice arithmetic: the integer and rational checks on numeric
+parameters, wedge products, quarter turns, primitive vectors and integer
+matrices of Z^2, and the ``a,b`` syntax of a vector."""
 
 from __future__ import annotations
 
@@ -19,8 +19,23 @@ def integers(*values) -> None:
             raise ValueError(f"integer input expected, not {value!r}")
 
 
+def rational(value) -> "Fraction":
+    """The one check on rational parameters: ``value``, an ``int`` or a
+    ``Fraction``, as a ``Fraction``; a ``bool``, a float or a numeric string
+    raises ValueError."""
+    # imported here, so that loading this module does not load fractions
+    from fractions import Fraction
+
+    if isinstance(value, Fraction):
+        return value
+    if type(value) is not int:
+        raise ValueError(f"rational input expected, not {value!r}")
+    return Fraction(value)
+
+
 def wedge(v: Vec, w: Vec) -> int:
     """Determinant of the 2x2 matrix with columns v, w."""
+    integers(*v, *w)
     return v[0] * w[1] - v[1] * w[0]
 
 
@@ -31,6 +46,7 @@ def mat_apply(m: Matrix, v: Vec) -> Vec:
 
 def rot90(v: Vec) -> Vec:
     """Counterclockwise quarter turn (a, b) -> (-b, a)."""
+    integers(*v)
     return (-v[1], v[0])
 
 

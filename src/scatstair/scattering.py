@@ -172,6 +172,7 @@ class ScatteringDiagram(Record):
 
 def initial_diagram(seeds: Sequence[Tuple[Vec, int]], order: int) -> ScatteringDiagram:
     """Diagram with incoming walls along -m labelled (1 + t z^m)^k; a repeated m sums its k."""
+    integers(order)
     if order < 2:
         raise ValueError(f"seed labels 1 + t*z^m need order >= 2, not {order}")
     exponents: Dict[Vec, int] = {}

@@ -23,7 +23,9 @@ TermKey = Tuple[int, int, int]
 
 
 def _is_coeff(value) -> bool:
-    """Whether ``value`` is an ``int`` (not a ``bool``) or a ``Fraction``."""
+    """Whether ``value`` is an ``int`` (not a ``bool``) or a ``Fraction``:
+    ``lattice.rational``'s rule, kept here as a test because it runs in every
+    ``+`` and ``*``, where that function's import would cost each call."""
     return type(value) is int or isinstance(value, Fraction)
 
 

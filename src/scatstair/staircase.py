@@ -16,10 +16,12 @@ from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from ._record import Record
+from .lattice import integers, rational
 
 
 def fib(i: int) -> int:
     """Fibonacci numbers with fib(-1) = 1, fib(0) = 0."""
+    integers(i)
     if i < -1:
         raise ValueError("index must be >= -1")
     a, b = 1, 0
@@ -40,7 +42,11 @@ _STEPS: Steps = ((1, 1, 2),)
 def _steps_through(k: int = -1, n: int = 0, d: int = 1) -> Steps:
     """The step table, grown until it holds step k and its last step k' has
     inner_corner(k' + 1) = fib(2k'+5)^2/fib(2k'+3)^2 >= n/d; the latter ends
-    for any n/d < tau^4."""
+    for any n/d < tau^4.
+
+    It grows by index, exactly to step k, or else to twice its length, until
+    its last corner covers n/d; only that corner is tested, so reaching step k
+    costs O(k) additions and O(log k) products."""
     global _STEPS
     steps = _STEPS
     _, f3, f5 = steps[-1]
@@ -48,8 +54,9 @@ def _steps_through(k: int = -1, n: int = 0, d: int = 1) -> Steps:
         return steps
     grown = list(steps)
     while len(grown) <= k + 1 or n * f3 * f3 > f5 * f5 * d:
-        f3, f5 = f5, 3 * f5 - f3
-        grown.append((grown[-1][1], f3, f5))
+        for _ in range(k + 2 - len(grown) if len(grown) <= k + 1 else len(grown)):
+            f3, f5 = f5, 3 * f5 - f3
+            grown.append((grown[-1][1], f3, f5))
     steps = tuple(grown)
     if len(steps) > len(_STEPS):
         _STEPS = steps
@@ -58,6 +65,7 @@ def _steps_through(k: int = -1, n: int = 0, d: int = 1) -> Steps:
 
 def fibonacci_step(k: int) -> Tuple[int, int, int]:
     """(fib(2k+1), fib(2k+3), fib(2k+5)) of step k >= -1."""
+    integers(k)
     if k < -1:
         raise ValueError("index must be >= -1")
     return _steps_through(k)[k + 1]
@@ -65,6 +73,7 @@ def fibonacci_step(k: int) -> Tuple[int, int, int]:
 
 def fibonacci_outer_index(p: int, q: int) -> Optional[int]:
     """k >= -1 with (p, q) = (fib(2k+5), fib(2k+1)), or None."""
+    integers(p, q)
     # fib(2k+5) >= tau^(2k+3) = 2^(1.388 (k + 1.5)), which is above
     # 2^p.bit_length() > p once k >= 3 p.bit_length() / 4 - 1
     steps = _steps_through(3 * p.bit_length() // 4)
@@ -95,6 +104,7 @@ def weight_sequence(p: int, q: int) -> WeightSequence:
     coefficients of a, the weights are nonincreasing, start at 1, and their
     squares sum to a.
     """
+    integers(p, q)
     if q < 1 or p <= q:
         raise ValueError("need p > q >= 1")
     if math.gcd(p, q) != 1:
@@ -215,6 +225,7 @@ def _search(
 def enumerate_exceptional_classes(degree: int, max_length: int) -> Iterator[ExceptionalClass]:
     """All valid classes of the given degree with at most ``max_length`` positive
     multiplicities, by pruned search over nonincreasing tuples."""
+    integers(degree, max_length)
     for cls, _ in _search(degree, max_length):
         yield cls
 
@@ -233,6 +244,7 @@ def obstruction_sup(
     exceed the best ratio found so far (see ``_search``), and only the
     classes that would raise it are tested by Cremona reduction.
     """
+    integers(d_max)
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
     wt = weight_sequence(p, q)
@@ -261,7 +273,7 @@ class SqrtValue(Record):
     radicand: Fraction
 
     def __post_init__(self) -> None:
-        if self.radicand < 0:
+        if rational(self.radicand) < 0:
             raise ValueError("radicand must be nonnegative")
 
     def _sign_minus(self, other) -> Optional[int]:
@@ -317,8 +329,7 @@ WINDOW_HIGH = Fraction(7) + Fraction(1) + Fraction(1, 36)  # 8 + 1/36
 
 def exceeds_tau4(p: int, q: int) -> bool:
     """Exact test p/q > tau^4, via the larger root of x^2 - 7x + 1."""
-    if not (type(p) is type(q) is int):
-        raise ValueError(f"integer inputs expected, not {p!r}, {q!r}")
+    integers(p, q)
     if p < 1 or q < 1:
         raise ValueError("inputs must be positive")
     return _above_tau4(p, q)
@@ -356,7 +367,7 @@ def step_height(k: int) -> Fraction:
 
 def _aspect(a: Fraction) -> Tuple[Fraction, int, int]:
     """a as a Fraction with its numerator and denominator; a must be >= 1."""
-    a = Fraction(a)
+    a = rational(a)
     if a < 1:
         raise ValueError("aspect ratio must be >= 1")
     return a, a.numerator, a.denominator
@@ -444,7 +455,8 @@ def staircase_samples(
     step k, and the stabilized value is the ball value; beyond tau^4 the
     stabilized value is the folding bound.
     """
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = rational(lo), rational(hi)
+    integers(count)
     if count < 2 or hi <= lo:
         raise ValueError("need count >= 2 and hi > lo")
     _aspect(lo)

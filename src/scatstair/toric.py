@@ -226,6 +226,7 @@ def w_t0_inverse(m: Vec) -> Tuple[int, int]:
     On the quotient identifying (p, 0) with (0, p) the map is a bijection;
     axis classes are returned in the (p, 0) form.
     """
+    integers(*m)
     if m == (0, 0):
         raise ValueError("zero vector is not in the image")
     u, v = m

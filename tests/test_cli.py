@@ -3,15 +3,17 @@
 import contextlib
 import io
 import json
+import os
 import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from scatstair import cli, scattering
+from scatstair import cli, scattering, staircase
 from scatstair.curves import Classification
 
 
@@ -119,6 +121,54 @@ def test_staircase_window_behavior():
     assert payload["stabilized"] == "8/3"
     assert payload["volume"] == "sqrt(8)"
     run_cli("staircase", "--a", "8/1", "--value", "ball", expect=2)
+
+
+def test_staircase_answers_beyond_the_int_str_digit_limit(monkeypatch, capsys):
+    """A 2,600-digit a in the linear branch of step 6,000, a = f5/f1 - 1/(f1 q)
+    for (f1, f3, f5) = fibonacci_step(6000), has an exact value of 5,108/5,107
+    digits, more than CPython's default int/str limit of 4,300.  The CLI prints
+    it with exit 0 and restores the caller's limit on return."""
+    # the step table this test grows is dropped after it, so that the other
+    # tests' lookups do not bisect a table of 6,000 steps
+    monkeypatch.setattr(staircase, "_STEPS", staircase._STEPS)
+    f1, f3, f5 = staircase.fibonacci_step(6000)
+    q = pow(f5, -1, f1) + (10 ** 2599 // f1 + 1) * f1
+    p = (f5 * q - 1) // f1
+    assert len(str(p)) == len(str(q)) == 2600
+    getter = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    limit = getter()
+    assert cli.main(["staircase", "--a", f"{p}/{q}", "--value", "ball"]) == 0
+    assert getter() == limit
+    value = staircase.ball_embedding_value(Fraction(p, q))
+    assert value == Fraction(p * f1, q * f3)
+    out = capsys.readouterr().out
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert out == f"a: {p}/{q}\nball: {value}\n"
+        assert [len(part) for part in str(value).split("/")] == [5108, 5107]
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_staircase_step_10000_in_bounded_memory():
+    """The outer corner fib(20005)/fib(20001) of step 10,000 gets its value
+    fib(20005)/fib(20003) from a fresh interpreter, which doubles its step
+    table to 16,384 steps; the child's peak RSS, read through os.wait4, stays
+    under 64 MiB."""
+    num, den = staircase.fib(20005), staircase.fib(20001)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "scatstair", "staircase", "--a", f"{num}/{den}", "--value", "ball"],
+        stdout=subprocess.PIPE, text=True,
+    )
+    out = child.stdout.read()
+    child.stdout.close()
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    assert child.returncode == 0
+    assert out == f"a: {num}/{den}\nball: {num}/{staircase.fib(20003)}\n"
+    assert usage.ru_maxrss < 64 * 1024  # KiB
 
 
 def test_staircase_csv_range(tmp_path: Path):

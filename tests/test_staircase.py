@@ -210,9 +210,10 @@ def test_ball_value_samples():
     assert ball_embedding_value(WINDOW_HIGH) == SqrtValue(WINDOW_HIGH)
 
 
-# F(-1), F(0), F(1), ...: the Fibonacci numbers with F(-1) = 1, F(0) = 0.
+# F(-1), F(0), F(1), ...: the Fibonacci numbers with F(-1) = 1, F(0) = 0, far
+# enough for a step table doubled past step 1000 (2,048 steps).
 FIB = [1, 0]
-while len(FIB) < 2010:
+while len(FIB) < 4200:
     FIB.append(FIB[-1] + FIB[-2])
 
 
@@ -257,6 +258,20 @@ def test_ball_value_matches_fibonacci_min_form():
         # step k at the outer corner, step k - 1 at the inner corner
         assert ball_embedding_value(outer) == Fraction(F(2 * k + 5), F(2 * k + 3)), k
         assert ball_embedding_value(inner(k)) == Fraction(F(2 * k + 3), F(2 * k + 1)), k
+
+
+def test_ball_value_from_a_fresh_step_table(monkeypatch):
+    """From an empty step table, which a lookup doubles until its last corner
+    covers a, 1,000 seeded points inside steps -1..1000, in random order, have
+    the Fibonacci min-form values, and the table covering step 1000 has 1,024
+    steps."""
+    monkeypatch.setattr(staircase, "_STEPS", ((1, 1, 2),))
+    rng = random.Random(2000)
+    for _ in range(1000):
+        k = rng.randint(-1, 1000)
+        a = inner(k) + Fraction(rng.randint(0, 10 ** 9), 10 ** 9) * (inner(k + 1) - inner(k))
+        assert ball_embedding_value(a) == staircase_piece(a, k), (k, a)
+    assert len(staircase._STEPS) == 1024
 
 
 def test_fibonacci_outer_index_finds_exactly_the_outer_pairs(monkeypatch):
