@@ -9,7 +9,6 @@ returned as an exact :class:`SqrtValue` marker and compared by squaring.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from fractions import Fraction
@@ -31,36 +30,52 @@ def fib(i: int) -> int:
 
 
 # (fib(2k+1), fib(2k+3), fib(2k+5)) at index k + 1 for the steps k = -1, 0,
-# 1, ... computed so far, grown by fib(2k+7) = 3 fib(2k+5) - fib(2k+3).  It
-# only grows, and a grown table is built as a new tuple and rebound, so a
-# concurrent caller always holds a complete table and a lost race only loses
-# the other caller's growth.
+# 1, ... computed so far, grown by index with fib(2k+7) = 3 fib(2k+5) -
+# fib(2k+3) and searched by :func:`_step_of`.  It only grows, and a grown
+# table is built as a new tuple and rebound, so a concurrent caller always
+# holds a complete table and a lost race only loses the other caller's growth.
 Steps = Tuple[Tuple[int, int, int], ...]
 _STEPS: Steps = ((1, 1, 2),)
 
 
-def _steps_through(k: int = -1, n: int = 0, d: int = 1) -> Steps:
-    """The step table, grown until it holds step k and its last step k' has
-    inner_corner(k' + 1) = fib(2k'+5)^2/fib(2k'+3)^2 >= n/d; the latter ends
-    for any n/d < tau^4.
-
-    It grows by index, exactly to step k, or else to twice its length, until
-    its last corner covers n/d; only that corner is tested, so reaching step k
-    costs O(k) additions and O(log k) products."""
+def _steps_through(k: int) -> Steps:
+    """The step table, grown until it holds step k: O(k) additions."""
     global _STEPS
     steps = _STEPS
-    _, f3, f5 = steps[-1]
-    if len(steps) > k + 1 and n * f3 * f3 <= f5 * f5 * d:
+    if len(steps) > k + 1:
         return steps
     grown = list(steps)
-    while len(grown) <= k + 1 or n * f3 * f3 > f5 * f5 * d:
-        for _ in range(k + 2 - len(grown) if len(grown) <= k + 1 else len(grown)):
-            f3, f5 = f5, 3 * f5 - f3
-            grown.append((grown[-1][1], f3, f5))
+    _, f3, f5 = steps[-1]
+    while len(grown) <= k + 1:
+        f3, f5 = f5, 3 * f5 - f3
+        grown.append((grown[-1][1], f3, f5))
     steps = tuple(grown)
     if len(steps) > len(_STEPS):
         _STEPS = steps
     return steps
+
+
+def _step_of(n: int, d: int) -> Tuple[int, Tuple[int, int, int]]:
+    """The first step k >= -1 with n/d <= inner_corner(k + 1), and its table
+    entry, for positive n/d < tau^4.  It gallops from step -1: the table is
+    grown to the indices 0, 1, 3, 7, ... until one covers n/d, and that
+    bracket is bisected, so a lookup costs O(log k) products at its own step
+    k, however far the table has grown."""
+    lo, hi = 0, 0
+    while True:
+        steps = _steps_through(hi - 1)
+        _, f3, f5 = steps[hi]
+        if n * f3 * f3 <= f5 * f5 * d:
+            break
+        lo, hi = hi + 1, 2 * hi + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        _, f3, f5 = steps[mid]
+        if n * f3 * f3 <= f5 * f5 * d:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo - 1, steps[lo]
 
 
 def fibonacci_step(k: int) -> Tuple[int, int, int]:
@@ -72,14 +87,13 @@ def fibonacci_step(k: int) -> Tuple[int, int, int]:
 
 
 def fibonacci_outer_index(p: int, q: int) -> Optional[int]:
-    """k >= -1 with (p, q) = (fib(2k+5), fib(2k+1)), or None."""
+    """k >= -1 with (p, q) = (fib(2k+5), fib(2k+1)), or None.  Every outer
+    corner lies in (1, tau^4), and outer_corner(k) in step k of :func:`_step_of`."""
     integers(p, q)
-    # fib(2k+5) >= tau^(2k+3) = 2^(1.388 (k + 1.5)), which is above
-    # 2^p.bit_length() > p once k >= 3 p.bit_length() / 4 - 1
-    steps = _steps_through(3 * p.bit_length() // 4)
-    i = bisect.bisect_left(steps, p, key=lambda step: step[2])
-    f1, _, f5 = steps[i]
-    return i - 1 if (f5, f1) == (p, q) else None
+    if q < 1 or p <= q or _above_tau4(p, q):
+        return None
+    k, (f1, _, f5) = _step_of(p, q)
+    return k if (f5, f1) == (p, q) else None
 
 
 class WeightSequence(Record):
@@ -226,8 +240,7 @@ def enumerate_exceptional_classes(degree: int, max_length: int) -> Iterator[Exce
     """All valid classes of the given degree with at most ``max_length`` positive
     multiplicities, by pruned search over nonincreasing tuples."""
     integers(degree, max_length)
-    for cls, _ in _search(degree, max_length):
-        yield cls
+    return (cls for cls, _ in _search(degree, max_length))
 
 
 def obstruction_sup(
@@ -380,8 +393,8 @@ def ball_embedding_value(a: Fraction) -> StaircaseValue:
     [inner_corner(k), outer_corner(k)] and constant step_height(k) up to the
     next inner corner; (a + 1)/3 on [tau^4, 7]; the volume bound sqrt(a) from
     8 + 1/36 on; unspecified in between.  Below tau^4 the value is a lookup
-    in the shared step table that costs O(log k) at step k (see
-    :func:`_ball_below_tau4`).
+    in the shared step table that costs O(log k) at a's own step k (see
+    :func:`_step_of`).
     """
     a, n, d = _aspect(a)
     if _above_tau4(n, d):
@@ -390,23 +403,9 @@ def ball_embedding_value(a: Fraction) -> StaircaseValue:
 
 
 def _ball_below_tau4(n: int, d: int) -> Fraction:
-    """The ball value at a = n/d in [1, tau^4), n and d positive.
-
-    a is located in the step table (see :func:`_steps_through`): the table is
-    grown until its last step k has inner_corner(k + 1) >= a, and the first
-    such k is found by bisection, so a lookup costs O(log k) integer
-    cross-multiplications once the table reaches a's step.
-    """
-    steps = _steps_through(n=n, d=d)
-    lo, hi = 0, len(steps) - 1
-    while lo < hi:  # the first step k with a <= inner_corner(k + 1)
-        mid = (lo + hi) // 2
-        _, f3, f5 = steps[mid]
-        if n * f3 * f3 <= f5 * f5 * d:
-            hi = mid
-        else:
-            lo = mid + 1
-    f1, f3, f5 = steps[lo]
+    """The ball value at a = n/d in [1, tau^4), n and d positive, on the step
+    of a found by :func:`_step_of`."""
+    _, (f1, f3, f5) = _step_of(n, d)
     if n * f1 <= f5 * d:  # a <= outer_corner(k)
         return Fraction(n * f1, d * f3)
     return Fraction(f5, f3)
@@ -451,7 +450,7 @@ def staircase_samples(
     Row i has a = (lo (count - 1) + i (hi - lo)) / (count - 1), one integer
     numerator over the common denominator of lo, hi and count - 1, and one
     tau^4 sign test.  Below tau^4 the ball value is a lookup in the shared
-    step table (see :func:`_ball_below_tau4`), so a row costs O(log k) at
+    step table (see :func:`_step_of`), so a row costs O(log k) at its own
     step k, and the stabilized value is the ball value; beyond tau^4 the
     stabilized value is the folding bound.
     """

@@ -6,6 +6,7 @@ import json
 import os
 import random
 import re
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -123,14 +124,11 @@ def test_staircase_window_behavior():
     run_cli("staircase", "--a", "8/1", "--value", "ball", expect=2)
 
 
-def test_staircase_answers_beyond_the_int_str_digit_limit(monkeypatch, capsys):
+def test_staircase_answers_beyond_the_int_str_digit_limit(capsys):
     """A 2,600-digit a in the linear branch of step 6,000, a = f5/f1 - 1/(f1 q)
     for (f1, f3, f5) = fibonacci_step(6000), has an exact value of 5,108/5,107
     digits, more than CPython's default int/str limit of 4,300.  The CLI prints
     it with exit 0 and restores the caller's limit on return."""
-    # the step table this test grows is dropped after it, so that the other
-    # tests' lookups do not bisect a table of 6,000 steps
-    monkeypatch.setattr(staircase, "_STEPS", staircase._STEPS)
     f1, f3, f5 = staircase.fibonacci_step(6000)
     q = pow(f5, -1, f1) + (10 ** 2599 // f1 + 1) * f1
     p = (f5 * q - 1) // f1
@@ -152,23 +150,51 @@ def test_staircase_answers_beyond_the_int_str_digit_limit(monkeypatch, capsys):
             sys.set_int_max_str_digits(limit)
 
 
-def test_staircase_step_10000_in_bounded_memory():
-    """The outer corner fib(20005)/fib(20001) of step 10,000 gets its value
-    fib(20005)/fib(20003) from a fresh interpreter, which doubles its step
-    table to 16,384 steps; the child's peak RSS, read through os.wait4, stays
-    under 64 MiB."""
-    num, den = staircase.fib(20005), staircase.fib(20001)
+def run_measured(*args):
+    """Run the CLI in a child whose address space is capped at 512 MiB, and
+    return its exit code, its stdout and stderr and its peak RSS in KiB,
+    read through os.wait4 on that child."""
+    cap = 512 << 20
     child = subprocess.Popen(
-        [sys.executable, "-m", "scatstair", "staircase", "--a", f"{num}/{den}", "--value", "ball"],
-        stdout=subprocess.PIPE, text=True,
+        [sys.executable, "-m", "scatstair", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
     )
     out = child.stdout.read()
     child.stdout.close()
     _, status, usage = os.wait4(child.pid, 0)
     child.returncode = os.waitstatus_to_exitcode(status)
-    assert child.returncode == 0
+    return child.returncode, out, usage.ru_maxrss
+
+
+def test_staircase_step_10000_in_bounded_memory():
+    """The outer corner fib(20005)/fib(20001) of step 10,000 gets its value
+    fib(20005)/fib(20003) from a fresh interpreter, which grows its step table
+    to 16,384 steps; the child's peak RSS stays under 64 MiB."""
+    num, den = staircase.fib(20005), staircase.fib(20001)
+    code, out, peak_kib = run_measured("staircase", "--a", f"{num}/{den}", "--value", "ball")
+    assert code == 0, out[-2000:]
     assert out == f"a: {num}/{den}\nball: {num}/{staircase.fib(20003)}\n"
-    assert usage.ru_maxrss < 64 * 1024  # KiB
+    assert peak_kib < 64 * 1024
+
+
+@pytest.mark.parametrize(
+    "p, q, verdict",
+    [
+        (str(staircase.fib(20005)), str(staircase.fib(20001)), "fibonacci_outer(k=10000)"),
+        ("1" + "0" * 47999 + "1", "1", "supercritical"),  # 10^48000 + 1, beyond tau^4
+        ("5" + "0" * 47999 + "1", "2" + "0" * 48000, "not_realizable"),  # near 5/2, step -1
+    ],
+    ids=["step-10000", "48000-digits-supercritical", "48000-digits-near-5/2"],
+)
+def test_classify_in_bounded_memory(p, q, verdict):
+    """The outer pair of step 10,000, and 48,000-digit pairs decided at step
+    -1 of the step table or without it, are classified by a fresh interpreter
+    with a peak RSS under 64 MiB."""
+    code, out, peak_kib = run_measured("classify", "--p", p, "--q", q)
+    assert code == 0, out[-2000:]
+    assert f"verdict: {verdict}\n" in out
+    assert peak_kib < 64 * 1024
 
 
 def test_staircase_csv_range(tmp_path: Path):

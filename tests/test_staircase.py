@@ -98,6 +98,9 @@ def test_basic_classes_valid():
 def test_class_enumeration_degree_one_two():
     assert {c.multiplicities for c in enumerate_exceptional_classes(1, 9)} == {(1, 1)}
     assert {c.multiplicities for c in enumerate_exceptional_classes(2, 9)} == {(1,) * 5}
+    # the arguments are checked at the call, before the search is iterated
+    with pytest.raises(ValueError):
+        enumerate_exceptional_classes(2.5, 3)
 
 
 def test_enumerated_classes_satisfy_numerics():
@@ -211,7 +214,7 @@ def test_ball_value_samples():
 
 
 # F(-1), F(0), F(1), ...: the Fibonacci numbers with F(-1) = 1, F(0) = 0, far
-# enough for a step table doubled past step 1000 (2,048 steps).
+# enough for a step table grown past step 1000 (at most 2,048 steps).
 FIB = [1, 0]
 while len(FIB) < 4200:
     FIB.append(FIB[-1] + FIB[-2])
@@ -261,10 +264,10 @@ def test_ball_value_matches_fibonacci_min_form():
 
 
 def test_ball_value_from_a_fresh_step_table(monkeypatch):
-    """From an empty step table, which a lookup doubles until its last corner
-    covers a, 1,000 seeded points inside steps -1..1000, in random order, have
-    the Fibonacci min-form values, and the table covering step 1000 has 1,024
-    steps."""
+    """From an empty step table, which a lookup grows to the indices 0, 1, 3,
+    7, ... until one covers a, 1,000 seeded points inside steps -1..1000, in
+    random order, have the Fibonacci min-form values, and the table covering
+    step 1000 has 1,024 steps."""
     monkeypatch.setattr(staircase, "_STEPS", ((1, 1, 2),))
     rng = random.Random(2000)
     for _ in range(1000):
@@ -274,18 +277,56 @@ def test_ball_value_from_a_fresh_step_table(monkeypatch):
     assert len(staircase._STEPS) == 1024
 
 
+class RecordingSteps(tuple):
+    """A step table that records the indices read from it."""
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return super().__getitem__(i)
+
+
+def test_a_lookup_reads_the_table_near_its_own_step(monkeypatch):
+    """Once the table has grown past step 10,000, the lookups at 34/5, the
+    outer corner of step k = 2, read no index above 2 (k + 2) of it."""
+    staircase.fibonacci_step(10001)
+    table = RecordingSteps(staircase._STEPS)
+    table.read = []
+    monkeypatch.setattr(staircase, "_STEPS", table)
+    a = Fraction(34, 5)
+    assert ball_embedding_value(a) == stabilized_value(a) == Fraction(34, 13)
+    assert staircase_samples(a, a + 1, 2)[0][1] == Fraction(34, 13)
+    assert fibonacci_outer_index(34, 5) == 2
+    assert staircase._STEPS is table and len(table) > 10002
+    assert table.read and max(table.read) <= 2 * (2 + 2), table.read
+
+
 def test_fibonacci_outer_index_finds_exactly_the_outer_pairs(monkeypatch):
-    """From an empty step table, in random order: every lookup grows the table
-    far enough to decide, including p one past an outer numerator."""
+    """Only the pairs (F(2k+5), F(2k+1)) of the test's own Fibonacci list are
+    outer.  Pairs with q < 1 or p <= q and supercritical pairs are decided
+    without growing the step table; the others, in random order from an empty
+    step table, grow it far enough to decide, including p one past an outer
+    numerator and the multiples (2p, 2q)."""
     monkeypatch.setattr(staircase, "_STEPS", ((1, 1, 2),))
-    steps = list(range(-1, 301))
-    random.Random(301).shuffle(steps)
-    for k in steps:
-        p, q = F(2 * k + 5), F(2 * k + 1)
-        assert fibonacci_outer_index(p, q) == k
-        assert fibonacci_outer_index(p, q + 1) is None
-        assert fibonacci_outer_index(p, q - 1) is None
-        assert fibonacci_outer_index(p + 1, q) is None
+    outer = {(F(2 * k + 5), F(2 * k + 1)): k for k in range(-1, 301)}
+    rng = random.Random(301)
+    at_once = [(0, 1), (1, 1), (7, 1), (-2, -1)]
+    for p, q in outer:
+        at_once += [(q, p), (p, p), (p, 0), (p, -q), (-p, q), (-p, -q), (7 * q, q)]
+    for _ in range(1000):  # supercritical: p/q >= 7 > tau^4
+        q = rng.randint(1, 10 ** rng.randint(1, 60))
+        at_once.append((rng.randint(7 * q, 100 * q), q))
+    for p, q in at_once:
+        assert fibonacci_outer_index(p, q) is None, (p, q)
+    assert staircase._STEPS == ((1, 1, 2),)
+    pairs = []
+    for p, q in outer:
+        pairs += [(p, q), (p, q + 1), (p, q - 1), (p + 1, q), (2 * p, 2 * q)]
+    for _ in range(1000):  # 1 < p/q < 6 < tau^4
+        q = rng.randint(1, 10 ** rng.randint(1, 60))
+        pairs.append((rng.randint(q + 1, 6 * q), q))
+    rng.shuffle(pairs)
+    for p, q in pairs:
+        assert fibonacci_outer_index(p, q) == outer.get((p, q)), (p, q)
 
 
 # ---------------------------------------------------------------------------
