@@ -18,9 +18,10 @@ from .lattice import Vec, integers, mat_apply, primitive_part, rational
 from .staircase import exceeds_tau4, fibonacci_outer_index, fibonacci_step
 
 # Lattice generators of the reference model; the cross-check transports the
-# standard-lattice computation along them.
+# standard-lattice computation along them, by the matrix M with columns M1, M2.
 M1: Vec = (-1, -3)
 M2: Vec = (1, 0)
+M = ((M1[0], M2[0]), (M1[1], M2[1]))
 
 
 def _positive(*values) -> None:
@@ -91,9 +92,14 @@ class Classification:
     q: int
     verdict: str
     fibonacci_index: Optional[int]
-    diophantine: int
-    divisible_by_three: bool
-    coprime: bool
+
+    @property
+    def diophantine(self) -> int:
+        return diophantine_value(self.p, self.q)
+
+    @property
+    def divisible_by_three(self) -> bool:
+        return (self.p + self.q) % 3 == 0
 
     def realizable(self) -> bool:
         return self.verdict != NOT_REALIZABLE
@@ -111,7 +117,7 @@ class Classification:
             "fibonacci_index": self.fibonacci_index,
             "diophantine": self.diophantine,
             "divisible_by_three": self.divisible_by_three,
-            "coprime": self.coprime,
+            "coprime": True,  # classify_pair refuses every other pair
         }
 
 
@@ -133,15 +139,7 @@ def classify_pair(p: int, q: int) -> Classification:
         verdict = SUPERCRITICAL
     else:
         verdict = NOT_REALIZABLE
-    return Classification(
-        p=p,
-        q=q,
-        verdict=verdict,
-        fibonacci_index=k,
-        diophantine=diophantine_value(p, q),
-        divisible_by_three=(p + q) % 3 == 0,
-        coprime=True,
-    )
+    return Classification(p, q, verdict, k)
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +325,23 @@ class CrossCheckRow:
     p: int
     q: int
     rays: Tuple[Vec, ...]
-    native_rays: Tuple[Vec, ...]
-    grade: int
-    detected: bool
     log_coefficient: Fraction
     classification: Classification
+
+    @property
+    def detected(self) -> bool:
+        """Whether a wall carries the pair: its log coefficient is nonzero."""
+        return self.log_coefficient != 0
+
+    @property
+    def grade(self) -> int:
+        """a + b of each ray (a, b) of the pair, which is p - q."""
+        return self.p - self.q
+
+    @property
+    def native_rays(self) -> Tuple[Vec, ...]:
+        """The rays transported along (M1, M2)."""
+        return tuple(primitive_part(mat_apply(M, r))[0] for r in self.rays)
 
     def consistent(self) -> bool:
         return self.detected == self.classification.realizable()
@@ -341,8 +351,12 @@ class CrossCheckRow:
 class CrossCheckReport:
     order: int
     rows: Tuple[CrossCheckRow, ...]
-    agreement: bool
     native_spectrum: Tuple[Tuple[Vec, int, Fraction], ...]
+
+    @property
+    def agreement(self) -> bool:
+        """Whether every row's detection matches its verdict."""
+        return all(r.consistent() for r in self.rows)
 
     def reachable_pairs(self) -> List[Tuple[int, int]]:
         return sorted((r.p, r.q) for r in self.rows)
@@ -436,30 +450,12 @@ def scattering_cross_check(
                 continue
             by_pair.setdefault(pair, []).append((a, b))
 
-    M = ((M1[0], M2[0]), (M1[1], M2[1]))
     rows = []
     for (p, q), rays in sorted(by_pair.items()):
         coeffs = [log_coefficient(diagram, ray) for ray in rays]
-        nonzero = [c for c in coeffs if c != 0]
-        if nonzero and len(set(nonzero)) != 1:
+        nonzero = {c for c in coeffs if c != 0}
+        if len(nonzero) > 1:
             raise ConventionError(f"mirror rays of pair ({p},{q}) disagree: {coeffs}")
-        native_rays = tuple(primitive_part(mat_apply(M, r))[0] for r in rays)
-        rows.append(
-            CrossCheckRow(
-                p=p,
-                q=q,
-                rays=tuple(rays),
-                native_rays=native_rays,
-                grade=rays[0][0] + rays[0][1],
-                detected=bool(nonzero),
-                log_coefficient=nonzero[0] if nonzero else Fraction(0),
-                classification=classifier(p, q),
-            )
-        )
-    agreement = all(r.consistent() for r in rows)
-    return CrossCheckReport(
-        order=order,
-        rows=tuple(rows),
-        agreement=agreement,
-        native_spectrum=tuple(ray_spectrum(native)),
-    )
+        coeff = nonzero.pop() if nonzero else Fraction(0)
+        rows.append(CrossCheckRow(p, q, tuple(rays), coeff, classifier(p, q)))
+    return CrossCheckReport(order, tuple(rows), tuple(ray_spectrum(native)))

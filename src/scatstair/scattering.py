@@ -144,6 +144,7 @@ class ScatteringDiagram(Record):
 
     def wall_on_ray(self, direction: Vec) -> Optional[Wall]:
         """The outgoing wall on the ray ``direction``, or None."""
+        integers(*direction)
         for w in self.walls:
             if w.direction == direction and not w.incoming:
                 return w

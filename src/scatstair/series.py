@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from .lattice import Vec
+from .lattice import Vec, integers
 
 TermKey = Tuple[int, int, int]
 
@@ -125,6 +125,7 @@ class TruncatedSeries:
             )
 
     def coefficient(self, exponent: Vec, t_degree: int) -> Fraction:
+        integers(*exponent, t_degree)
         return self.terms.get((exponent[0], exponent[1], t_degree), Fraction(0))
 
     def constant_term(self) -> Fraction:
@@ -196,7 +197,7 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "TruncatedSeries":
-        if not isinstance(n, int):
+        if type(n) is not int:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)

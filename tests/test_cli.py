@@ -1,6 +1,7 @@
 """End-to-end command-line checks, including byte determinism and exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -15,7 +16,6 @@ from pathlib import Path
 import pytest
 
 from scatstair import cli, scattering, staircase
-from scatstair.curves import Classification
 
 
 def run_cli(*args, expect: int = 0):
@@ -303,15 +303,7 @@ def test_verify_negative_control(monkeypatch, capsys):
     def flipped(p, q):
         result = real(p, q)
         if (p, q) == (2, 1):
-            result = Classification(
-                p=result.p,
-                q=result.q,
-                verdict="not_realizable",
-                fibonacci_index=result.fibonacci_index,
-                diophantine=result.diophantine,
-                divisible_by_three=result.divisible_by_three,
-                coprime=result.coprime,
-            )
+            result = dataclasses.replace(result, verdict="not_realizable")
         return result
 
     monkeypatch.setattr(cli, "classify_pair", flipped)

@@ -1,5 +1,6 @@
 """Classification, symmetries, bounds, degenerations, and the cross-check."""
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -8,6 +9,9 @@ from fractions import Fraction
 import pytest
 
 from scatstair.curves import (
+    Classification,
+    CrossCheckReport,
+    CrossCheckRow,
     FIBONACCI_OUTER,
     NOT_REALIZABLE,
     SUPERCRITICAL,
@@ -315,8 +319,10 @@ INTEGER_FORMULAS = [
 ]
 
 # sha256 of the repr of every integer result below, recorded at the commit
-# before these functions checked their integer parameters
-INTEGER_RESULTS_DIGEST = "4f48ce5f1a50b8e3653c8b9d1d7d7c02df83d963cab3954382bbf1b92f49be45"
+# before these functions checked their integer parameters, and re-recorded
+# when Classification dropped its derived fields (only the 10 classify_pair
+# results changed)
+INTEGER_RESULTS_DIGEST = "ade3b808ac15cc0cb7f139f68373dade74362d4abd72ad1e332311b7b8489446"
 
 
 def _integer_formula_cases(seed=3141):
@@ -359,6 +365,10 @@ def test_degeneration_trivial_cases():
     assert degeneration_admissible((7, 3), [(7, 3)]) == (True, None)
     ok, _ = degeneration_admissible((5, 3), [(5, 3), (1, 1)])
     assert ok
+    with pytest.raises(ValueError, match="^need a positive target and a nonempty parts list$"):
+        degeneration_admissible((1, 1), [])
+    with pytest.raises(ValueError, match="^parts must be positive$"):
+        degeneration_admissible((1, 1), [(0, 1)])
 
 
 def test_degeneration_matches_grid_bruteforce():
@@ -440,6 +450,8 @@ def test_pair_ray_dictionary_fixed_points():
     assert ray_to_pair(0, 1) == (2, 1)        # mirror ray, same sorted pair
     assert ray_to_pair(1, 1) is None          # no coprime pair on the diagonal
     assert ray_to_pair(2, 1) is None          # nominal pair (3, 0) is not coprime
+    with pytest.raises(ValueError, match="^need a nonzero ray in the closed first quadrant$"):
+        ray_to_pair(-1, 0)
 
 
 def test_pair_ray_dictionary_roundtrip():
@@ -480,6 +492,8 @@ def test_cross_check_deeper_order():
     assert (14, 1) in detected
     undetected = set(report.reachable_pairs()) - detected
     assert {(17, 4), (20, 7), (23, 10)} <= undetected
+    for row in report.rows:  # the grade p - q is a + b on every ray of the pair
+        assert all(a + b == row.grade for a, b in row.rays)
 
 
 def test_cross_check_rejects_tiny_order():
@@ -491,12 +505,49 @@ def test_cross_check_negative_control():
     def corrupted(p, q):
         result = classify_pair(p, q)
         if (p, q) == (2, 1):
-            object.__setattr__(result, "verdict", NOT_REALIZABLE)
+            result = dataclasses.replace(result, verdict=NOT_REALIZABLE)
         return result
 
     report = scattering_cross_check(5, classifier=corrupted)
     assert not report.agreement
     assert (2, 1) in report.mismatches()
+
+
+def test_cross_check_report_derives_its_agreement_from_its_rows():
+    """A report built from rows with one verdict flipped disagrees, in its
+    agreement, its mismatches and its JSON: no stored copy can contradict the
+    rows."""
+    rows = list(scattering_cross_check(5).rows)
+    i = next(i for i, r in enumerate(rows) if (r.p, r.q) == (2, 1))
+    rows[i] = dataclasses.replace(
+        rows[i], classification=dataclasses.replace(rows[i].classification, verdict=NOT_REALIZABLE)
+    )
+    report = CrossCheckReport(5, tuple(rows), ())
+    assert report.agreement is False
+    assert report.mismatches() == [(2, 1)]
+    assert report.to_json()["agreement"] is False
+
+
+def test_cross_check_records_hold_only_what_their_producer_computed():
+    """The records' fields are the producer's outputs; detection, grade,
+    native rays, agreement and a pair's Diophantine facts are read-only
+    properties derived from them."""
+    fields = {
+        Classification: ("p", "q", "verdict", "fibonacci_index"),
+        CrossCheckRow: ("p", "q", "rays", "log_coefficient", "classification"),
+        CrossCheckReport: ("order", "rows", "native_spectrum"),
+    }
+    derived = {
+        Classification: ("diophantine", "divisible_by_three"),
+        CrossCheckRow: ("detected", "grade", "native_rays"),
+        CrossCheckReport: ("agreement",),
+    }
+    for cls, names in fields.items():
+        assert tuple(f.name for f in dataclasses.fields(cls)) == names
+        for name in derived[cls]:
+            assert isinstance(getattr(cls, name), property) and getattr(cls, name).fset is None
+        assert not hasattr(cls, "coprime")
+    assert Classification(2, 3, NOT_REALIZABLE, None).diophantine == -20
 
 
 def test_cross_check_mirror_disagreement_is_an_internal_fault(monkeypatch):

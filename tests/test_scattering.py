@@ -1127,6 +1127,8 @@ def test_change_of_lattice_rejects_colinear():
     S = pentagon(6)
     with pytest.raises(ValueError):
         change_of_lattice(S, (1, 1), (-1, -1))
+    with pytest.raises(ValueError, match="^lattice generators must be primitive$"):
+        change_of_lattice(S, (2, 2), (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -1138,6 +1140,12 @@ def test_log_coefficient_pentagon():
     assert log_coefficient(S, (1, 1)) == 1
     assert log_coefficient(S, (2, 1)) == 0  # no wall on that ray
     assert log_coefficient(S, (1, 0)) == 1
+    with pytest.raises(ValueError, match="^direction must be primitive$"):
+        log_coefficient(S, (2, 2))
+    assert S.wall_on_ray((1, 1)) is not None
+    for direction in ((True, True), (1.0, 1.0)):
+        with pytest.raises(ValueError, match="^integer input expected"):
+            S.wall_on_ray(direction)
 
 
 def test_log_coefficient_double_seed():

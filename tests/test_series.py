@@ -77,6 +77,8 @@ def test_sub_rejects_unsupported_operands(operand):
         f - operand
     with pytest.raises(TypeError, match="unsupported operand type.* for -:"):
         operand - f
+    with pytest.raises(TypeError, match=r"unsupported operand type.* for \*\* or pow\(\):"):
+        f ** operand
 
 
 def test_mul_examples():
@@ -257,7 +259,8 @@ def test_constructor_holds_exactly_what_it_is_given():
     int >= 1 raises ValueError instead of being dropped or converted, and so
     does a term beyond the order read by from_text or built by monomial.
     from_text also refuses a term given twice or with coefficient 0, as
-    from_records does, and reads "0", the text of the zero series, as it."""
+    from_records does, and reads "0", the text of the zero series, as it.
+    coefficient reads a term only at an int key."""
     rng = random.Random(2210)
     for _ in range(300):
         K = rng.randint(1, 7)
@@ -295,6 +298,11 @@ def test_constructor_holds_exactly_what_it_is_given():
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             TS.from_text(4, text)
     assert TS.from_text(4, "0") == TS(4) and TS(4).to_text() == "0"
+    f = TS.from_text(4, "1 + t*x")
+    assert f.coefficient((1, 0), 1) == 1
+    for exponent, t_degree in (((1.0, 0), 1), ((1, 0), True)):
+        with pytest.raises(ValueError, match="^integer input expected"):
+            f.coefficient(exponent, t_degree)
 
 
 def test_truncate_drops_high_terms():

@@ -18,6 +18,7 @@ from scatstair.staircase import (
     UNSPECIFIED,
     WINDOW_HIGH,
     ball_embedding_value,
+    cremona_reduces,
     enumerate_exceptional_classes,
     exceeds_tau4,
     fib,
@@ -57,6 +58,7 @@ def test_weight_sequence_17_5():
     )
     assert wt.multiplicities == (3, 2, 2)  # continued fraction of 17/5
     assert wt.square_sum() == Fraction(17, 5)
+    assert len(wt) == 7
 
 
 def test_weight_sequence_simple():
@@ -93,6 +95,10 @@ def test_basic_classes_valid():
     assert is_exceptional_class(ExceptionalClass(1, (1, 1)))
     assert is_exceptional_class(ExceptionalClass(2, (1, 1, 1, 1, 1)))
     assert not is_exceptional_class(ExceptionalClass(1, (1, 1, 1)))
+    assert not cremona_reduces(1, [2, 2, 2])  # the degree goes negative
+    # (0; -1) reduces, but a class needs nonnegative multiplicities
+    assert cremona_reduces(0, [-1])
+    assert not is_exceptional_class(ExceptionalClass(0, (-1,)))
 
 
 def test_class_enumeration_degree_one_two():
@@ -643,3 +649,6 @@ def test_samples_and_renderings():
     assert csv.splitlines()[0] == "a,ball,stabilized,folding"
     svg = staircase_svg(staircase_samples(Fraction(1), Fraction(9), 40), "input: range 1..9")
     assert svg.startswith("<svg") and "polyline" in svg
+    # on [1, 3] only the outer corner 2 is drawn: the inner corner 4 and the
+    # outer corner 5 lie past the range, and the loop stops at 5
+    assert staircase_svg(staircase_samples(1, 3, 5), "input: range 1..3").count("<circle") == 1

@@ -88,6 +88,8 @@ def test_elementary_transform_fixed_rays():
 def test_elementary_transform_needs_opposite_ray():
     with pytest.raises(ValueError):
         elementary_transform_fan([(1, 0), (0, 1)], 0)
+    with pytest.raises(ValueError, match="^fan rays must be primitive$"):
+        elementary_transform_fan([(2, 2), (-2, -2)], 0)
 
 
 @pytest.mark.parametrize("i", [-1, 4, 5])
@@ -520,6 +522,10 @@ def test_w_t0_inverse_roundtrip():
             if (p, q) == (0, 0):
                 continue
             assert w_t0_inverse(w_t0(p, q)) == quotient_rep(p, q)
+    # and every nonzero vector is in the image, so the inverse never misses
+    for m in itertools.product(range(-60, 61), repeat=2):
+        if m != (0, 0):
+            assert w_t0(*w_t0_inverse(m)) == m
 
 
 def test_w_t0_inverse_rejects_zero():
