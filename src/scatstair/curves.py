@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .lattice import Vec, integers, mat_apply, primitive_part, rational
+from .lattice import Vec, at_least, integers, mat_apply, primitive_part, rational
 from .staircase import exceeds_tau4, fibonacci_outer_index, fibonacci_step
 
 # Lattice generators of the reference model; the cross-check transports the
@@ -49,9 +49,7 @@ def double_point_count(d: int, p: int, q: int) -> Fraction:
 
 def unicuspidal_families(d_max: int) -> List[Tuple[str, int, int, int]]:
     """All members (tag, d, p, q) of the six classified families with d <= d_max."""
-    integers(d_max)
-    if d_max < 3:
-        raise ValueError("d_max must be at least 3")
+    at_least(d_max, 3, "d_max")
     out: List[Tuple[str, int, int, int]] = []
     for d in range(3, d_max + 1):
         out.append(("a", d, d, d - 1))
@@ -425,9 +423,7 @@ def scattering_cross_check(
     reachable below the truncation, scattering detection against the
     classifier's verdict.
     """
-    integers(order)
-    if order < 3:
-        raise ValueError("order must be at least 3")
+    at_least(order, 3, "order")
     # imported here, so that the rest of the curve layer loads without it
     from .scattering import (
         ConventionError,

@@ -1,6 +1,6 @@
-"""Rank-two lattice arithmetic: the integer and rational checks on numeric
-parameters, wedge products, quarter turns, primitive vectors and integer
-matrices of Z^2, and the ``a,b`` syntax of a vector."""
+"""Rank-two lattice arithmetic: the integer, bounded integer and rational
+checks on numeric parameters, wedge products, quarter turns, primitive
+vectors and integer matrices of Z^2, and the ``a,b`` syntax of a vector."""
 
 from __future__ import annotations
 
@@ -17,6 +17,14 @@ def integers(*values) -> None:
     for value in values:
         if type(value) is not int:
             raise ValueError(f"integer input expected, not {value!r}")
+
+
+def at_least(value, low: int, name: str) -> None:
+    """The one check on a bounded integer parameter: ``value`` is an ``int``
+    (not a ``bool``) and at least ``low``; otherwise ValueError names the
+    parameter and echoes the value."""
+    if type(value) is not int or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
 
 
 def rational(value) -> "Fraction":

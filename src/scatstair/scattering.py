@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._record import Record
-from .lattice import Vec, integers, is_primitive, mat_apply, primitive_part, wedge
+from .lattice import Vec, at_least, integers, is_primitive, mat_apply, primitive_part, wedge
 from .series import TruncatedSeries, read_int
 
 
@@ -117,8 +117,7 @@ class ScatteringDiagram(Record):
     walls: Tuple[Wall, ...]
 
     def __post_init__(self):
-        if type(self.order) is not int or self.order < 1:
-            raise ValueError(f"diagram truncation order must be an integer >= 1, not {self.order!r}")
+        at_least(self.order, 1, "diagram truncation order")
         walls = tuple(sorted(self.walls, key=_wall_key))
         rays = [(w.direction, w.incoming) for w in walls]
         for w, ray, before in zip(walls, rays, [None] + rays):
@@ -173,15 +172,12 @@ class ScatteringDiagram(Record):
 
 def initial_diagram(seeds: Sequence[Tuple[Vec, int]], order: int) -> ScatteringDiagram:
     """Diagram with incoming walls along -m labelled (1 + t z^m)^k; a repeated m sums its k."""
-    integers(order)
-    if order < 2:
-        raise ValueError(f"seed labels 1 + t*z^m need order >= 2, not {order}")
+    at_least(order, 2, "the order of seed labels 1 + t*z^m")
     exponents: Dict[Vec, int] = {}
     for m, k in seeds:
         if not is_primitive(m):
             raise ValueError(f"seed direction {m} is not primitive")
-        if type(k) is not int or k < 1:
-            raise ValueError(f"seed exponent {k!r} must be an integer >= 1")
+        at_least(k, 1, "seed exponent")
         exponents[m] = exponents.get(m, 0) + k
     walls = []
     for m, k in exponents.items():
@@ -574,9 +570,7 @@ def ks_complete(
     incoming walls' product.
     """
     if term_cap is not None:
-        integers(term_cap)
-        if term_cap < 0:
-            raise ValueError("term cap must be >= 0")
+        at_least(term_cap, 0, "term cap")
     K = diagram.order
     axis = _pruned_axis(diagram.walls)
     crossings = [_Crossing(w.direction, w.incoming, w.label, axis) for w in diagram.walls]
@@ -768,6 +762,10 @@ def diagram_to_svg(diagram: ScatteringDiagram, provenance: str) -> str:
     ]
     for wall in diagram.walls:
         a, b = wall.direction
+        # entries above 2^52 drop low bits, so that the squares fit a float
+        shift = max(abs(a), abs(b)).bit_length() - 53
+        if shift > 0:
+            a, b = a >> shift, b >> shift
         norm = (a * a + b * b) ** 0.5
         ux, uy = a / norm, b / norm
         x2 = center + scale * ux

@@ -5,10 +5,12 @@ module is exact.  A :class:`TruncatedSeries` is an element of the ring of
 Laurent polynomials in two variables x, y with a formal parameter t, known
 modulo t^K for a fixed truncation order K.  Terms are stored sparsely as a
 map (a, b, k) -> coefficient for the monomial x^a y^b t^k, with no zero
-coefficients and every k < K.  A series holds exactly what it is given: its
-constructor raises ValueError for any other term, for a coefficient that is
-not an ``int`` or a ``Fraction`` and for an order that is not an integer >= 1.
-Terms are dropped only by ``truncate`` and by the products' degree bounds.
+coefficients and every k < K.  The constructor keeps each nonzero term it is
+given, with an ``int`` coefficient stored as the equal ``Fraction``, and drops
+each zero one; it raises ValueError for a term outside 0 <= k < K, for a
+coefficient that is not an ``int`` or a ``Fraction`` and for an order that is
+not an integer >= 1.  Beyond zeros, terms are dropped only by ``truncate`` and
+by the products' degree bounds.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from .lattice import Vec, integers
+from .lattice import Vec, at_least, integers
 
 TermKey = Tuple[int, int, int]
 
@@ -68,8 +70,7 @@ class TruncatedSeries:
     __slots__ = ("order", "terms")
 
     def __init__(self, order: int, terms: Optional[Mapping[TermKey, Fraction]] = None):
-        if type(order) is not int or order < 1:
-            raise ValueError(f"truncation order must be an integer >= 1, not {order!r}")
+        at_least(order, 1, "truncation order")
         self.order = order
         self.terms = {}
         for (a, b, k), c in (terms or {}).items():

@@ -11,18 +11,17 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from ._record import Record
-from .lattice import integers, rational
+from .lattice import at_least, integers, rational
 
 
 def fib(i: int) -> int:
     """Fibonacci numbers with fib(-1) = 1, fib(0) = 0."""
-    integers(i)
-    if i < -1:
-        raise ValueError("index must be >= -1")
+    at_least(i, -1, "index")
     a, b = 1, 0
     for _ in range(i + 1):
         a, b = b, a + b
@@ -80,9 +79,7 @@ def _step_of(n: int, d: int) -> Tuple[int, Tuple[int, int, int]]:
 
 def fibonacci_step(k: int) -> Tuple[int, int, int]:
     """(fib(2k+1), fib(2k+3), fib(2k+5)) of step k >= -1."""
-    integers(k)
-    if k < -1:
-        raise ValueError("index must be >= -1")
+    at_least(k, -1, "step")
     return _steps_through(k)[k + 1]
 
 
@@ -257,9 +254,7 @@ def obstruction_sup(
     exceed the best ratio found so far (see ``_search``), and only the
     classes that would raise it are tested by Cremona reduction.
     """
-    integers(d_max)
-    if d_max < 1:
-        raise ValueError("d_max must be >= 1")
+    at_least(d_max, 1, "d_max")
     wt = weight_sequence(p, q)
     scaled = [int(w * q) for w in wt.weights]
     best = Fraction(0)
@@ -342,9 +337,8 @@ WINDOW_HIGH = Fraction(7) + Fraction(1) + Fraction(1, 36)  # 8 + 1/36
 
 def exceeds_tau4(p: int, q: int) -> bool:
     """Exact test p/q > tau^4, via the larger root of x^2 - 7x + 1."""
-    integers(p, q)
-    if p < 1 or q < 1:
-        raise ValueError("inputs must be positive")
+    at_least(p, 1, "p")
+    at_least(q, 1, "q")
     return _above_tau4(p, q)
 
 
@@ -455,9 +449,9 @@ def staircase_samples(
     stabilized value is the folding bound.
     """
     lo, hi = rational(lo), rational(hi)
-    integers(count)
-    if count < 2 or hi <= lo:
-        raise ValueError("need count >= 2 and hi > lo")
+    at_least(count, 2, "count")
+    if hi <= lo:
+        raise ValueError(f"hi = {hi} must be above lo = {lo}")
     _aspect(lo)
     span = count - 1
     den = math.lcm(lo.denominator, hi.denominator)
@@ -509,6 +503,8 @@ def staircase_svg(rows, provenance: str) -> str:
     folding curve, with the outer and inner corners in range marked.
     ``provenance``, the input echo, is required and goes in a comment."""
     lo, hi, count = rows[0][0], rows[-1][0], len(rows)
+    if hi > sys.float_info.max:
+        raise ValueError(f"range end {hi} is beyond the largest float and cannot be plotted")
     width, height = 640, 420
     pad = 40.0
     xs = [float(a) for a, *_ in rows]

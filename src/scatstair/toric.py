@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ._record import Record
-from .lattice import Matrix, Vec, integers, is_primitive, mat_apply, parse_vec, wedge
+from .lattice import Matrix, Vec, at_least, integers, is_primitive, mat_apply, parse_vec, wedge
 
 
 def half_shear(v: Vec, w: Vec) -> Vec:
@@ -175,9 +175,7 @@ def mutation_orbit(model: ToricModel, depth: int) -> List[OrbitNode]:
     """Breadth-first mutation words up to ``depth``, deduplicated by unordered
     GL(2, Z) equivalence: a mutation is kept when its ``_class_key`` is new.
     The seed appears first with the empty word."""
-    integers(depth)
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
+    at_least(depth, 0, "depth")
     nodes = [OrbitNode(model, ())]
     seen = {_class_key(model)}
     frontier = [nodes[0]]

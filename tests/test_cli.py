@@ -103,6 +103,10 @@ def test_scatter_svg_output(tmp_path: Path):
     )
     text = target.read_text()
     assert text.startswith("<svg") and "order: 6" in text
+    # a seed direction beyond float range is drawn, scaled down by a power of two
+    far = 2 * 10 ** 400
+    out = run_cli("scatter", "--m", f"{far},1", "--k", "1", "--order", "3", "--format", "svg")
+    assert out.stdout.endswith("</svg>\n") and f"t*x^{far}*y" in out.stdout
 
 
 def test_staircase_point_values():
@@ -206,6 +210,11 @@ def test_staircase_csv_range(tmp_path: Path):
     lines = target.read_text().splitlines()
     assert lines[0] == "a,ball,stabilized,folding"
     assert len(lines) == 18
+    # a range that ends beyond the largest float has exact rows but no plot
+    far = str(2 * 10 ** 400)
+    assert run_cli("staircase", "--range", "1", far, "--samples", "2", "--format", "csv").stdout.count("\n") == 3
+    out = run_cli("staircase", "--range", "1", far, "--samples", "2", "--format", "svg", expect=2)
+    assert out.stderr.startswith("error: range end ") and out.stdout == ""
 
 
 def test_classify_examples():

@@ -3,14 +3,16 @@
 
 A number parameter takes an ``int`` (not a ``bool``) where it is annotated
 ``int`` and an ``int`` or a ``Fraction`` where it is annotated ``Fraction``;
-``lattice.integers`` and ``lattice.rational`` own the two checks.  TYPES maps
-each annotation that a public callable uses to a seeded generator of valid
-values and to the wrong numbers that must be refused in it.  A callable is
-called on valid arguments, drawn until the call returns, and then once for
-each number inside each argument (vector entries, seed exponents, series terms
-and JSON fields included) replaced by each wrong number in turn; every such
-call must raise ValueError and leave the staircase's step table as it was.  A
-public callable with an annotation that TYPES does not know fails the test.
+``lattice.integers`` and ``lattice.rational`` own the two checks, and
+``lattice.at_least`` the lower bound of an integer parameter (BOUNDED lists
+every such parameter).  TYPES maps each annotation that a public callable
+uses to a seeded generator of valid values and to the wrong numbers that must
+be refused in it.  A callable is called on valid arguments, drawn until the
+call returns, and then once for each number inside each argument (vector
+entries, seed exponents, series terms and JSON fields included) replaced by
+each wrong number in turn; every such call must raise ValueError and leave the
+staircase's step table as it was.  A public callable with an annotation that
+TYPES does not know fails the test.
 
 The contract is about numbers: a wrong object type (a string for a diagram,
 say) may still raise TypeError or AttributeError.  Exception classes are not
@@ -31,18 +33,21 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 import scatstair
 from scatstair import staircase
 from scatstair._record import Record
-from scatstair.curves import classify_pair
-from scatstair.scattering import diagram_to_json, initial_diagram, ks_complete
+from scatstair.curves import classify_pair, scattering_cross_check, unicuspidal_families
+from scatstair.scattering import ScatteringDiagram, TermCapExceeded, diagram_to_json, initial_diagram, ks_complete
 from scatstair.series import TruncatedSeries
 from scatstair.staircase import ExceptionalClass
-from scatstair.toric import ToricModel
+from scatstair.toric import ToricModel, mutation_orbit
 
 WRONG = (2.5, 5.0, True, "3", math.inf)
 
@@ -203,11 +208,14 @@ def call(obj, args):
     return list(result) if inspect.isgenerator(result) else result
 
 
-def draw(name, obj, params, rng):
+def draw(name, obj, params, seed):
     """Valid arguments for ``obj`` from the TYPES generators, drawn until the
-    call returns, with the result."""
+    call returns, with the result.  Each parameter draws from its own stream,
+    so adding, removing or reordering one leaves the others' draws as they
+    were."""
+    rngs = [random.Random(f"{name}:{seed}:{param}") for param, _ in params]
     for _ in range(TRIES):
-        args = [TYPES[annotation][0](rng) for _, annotation in params]
+        args = [TYPES[annotation][0](rng) for (_, annotation), rng in zip(params, rngs)]
         try:
             return args, call(obj, args)
         except ValueError:
@@ -235,8 +243,7 @@ def numbers_refused(seeds, inf_only=False):
         wrong_numbers = [w for w in WRONG if (w == math.inf) == inf_only or not in_staircase]
         stores = stores_what_it_is_given(obj)
         for seed in seeds:
-            rng = random.Random(f"{name}:{seed}")
-            args, result = draw(name, obj, params, rng)
+            args, result = draw(name, obj, params, seed)
             results.append((name, result))
             for i, (param, annotation) in enumerate(params):
                 for bad in wrong_numbers if TYPES[annotation][1] else ():
@@ -291,9 +298,10 @@ def assert_numbers_refused(seeds):
 
 # sha256 of the repr of the valid results for seeds 0..2, recorded at the
 # commit before the staircase and rational parameters were checked, where 411
-# of the wrong calls leak, and re-recorded when the curves records dropped
-# their derived fields (CHANGES.md lists the 12 results that changed)
-RESULTS_DIGEST = "54356501348f396bc450307db224668d5884ccf55ec41532ef94a20eb94a86e8"
+# of the wrong calls leak, re-recorded when the curves records dropped their
+# derived fields (CHANGES.md lists the 12 results that changed), and again
+# when each parameter got its own stream of draws
+RESULTS_DIGEST = "1c1eedc329d34a7b02afc36170cf9f2ca6dbe37887961e34813257016121e273"
 
 
 def test_public_callables_refuse_wrong_numbers():
@@ -302,7 +310,7 @@ def test_public_callables_refuse_wrong_numbers():
     recorded before the checks existed."""
     results, refused = assert_numbers_refused(range(3))
     assert hashlib.sha256(repr(results).encode()).hexdigest() == RESULTS_DIGEST
-    assert refused == 3010
+    assert refused == 3305
 
 
 def test_every_annotation_has_a_generator():
@@ -316,3 +324,40 @@ def test_every_annotation_has_a_generator():
         return x
 
     assert unknown_annotations(unannotated) == [inspect.Parameter.empty, "complex"]
+
+
+# Every integer parameter with a lower bound, checked by lattice.at_least:
+# (callable, parameter name in the message, bound, the call with a value for
+# the parameter).  The corners and step_height read fibonacci_step's check.
+BOUNDED = (
+    ("TruncatedSeries", "truncation order", 1, TruncatedSeries),
+    ("ScatteringDiagram", "diagram truncation order", 1, lambda v: ScatteringDiagram(v, ())),
+    ("initial_diagram", "the order of seed labels 1 + t*z^m", 2, lambda v: initial_diagram([((1, 0), 1)], v)),
+    ("initial_diagram", "seed exponent", 1, lambda v: initial_diagram([((1, 0), v), ((0, 1), 1)], 3)),
+    ("ks_complete", "term cap", 0, lambda v: ks_complete(initial_diagram([((1, 0), 1), ((0, 1), 1)], 4), term_cap=v)),
+    ("fib", "index", -1, staircase.fib),
+    ("fibonacci_step", "step", -1, staircase.fibonacci_step),
+    ("outer_corner", "step", -1, staircase.outer_corner),
+    ("inner_corner", "step", -1, staircase.inner_corner),
+    ("step_height", "step", -1, staircase.step_height),
+    ("obstruction_sup", "d_max", 1, lambda v: staircase.obstruction_sup(5, 1, v)),
+    ("staircase_samples", "count", 2, lambda v: staircase.staircase_samples(1, 2, v)),
+    ("exceeds_tau4", "p", 1, lambda v: staircase.exceeds_tau4(v, 1)),
+    ("exceeds_tau4", "q", 1, lambda v: staircase.exceeds_tau4(1, v)),
+    ("unicuspidal_families", "d_max", 3, unicuspidal_families),
+    ("scattering_cross_check", "order", 3, scattering_cross_check),
+    ("mutation_orbit", "depth", 0, lambda v: mutation_orbit(ToricModel(((1, 0), (0, 1))), v)),
+)
+
+
+@pytest.mark.parametrize("name, low, run", [row[1:] for row in BOUNDED], ids=[f"{row[0]}-{row[1]}" for row in BOUNDED])
+def test_bounded_integers_are_refused_by_name_and_value(name, low, run):
+    """A value one below the bound and a float are refused with one message
+    that names the parameter and echoes the value; the bound itself passes."""
+    for value in (low - 1, 2.5):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer >= {low}, not {value!r}$"):
+            run(value)
+    try:
+        run(low)
+    except TermCapExceeded:  # a cap of 0 is valid, and reached at once
+        pass

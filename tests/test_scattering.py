@@ -432,7 +432,7 @@ def test_completion_term_cap():
 
 def test_completion_rejects_a_negative_term_cap():
     seeds = initial_diagram([((1, 0), 1), ((0, 1), 1)], 6)
-    with pytest.raises(ValueError, match="term cap must be >= 0"):
+    with pytest.raises(ValueError, match="^term cap must be an integer >= 0, not -1$"):
         ks_complete(seeds, term_cap=-1)
     with pytest.raises(TermCapExceeded):  # a cap of 0 is valid, and reached at once
         ks_complete(seeds, term_cap=0)
@@ -1378,14 +1378,14 @@ def test_diagram_json_rejects_corruptions():
 
 
 def test_seed_labels_need_order_two():
-    with pytest.raises(ValueError, match="^seed labels 1 \\+ t\\*z\\^m need order >= 2, not 1$"):
+    with pytest.raises(ValueError, match="^the order of seed labels 1 \\+ t\\*z\\^m must be an integer >= 2, not 1$"):
         initial_diagram([((1, 0), 1)], 1)
 
 
 def test_seed_exponents_must_be_positive_integers():
     """A seed exponent is an int >= 1; any other value is refused by name."""
     for k in (1.5, 2.0, Fraction(2), True, "2", 0, -1):
-        with pytest.raises(ValueError, match=f"^seed exponent {re.escape(repr(k))} must be an integer >= 1$"):
+        with pytest.raises(ValueError, match=f"^seed exponent must be an integer >= 1, not {re.escape(repr(k))}$"):
             initial_diagram([((1, 0), k), ((0, 1), 1)], 3)
     assert initial_diagram([((1, 0), 2)], 3).walls[0].label == TS.from_text(3, "1 + 2*t*x + t^2*x^2")
 

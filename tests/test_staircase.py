@@ -462,7 +462,7 @@ def test_corner_functions_read_the_step_table(monkeypatch):
         assert step_height(k) == Fraction(F(2 * k + 5), F(2 * k + 3)), k
     assert list(staircase._STEPS) == [(F(2 * k + 1), F(2 * k + 3), F(2 * k + 5)) for k in range(-1, 1001)]
     for corner in (outer_corner, inner_corner, step_height):
-        with pytest.raises(ValueError, match="index must be >= -1"):
+        with pytest.raises(ValueError, match="^step must be an integer >= -1, not -2$"):
             corner(-2)
 
 

@@ -385,6 +385,78 @@ def test_frame_match_places_the_second_vector():
 
 
 # ---------------------------------------------------------------------------
+# the exchange-matrix oracle (Fomin-Zelevinsky, Cluster algebras I, 2002):
+# integers and lists only, nothing from toric but the models compared
+
+
+def exchange_matrix(vectors):
+    """B_ij = m_i ^ m_j of blowup vectors m_1..m_n."""
+    return [[a * d - b * c for c, d in vectors] for a, b in vectors]
+
+
+def fz_mutation(B, k):
+    """Matrix mutation mu_k: B'_ij = -B_ij when k is i or j, else
+    B_ij + sgn(B_ik) * max(B_ik * B_kj, 0)."""
+    n = range(len(B))
+    return [
+        [
+            -B[i][j] if k in (i, j) else B[i][j] + ((B[i][k] > 0) - (B[i][k] < 0)) * max(B[i][k] * B[k][j], 0)
+            for j in n
+        ]
+        for i in n
+    ]
+
+
+def _sheared(vectors, k, negate, shear):
+    """vectors with m_k negated or kept and the others sent to
+    w + shear(w ^ m_k) * m_k: a stand-in for a faulty mutation."""
+    mk = vectors[k]
+    out = []
+    for s, (a, b) in enumerate(vectors):
+        if s == k:
+            out.append((-mk[0], -mk[1]) if negate else mk)
+        else:
+            c = shear(a * mk[1] - b * mk[0])
+            out.append((a + c * mk[0], b + c * mk[1]))
+    return out
+
+
+def _fz_models(count):
+    """Seeded lists of 2-5 primitive vectors with entries in [-6, 6]."""
+    rng = random.Random(2002)
+    models = []
+    for _ in range(count):
+        length, vectors = rng.randint(2, 5), []
+        while len(vectors) < length:
+            v = (rng.randint(-6, 6), rng.randint(-6, 6))
+            if math.gcd(*v) == 1:
+                vectors.append(v)
+        models.append(vectors)
+    return models
+
+
+def _fz_disagreements(mutation, models):
+    """How many models have an index k where B(mutation(model, k)) is not
+    mu_k(B(model))."""
+    return sum(
+        any(exchange_matrix(mutation(vectors, k)) != fz_mutation(exchange_matrix(vectors), k) for k in range(len(vectors)))
+        for vectors in models
+    )
+
+
+def test_mutation_is_exchange_matrix_mutation():
+    """On 3,000 seeded models, at every index, mutate turns B into mu_k(B).
+    A mutation that keeps m_k, and one that shears the others by the full
+    w + (w ^ m_k) * m_k, are caught on most models.  (The true mutation
+    followed by the transvection w -> w + (w ^ m_k) * m_k is not a control:
+    it is in SL(2, Z), so it gives the same B.)"""
+    models = _fz_models(3000)
+    assert _fz_disagreements(lambda vs, k: list(mutate(ToricModel(tuple(vs)), k + 1).vectors), models) == 0
+    assert _fz_disagreements(lambda vs, k: _sheared(vs, k, False, lambda c: max(c, 0)), models) == 2980
+    assert _fz_disagreements(lambda vs, k: _sheared(vs, k, True, lambda c: c), models) == 2253
+
+
+# ---------------------------------------------------------------------------
 # orbits
 
 
