@@ -24,15 +24,11 @@ M2: Vec = (1, 0)
 M = ((M1[0], M2[0]), (M1[1], M2[1]))
 
 
-def _positive(*values) -> None:
-    if min(values) <= 0:
-        raise ValueError("inputs must be positive")
-
-
 def curve_index(d: int, p: int, q: int) -> int:
     """Expected real dimension 2*(3d - p - q) of the constrained moduli space."""
-    integers(d, p, q)
-    _positive(d, p, q)
+    at_least(d, 1, "d")
+    at_least(p, 1, "p")
+    at_least(q, 1, "q")
     return 2 * (3 * d - p - q)
 
 
@@ -42,8 +38,9 @@ def double_point_count(d: int, p: int, q: int) -> Fraction:
     Realizable parameters require a nonnegative integer; the caller interprets
     anything else as non-realizability.
     """
-    integers(d, p, q)
-    _positive(d, p, q)
+    at_least(d, 1, "d")
+    at_least(p, 1, "p")
+    at_least(q, 1, "q")
     return Fraction((d - 1) * (d - 2) - (p - 1) * (q - 1), 2)
 
 
@@ -74,8 +71,8 @@ def unicuspidal_families(d_max: int) -> List[Tuple[str, int, int, int]]:
 
 def diophantine_value(p: int, q: int) -> int:
     """p^2 + q^2 - 7pq + 9; nonnegative exactly on realizable coprime parameters."""
-    integers(p, q)
-    _positive(p, q)
+    at_least(p, 1, "p")
+    at_least(q, 1, "q")
     return p * p + q * q - 7 * p * q + 9
 
 
@@ -207,9 +204,11 @@ def shift_decomposition_index(x: Fraction) -> int:
 
 def obstruction_lower_bound(p: int, q: int, area: Fraction) -> Fraction:
     """Lower bound p*q/area for the stabilized embedding function at (p, q)."""
-    integers(p, q)
+    at_least(p, 1, "p")
+    at_least(q, 1, "q")
     area = rational(area)
-    _positive(p, q, area)
+    if area <= 0:
+        raise ValueError(f"area must be a positive rational, not {area}")
     return Fraction(p * q) / area
 
 
@@ -217,9 +216,10 @@ def inflation_upper_bound(
     p: int, q: int, self_intersection: int, c: Fraction
 ) -> Optional[Fraction]:
     """The bound c when the class satisfies self_intersection >= p*q, else None."""
-    integers(p, q, self_intersection)
+    at_least(p, 1, "p")
+    at_least(q, 1, "q")
+    integers(self_intersection)
     c = rational(c)
-    _positive(p, q)
     if self_intersection >= p * q:
         return c
     return None
@@ -227,9 +227,11 @@ def inflation_upper_bound(
 
 def visible_area(r: Fraction, p: int, q: int) -> Fraction:
     """Area r*p*q of the visible curve over a slope-(p, q) segment of length scale r."""
-    integers(p, q)
+    at_least(p, 1, "p")
+    at_least(q, 1, "q")
     r = rational(r)
-    _positive(r, p, q)
+    if r <= 0:
+        raise ValueError(f"r must be a positive rational, not {r}")
     return r * p * q
 
 

@@ -28,59 +28,44 @@ def fib(i: int) -> int:
     return a
 
 
-# (fib(2k+1), fib(2k+3), fib(2k+5)) at index k + 1 for the steps k = -1, 0,
-# 1, ... computed so far, grown by index with fib(2k+7) = 3 fib(2k+5) -
-# fib(2k+3) and searched by :func:`_step_of`.  It only grows, and a grown
-# table is built as a new tuple and rebound, so a concurrent caller always
-# holds a complete table and a lost race only loses the other caller's growth.
-Steps = Tuple[Tuple[int, int, int], ...]
-_STEPS: Steps = ((1, 1, 2),)
-
-
-def _steps_through(k: int) -> Steps:
-    """The step table, grown until it holds step k: O(k) additions."""
-    global _STEPS
-    steps = _STEPS
-    if len(steps) > k + 1:
-        return steps
-    grown = list(steps)
-    _, f3, f5 = steps[-1]
-    while len(grown) <= k + 1:
-        f3, f5 = f5, 3 * f5 - f3
-        grown.append((grown[-1][1], f3, f5))
-    steps = tuple(grown)
-    if len(steps) > len(_STEPS):
-        _STEPS = steps
-    return steps
-
-
-def _step_of(n: int, d: int) -> Tuple[int, Tuple[int, int, int]]:
-    """The first step k >= -1 with n/d <= inner_corner(k + 1), and its table
-    entry, for positive n/d < tau^4.  It gallops from step -1: the table is
-    grown to the indices 0, 1, 3, 7, ... until one covers n/d, and that
-    bracket is bisected, so a lookup costs O(log k) products at its own step
-    k, however far the table has grown."""
-    lo, hi = 0, 0
-    while True:
-        steps = _steps_through(hi - 1)
-        _, f3, f5 = steps[hi]
-        if n * f3 * f3 <= f5 * f5 * d:
-            break
-        lo, hi = hi + 1, 2 * hi + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        _, f3, f5 = steps[mid]
-        if n * f3 * f3 <= f5 * f5 * d:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo - 1, steps[lo]
+def _fib_pair(n: int) -> Tuple[int, int]:
+    """(fib(n), fib(n + 1)) for n >= 0 by fast doubling, one bit of n at a
+    time: O(log n) products."""
+    a, b = 0, 1
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
+    return a, b
 
 
 def fibonacci_step(k: int) -> Tuple[int, int, int]:
     """(fib(2k+1), fib(2k+3), fib(2k+5)) of step k >= -1."""
     at_least(k, -1, "step")
-    return _steps_through(k)[k + 1]
+    f2, f3 = _fib_pair(2 * k + 2)
+    f1 = f3 - f2
+    return f1, f3, 3 * f3 - f1
+
+
+def _step_of(n: int, d: int) -> Tuple[int, Tuple[int, int, int]]:
+    """The first step k >= -1 with n/d <= inner_corner(k + 1), and its
+    :func:`fibonacci_step` triple, for positive n/d < tau^4.
+
+    The gap n^2 - 7nd + d^2 = d^2 (n/d - tau^4)(n/d - 1/tau^4) is a nonzero
+    integer, and tau^4 - n/d shrinks by a factor of about tau^4 per step, so
+    the bit lengths of the gap and of d estimate k, with 2777/1000 for
+    log2 tau^4 (within two steps on every point measured).  From there it
+    walks down by f1' = 3 f1 - f3 and up by f5' = 3 f5 - f3 on the exact
+    corner tests, so the answer is exact whatever the estimate.
+    """
+    gap = abs(n * n - 7 * n * d + d * d)
+    k = max(-1, (2 * d.bit_length() - gap.bit_length()) * 1000 // 2777 + 2)
+    f1, f3, f5 = fibonacci_step(k)
+    while k > -1 and n * f1 * f1 <= f3 * f3 * d:  # a <= inner_corner(k)
+        k, f1, f3, f5 = k - 1, 3 * f1 - f3, f1, f3
+    while n * f3 * f3 > f5 * f5 * d:  # a > inner_corner(k + 1)
+        k, f1, f3, f5 = k + 1, f3, f5, 3 * f5 - f3
+    return k, (f1, f3, f5)
 
 
 def fibonacci_outer_index(p: int, q: int) -> Optional[int]:
@@ -386,9 +371,9 @@ def ball_embedding_value(a: Fraction) -> StaircaseValue:
     Piecewise on [1, tau^4]: linear a * fib(2k+1)/fib(2k+3) on
     [inner_corner(k), outer_corner(k)] and constant step_height(k) up to the
     next inner corner; (a + 1)/3 on [tau^4, 7]; the volume bound sqrt(a) from
-    8 + 1/36 on; unspecified in between.  Below tau^4 the value is a lookup
-    in the shared step table that costs O(log k) at a's own step k (see
-    :func:`_step_of`).
+    8 + 1/36 on; unspecified in between.  Below tau^4 the value comes from the
+    Fibonacci numbers of a's own step k (see :func:`_step_of`), which cost
+    O(log k) products and are kept nowhere.
     """
     a, n, d = _aspect(a)
     if _above_tau4(n, d):
@@ -397,8 +382,8 @@ def ball_embedding_value(a: Fraction) -> StaircaseValue:
 
 
 def _ball_below_tau4(n: int, d: int) -> Fraction:
-    """The ball value at a = n/d in [1, tau^4), n and d positive, on the step
-    of a found by :func:`_step_of`."""
+    """The ball value at a = n/d in [1, tau^4), n and d positive, from the
+    Fibonacci numbers of a's step, found by :func:`_step_of`."""
     _, (f1, f3, f5) = _step_of(n, d)
     if n * f1 <= f5 * d:  # a <= outer_corner(k)
         return Fraction(n * f1, d * f3)
@@ -443,10 +428,10 @@ def staircase_samples(
 
     Row i has a = (lo (count - 1) + i (hi - lo)) / (count - 1), one integer
     numerator over the common denominator of lo, hi and count - 1, and one
-    tau^4 sign test.  Below tau^4 the ball value is a lookup in the shared
-    step table (see :func:`_step_of`), so a row costs O(log k) at its own
-    step k, and the stabilized value is the ball value; beyond tau^4 the
-    stabilized value is the folding bound.
+    tau^4 sign test.  Below tau^4 the ball value comes from the row's own
+    step k (see :func:`_step_of`), so a row costs O(log k) products whatever
+    the other rows are, and the stabilized value is the ball value; beyond
+    tau^4 the stabilized value is the folding bound.
     """
     lo, hi = rational(lo), rational(hi)
     at_least(count, 2, "count")

@@ -2,12 +2,11 @@
 
 import contextlib
 import dataclasses
+import functools
 import io
 import json
-import os
 import random
 import re
-import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -154,51 +153,86 @@ def test_staircase_answers_beyond_the_int_str_digit_limit(capsys):
             sys.set_int_max_str_digits(limit)
 
 
+# Forks the CLI given by argv[1:] with its address space capped at 512 MiB,
+# waits for it and prints its exit code and peak RSS in KiB, read through
+# os.wait4 on it.  A child's peak RSS starts at the peak of the process it
+# was forked from, so the CLI is forked from this small process, not from the
+# test process.
+MEASURE = """
+import os, resource, sys
+pid = os.fork()
+if pid == 0:
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+    os.execv(sys.executable, [sys.executable, "-m", "scatstair", *sys.argv[1:]])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
 def run_measured(*args):
     """Run the CLI in a child whose address space is capped at 512 MiB, and
-    return its exit code, its stdout and stderr and its peak RSS in KiB,
-    read through os.wait4 on that child."""
-    cap = 512 << 20
-    child = subprocess.Popen(
-        [sys.executable, "-m", "scatstair", *args],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
-    )
-    out = child.stdout.read()
-    child.stdout.close()
-    _, status, usage = os.wait4(child.pid, 0)
-    child.returncode = os.waitstatus_to_exitcode(status)
-    return child.returncode, out, usage.ru_maxrss
+    return its exit code, its stdout and stderr and its peak RSS in KiB."""
+    lines = subprocess.run(
+        [sys.executable, "-c", MEASURE, *args],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, check=True,
+    ).stdout.splitlines(keepends=True)
+    code, peak_kib = map(int, lines.pop().split())
+    return code, "".join(lines), peak_kib
 
 
-def test_staircase_step_10000_in_bounded_memory():
-    """The outer corner fib(20005)/fib(20001) of step 10,000 gets its value
-    fib(20005)/fib(20003) from a fresh interpreter, which grows its step table
-    to 16,384 steps; the child's peak RSS stays under 64 MiB."""
-    num, den = staircase.fib(20005), staircase.fib(20001)
-    code, out, peak_kib = run_measured("staircase", "--a", f"{num}/{den}", "--value", "ball")
+@pytest.fixture
+def unlimited_digits():
+    """CPython's int<->str digit limit lifted while the test runs, where there
+    is one."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    yield
+    if limit:
+        sys.set_int_max_str_digits(limit)
+
+
+@functools.cache
+def odd_fibonacci(k):
+    """(fib(2k+1), fib(2k+3), fib(2k+5)) of step k, from the plain loop of fib."""
+    f1, f2 = staircase.fib(2 * k + 1), staircase.fib(2 * k + 2)
+    return f1, f1 + f2, 2 * f1 + 3 * f2
+
+
+@pytest.mark.parametrize("k", [10000, 20000, 100000])
+def test_staircase_deep_outer_corners_in_bounded_memory(k, unlimited_digits):
+    """The outer corner fib(2k+5)/fib(2k+1) of step k gets its value
+    fib(2k+5)/fib(2k+3) from a fresh interpreter with a peak RSS under 32 MiB;
+    at step 100,000 the argument has 83,598 characters."""
+    f1, f3, f5 = odd_fibonacci(k)
+    code, out, peak_kib = run_measured("staircase", "--a", f"{f5}/{f1}", "--value", "ball")
     assert code == 0, out[-2000:]
-    assert out == f"a: {num}/{den}\nball: {num}/{staircase.fib(20003)}\n"
-    assert peak_kib < 64 * 1024
+    assert out == f"a: {f5}/{f1}\nball: {f5}/{f3}\n"
+    assert peak_kib < 32 * 1024
 
 
 @pytest.mark.parametrize(
-    "p, q, verdict",
-    [
-        (str(staircase.fib(20005)), str(staircase.fib(20001)), "fibonacci_outer(k=10000)"),
-        ("1" + "0" * 47999 + "1", "1", "supercritical"),  # 10^48000 + 1, beyond tau^4
-        ("5" + "0" * 47999 + "1", "2" + "0" * 48000, "not_realizable"),  # near 5/2, step -1
+    "pair, verdict",
+    [  # a step k stands for its outer pair (fib(2k+5), fib(2k+1))
+        (10000, "fibonacci_outer(k=10000)"),
+        (20000, "fibonacci_outer(k=20000)"),
+        (100000, "fibonacci_outer(k=100000)"),
+        (("1" + "0" * 47999 + "1", "1"), "supercritical"),  # 10^48000 + 1, beyond tau^4
+        (("5" + "0" * 47999 + "1", "2" + "0" * 48000), "not_realizable"),  # near 5/2, step -1
     ],
-    ids=["step-10000", "48000-digits-supercritical", "48000-digits-near-5/2"],
+    ids=["step-10000", "step-20000", "step-100000", "48000-digits-supercritical", "48000-digits-near-5/2"],
 )
-def test_classify_in_bounded_memory(p, q, verdict):
-    """The outer pair of step 10,000, and 48,000-digit pairs decided at step
-    -1 of the step table or without it, are classified by a fresh interpreter
-    with a peak RSS under 64 MiB."""
-    code, out, peak_kib = run_measured("classify", "--p", p, "--q", q)
+def test_classify_in_bounded_memory(pair, verdict, unlimited_digits):
+    """The outer pairs of steps 10,000, 20,000 and 100,000, and 48,000-digit
+    pairs decided at step -1 or beyond tau^4, are classified by a fresh
+    interpreter with a peak RSS under 32 MiB."""
+    if isinstance(pair, int):
+        f1, _, f5 = odd_fibonacci(pair)
+        pair = (str(f5), str(f1))
+    code, out, peak_kib = run_measured("classify", "--p", pair[0], "--q", pair[1])
     assert code == 0, out[-2000:]
     assert f"verdict: {verdict}\n" in out
-    assert peak_kib < 64 * 1024
+    assert peak_kib < 32 * 1024
 
 
 def test_staircase_csv_range(tmp_path: Path):

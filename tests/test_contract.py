@@ -10,9 +10,11 @@ uses to a seeded generator of valid values and to the wrong numbers that must
 be refused in it.  A callable is called on valid arguments, drawn until the
 call returns, and then once for each number inside each argument (vector
 entries, seed exponents, series terms and JSON fields included) replaced by
-each wrong number in turn; every such call must raise ValueError and leave the
-staircase's step table as it was.  A public callable with an annotation that
-TYPES does not know fails the test.
+each wrong number in turn; every such call must raise ValueError.  No call,
+valid or refused, may add, remove or rebind a name of the staircase module,
+and the module holds no list, dict or set, so no call can leave state behind
+for the next.  A public callable with an annotation that TYPES does not know
+fails the test.
 
 The contract is about numbers: a wrong object type (a string for a diagram,
 say) may still raise TypeError or AttributeError.  Exception classes are not
@@ -22,8 +24,8 @@ and ``CrossCheckReport``) store what they are given: the test checks that they
 do, field by field.
 
 The infinite cases of the staircase layer run in a child process whose
-address space is capped, so that a call that grows the step table without end
-fails the test there instead of exhausting the machine's memory.
+address space is capped, so that a call that computes without end fails the
+test there instead of exhausting the machine's memory.
 """
 
 import dataclasses
@@ -43,7 +45,17 @@ import pytest
 import scatstair
 from scatstair import staircase
 from scatstair._record import Record
-from scatstair.curves import classify_pair, scattering_cross_check, unicuspidal_families
+from scatstair.curves import (
+    classify_pair,
+    curve_index,
+    diophantine_value,
+    double_point_count,
+    inflation_upper_bound,
+    obstruction_lower_bound,
+    scattering_cross_check,
+    unicuspidal_families,
+    visible_area,
+)
 from scatstair.scattering import ScatteringDiagram, TermCapExceeded, diagram_to_json, initial_diagram, ks_complete
 from scatstair.series import TruncatedSeries
 from scatstair.staircase import ExceptionalClass
@@ -208,6 +220,13 @@ def call(obj, args):
     return list(result) if inspect.isgenerator(result) else result
 
 
+def changed_names(before):
+    """The names of the staircase module added, removed or rebound since
+    ``before``, a copy of its namespace."""
+    now = vars(staircase)
+    return sorted(now.keys() ^ before.keys() | {n for n in now.keys() & before.keys() if now[n] is not before[n]})
+
+
 def draw(name, obj, params, seed):
     """Valid arguments for ``obj`` from the TYPES generators, drawn until the
     call returns, with the result.  Each parameter draws from its own stream,
@@ -228,10 +247,14 @@ def numbers_refused(seeds, inf_only=False):
     number in each argument replaced by each wrong number in turn.  The
     infinite cases of the staircase layer are left out, or, with ``inf_only``,
     are the only cases run.  Returns the valid results, the number of refused
-    calls and the leaks: unknown annotations, and wrong calls that did not
-    raise ValueError (or, for a record that stores what it is given, did not
-    store it) or that changed the length of the step table."""
+    calls and the leaks: unknown annotations, wrong calls that did not raise
+    ValueError (or, for a record that stores what it is given, did not store
+    it), calls that changed the staircase module's names, and a list, dict or
+    set held by that module."""
     results, refused, leaks = [], 0, []
+    namespace = dict(vars(staircase))
+    leaks += [f"staircase.{n} is a {type(v).__name__}" for n, v in namespace.items()
+              if not n.startswith("__") and isinstance(v, (list, dict, set))]
     for name, obj in public_callables().items():
         in_staircase = getattr(obj, "__module__", None) == staircase.__name__
         if inf_only and not in_staircase:
@@ -245,12 +268,13 @@ def numbers_refused(seeds, inf_only=False):
         for seed in seeds:
             args, result = draw(name, obj, params, seed)
             results.append((name, result))
+            if changed_names(namespace):
+                leaks.append(f"valid calls of {name} (seed {seed}) changed staircase.{changed_names(namespace)}")
             for i, (param, annotation) in enumerate(params):
                 for bad in wrong_numbers if TYPES[annotation][1] else ():
                     for new in swaps(args[i], bad):
                         wrong_args = args[:i] + [new] + args[i + 1:]
                         case = f"{name} with {param}={repr(new)[:60]} (seed {seed})"
-                        steps = len(staircase._STEPS)
                         try:
                             got = call(obj, wrong_args)
                         except ValueError:
@@ -261,8 +285,8 @@ def numbers_refused(seeds, inf_only=False):
                             fields = zip(params, wrong_args)
                             if not (stores and all(getattr(got, f) is a for (f, _), a in fields)):
                                 leaks.append(f"{case} returned {repr(got)[:60]}")
-                        if len(staircase._STEPS) != steps:
-                            leaks.append(f"{case} grew the step table to {len(staircase._STEPS)}")
+                        if changed_names(namespace):
+                            leaks.append(f"{case} changed staircase.{changed_names(namespace)}")
     return results, refused, leaks
 
 
@@ -345,6 +369,20 @@ BOUNDED = (
     ("exceeds_tau4", "p", 1, lambda v: staircase.exceeds_tau4(v, 1)),
     ("exceeds_tau4", "q", 1, lambda v: staircase.exceeds_tau4(1, v)),
     ("unicuspidal_families", "d_max", 3, unicuspidal_families),
+    ("curve_index", "d", 1, lambda v: curve_index(v, 1, 1)),
+    ("curve_index", "p", 1, lambda v: curve_index(1, v, 1)),
+    ("curve_index", "q", 1, lambda v: curve_index(1, 1, v)),
+    ("double_point_count", "d", 1, lambda v: double_point_count(v, 1, 1)),
+    ("double_point_count", "p", 1, lambda v: double_point_count(1, v, 1)),
+    ("double_point_count", "q", 1, lambda v: double_point_count(1, 1, v)),
+    ("diophantine_value", "p", 1, lambda v: diophantine_value(v, 1)),
+    ("diophantine_value", "q", 1, lambda v: diophantine_value(1, v)),
+    ("obstruction_lower_bound", "p", 1, lambda v: obstruction_lower_bound(v, 1, 1)),
+    ("obstruction_lower_bound", "q", 1, lambda v: obstruction_lower_bound(1, v, 1)),
+    ("inflation_upper_bound", "p", 1, lambda v: inflation_upper_bound(v, 1, 1, 1)),
+    ("inflation_upper_bound", "q", 1, lambda v: inflation_upper_bound(1, v, 1, 1)),
+    ("visible_area", "p", 1, lambda v: visible_area(1, v, 1)),
+    ("visible_area", "q", 1, lambda v: visible_area(1, 1, v)),
     ("scattering_cross_check", "order", 3, scattering_cross_check),
     ("mutation_orbit", "depth", 0, lambda v: mutation_orbit(ToricModel(((1, 0), (0, 1))), v)),
 )

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -273,18 +274,22 @@ def test_visible_area():
         visible_area(Fraction(0), 1, 1)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: curve_index(0, 1, 1),
-    lambda: double_point_count(1, -1, 1),
-    lambda: diophantine_value(1, 0),
-    lambda: obstruction_lower_bound(0, 1, Fraction(1)),
-    lambda: obstruction_lower_bound(13, 2, 0),
-    lambda: obstruction_lower_bound(13, 2, -1),
-    lambda: inflation_upper_bound(1, 0, 1, Fraction(1)),
-    lambda: visible_area(Fraction(-1, 2), 1, 1),
-])
+# (a call with one nonpositive input, the refusal that names it and its value)
+NONPOSITIVE = [
+    (lambda: curve_index(0, 1, 1), "d must be an integer >= 1, not 0"),
+    (lambda: double_point_count(1, -1, 1), "p must be an integer >= 1, not -1"),
+    (lambda: diophantine_value(1, 0), "q must be an integer >= 1, not 0"),
+    (lambda: obstruction_lower_bound(0, 1, Fraction(1)), "p must be an integer >= 1, not 0"),
+    (lambda: obstruction_lower_bound(13, 2, 0), "area must be a positive rational, not 0"),
+    (lambda: obstruction_lower_bound(13, 2, -1), "area must be a positive rational, not -1"),
+    (lambda: inflation_upper_bound(1, 0, 1, Fraction(1)), "q must be an integer >= 1, not 0"),
+    (lambda: visible_area(Fraction(-1, 2), 1, 1), "r must be a positive rational, not -1/2"),
+]
+
+
+@pytest.mark.parametrize("call", [call for call, _ in NONPOSITIVE])
 def test_nonpositive_inputs_rejected(call):
-    with pytest.raises(ValueError, match="^inputs must be positive$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(dict(NONPOSITIVE)[call])}$"):
         call()
 
 

@@ -1,10 +1,12 @@
 """Weight sequences, exceptional classes, and the embedding staircase."""
 
+import bisect
 import copy
 import json
 import math
 import pickle
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -94,6 +96,7 @@ def test_weight_sequence_random_invariants():
 def test_basic_classes_valid():
     assert is_exceptional_class(ExceptionalClass(1, (1, 1)))
     assert is_exceptional_class(ExceptionalClass(2, (1, 1, 1, 1, 1)))
+    assert is_exceptional_class(ExceptionalClass(1, (1, 1, 0)))  # a zero multiplicity is allowed
     assert not is_exceptional_class(ExceptionalClass(1, (1, 1, 1)))
     assert not cremona_reduces(1, [2, 2, 2])  # the degree goes negative
     # (0; -1) reduces, but a class needs nonnegative multiplicities
@@ -220,7 +223,7 @@ def test_ball_value_samples():
 
 
 # F(-1), F(0), F(1), ...: the Fibonacci numbers with F(-1) = 1, F(0) = 0, far
-# enough for a step table grown past step 1000 (at most 2,048 steps).
+# enough for the steps up to 2,000.
 FIB = [1, 0]
 while len(FIB) < 4200:
     FIB.append(FIB[-1] + FIB[-2])
@@ -269,50 +272,64 @@ def test_ball_value_matches_fibonacci_min_form():
         assert ball_embedding_value(inner(k)) == Fraction(F(2 * k + 3), F(2 * k + 1)), k
 
 
-def test_ball_value_from_a_fresh_step_table(monkeypatch):
-    """From an empty step table, which a lookup grows to the indices 0, 1, 3,
-    7, ... until one covers a, 1,000 seeded points inside steps -1..1000, in
-    random order, have the Fibonacci min-form values, and the table covering
-    step 1000 has 1,024 steps."""
-    monkeypatch.setattr(staircase, "_STEPS", ((1, 1, 2),))
+def test_ball_value_at_seeded_points_and_beside_every_corner():
+    """1,000 seeded points inside steps -1..1000, in random order, and every
+    outer and inner corner of steps -1..699 with the points 10^-30, and
+    10^-30 of its step's width, to either side of it, have the Fibonacci
+    min-form values (a point beyond tau^4 the value (a + 1)/3).  So the step
+    search lands on the step of the test's own corners from either side, and
+    walks to it from its estimate both down and up."""
     rng = random.Random(2000)
     for _ in range(1000):
         k = rng.randint(-1, 1000)
         a = inner(k) + Fraction(rng.randint(0, 10 ** 9), 10 ** 9) * (inner(k + 1) - inner(k))
         assert ball_embedding_value(a) == staircase_piece(a, k), (k, a)
-    assert len(staircase._STEPS) == 1024
+    inners = [inner(k) for k in range(0, 701)]
+    for k in range(-1, 700):
+        offsets = (Fraction(1, 10 ** 30), (inner(k + 1) - inner(k)) / 10 ** 30)
+        for corner in (Fraction(F(2 * k + 5), F(2 * k + 1)), inner(k)):
+            for a in {corner} | {corner + sign * eps for sign in (-1, 1) for eps in offsets}:
+                if a < 1:
+                    continue
+                if not below_tau_fourth(a):
+                    assert ball_embedding_value(a) == (a + 1) / 3, (k, a)
+                    continue
+                step = bisect.bisect_left(inners, a) - 1  # the first step with a <= inner(step + 1)
+                assert ball_embedding_value(a) == staircase_piece(a, step), (k, a)
 
 
-class RecordingSteps(tuple):
-    """A step table that records the indices read from it."""
-
-    def __getitem__(self, i):
-        self.read.append(i)
-        return super().__getitem__(i)
-
-
-def test_a_lookup_reads_the_table_near_its_own_step(monkeypatch):
-    """Once the table has grown past step 10,000, the lookups at 34/5, the
-    outer corner of step k = 2, read no index above 2 (k + 2) of it."""
-    staircase.fibonacci_step(10001)
-    table = RecordingSteps(staircase._STEPS)
-    table.read = []
-    monkeypatch.setattr(staircase, "_STEPS", table)
+def test_no_call_changes_the_staircase_namespace():
+    """Valid and refused calls, deep lookups at step 10,000 included, add,
+    remove and rebind no name of the staircase module, which holds no list,
+    dict or set: a lookup reads nothing that an earlier call left behind."""
+    before = dict(vars(staircase))
+    f1, f3, f5 = fib(20001), fib(20003), fib(20005)
+    assert ball_embedding_value(Fraction(f5, f1)) == stabilized_value(Fraction(f5, f1)) == Fraction(f5, f3)
+    assert fibonacci_outer_index(f5, f1) == 10000
+    assert staircase.fibonacci_step(10000) == (f1, f3, f5)
     a = Fraction(34, 5)
-    assert ball_embedding_value(a) == stabilized_value(a) == Fraction(34, 13)
-    assert staircase_samples(a, a + 1, 2)[0][1] == Fraction(34, 13)
-    assert fibonacci_outer_index(34, 5) == 2
-    assert staircase._STEPS is table and len(table) > 10002
-    assert table.read and max(table.read) <= 2 * (2 + 2), table.read
+    assert ball_embedding_value(a) == stabilized_value(a) == staircase_samples(a, a + 1, 2)[0][1] == Fraction(34, 13)
+    assert fibonacci_outer_index(34, 5) == 2 and obstruction_sup(5, 1, 2)[0] == step_height(0)
+    staircase_svg(staircase_samples(1, 9, 40), "input: range 1..9")
+    for refused in (
+        lambda: ball_embedding_value(Fraction(1, 2)),
+        lambda: staircase.fibonacci_step(-2),
+        lambda: staircase_samples(2, 1, 5),
+        lambda: fibonacci_outer_index(2.5, 1),
+    ):
+        with pytest.raises(ValueError):
+            refused()
+    after = vars(staircase)
+    assert after.keys() == before.keys()
+    assert [name for name, value in before.items() if after[name] is not value] == []
+    assert [n for n, v in after.items() if not n.startswith("__") and isinstance(v, (list, dict, set))] == []
 
 
-def test_fibonacci_outer_index_finds_exactly_the_outer_pairs(monkeypatch):
+def test_fibonacci_outer_index_finds_exactly_the_outer_pairs():
     """Only the pairs (F(2k+5), F(2k+1)) of the test's own Fibonacci list are
-    outer.  Pairs with q < 1 or p <= q and supercritical pairs are decided
-    without growing the step table; the others, in random order from an empty
-    step table, grow it far enough to decide, including p one past an outer
-    numerator and the multiples (2p, 2q)."""
-    monkeypatch.setattr(staircase, "_STEPS", ((1, 1, 2),))
+    outer: not pairs with q < 1 or p <= q, nor supercritical pairs, nor, in
+    random order, the neighbours of an outer pair, p one past an outer
+    numerator or the multiples (2p, 2q)."""
     outer = {(F(2 * k + 5), F(2 * k + 1)): k for k in range(-1, 301)}
     rng = random.Random(301)
     at_once = [(0, 1), (1, 1), (7, 1), (-2, -1)]
@@ -323,7 +340,6 @@ def test_fibonacci_outer_index_finds_exactly_the_outer_pairs(monkeypatch):
         at_once.append((rng.randint(7 * q, 100 * q), q))
     for p, q in at_once:
         assert fibonacci_outer_index(p, q) is None, (p, q)
-    assert staircase._STEPS == ((1, 1, 2),)
     pairs = []
     for p, q in outer:
         pairs += [(p, q), (p, q + 1), (p, q - 1), (p + 1, q), (2 * p, 2 * q)]
@@ -333,6 +349,22 @@ def test_fibonacci_outer_index_finds_exactly_the_outer_pairs(monkeypatch):
     rng.shuffle(pairs)
     for p, q in pairs:
         assert fibonacci_outer_index(p, q) == outer.get((p, q)), (p, q)
+
+
+def test_fibonacci_step_by_fast_doubling():
+    """At seeded steps up to 100,000 the triple (f1, f3, f5) satisfies
+    f1 f5 - f3^2 = 1 and f5 = 3 f3 - f1, and up to step 20,000 it equals the
+    odd Fibonacci numbers of a plain additive loop."""
+    rng = random.Random(100000)
+    for k in [-1, 0, 1, 100000] + [rng.randint(2, 100000) for _ in range(40)]:
+        f1, f3, f5 = staircase.fibonacci_step(k)
+        assert f1 * f5 - f3 * f3 == 1 and f5 == 3 * f3 - f1, k
+    wanted = sorted({rng.randint(-1, 20000) for _ in range(200)} | {-1, 20000})
+    a, b, k = 1, 0, -1  # F(2k+1), F(2k+2)
+    for target in wanted:
+        while k < target:
+            a, b, k = a + b, a + 2 * b, k + 1
+        assert staircase.fibonacci_step(k) == (a, a + b, 2 * a + 3 * b), k
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +431,8 @@ def test_ech_capacities_against_the_volume_bound():
 
 
 # Evaluates the JSON list of rationals on stdin with ``threads`` threads in a
-# fresh interpreter, whose step table starts at step -1, and prints the values
-# and the table.  A short switch interval makes the threads interleave inside
-# the table's growth.
+# fresh interpreter and prints the values.  A short switch interval makes the
+# threads interleave inside the lookups.
 FRESH_EVALUATION = """
 import json, sys, threading
 from fractions import Fraction
@@ -422,14 +453,15 @@ for w in workers:
 for w in workers:
     w.join(timeout=60)
     assert not w.is_alive()
-json.dump({"values": values, "steps": [list(map(str, s)) for s in staircase._STEPS]}, sys.stdout)
+json.dump(values, sys.stdout)
 """
 
 
 @pytest.mark.parametrize("threads", [1, 5])
 def test_corners_up_to_step_1000_in_any_order(threads):
     """The outer corner of step k has value F(2k+5)/F(2k+3), the inner corner
-    F(2k+3)/F(2k+1), for k = -1..1000, however the step table grows."""
+    F(2k+3)/F(2k+1), for k = -1..1000, in random order and from interleaved
+    threads."""
     expected = {}
     for k in range(-1, 1001):
         expected[Fraction(F(2 * k + 5), F(2 * k + 1))] = Fraction(F(2 * k + 5), F(2 * k + 3))
@@ -441,26 +473,21 @@ def test_corners_up_to_step_1000_in_any_order(threads):
         input=json.dumps([str(a) for a in points]),
         capture_output=True, text=True, check=True, timeout=120,
     )
-    result = json.loads(completed.stdout)
-    wrong = [(a, got) for a, got in zip(points, result["values"]) if Fraction(got) != expected[a]]
-    assert not wrong, wrong[:3]
-    # one entry per step, in order: (F(2k+1), F(2k+3), F(2k+5)) for k = -1, 0, ...
-    steps = [tuple(map(int, s)) for s in result["steps"]]
-    assert len(steps) >= 1002
-    assert steps == [(F(2 * k + 1), F(2 * k + 3), F(2 * k + 5)) for k in range(-1, len(steps) - 1)]
+    values = json.loads(completed.stdout)
+    wrong = [(a, got) for a, got in zip(points, values) if Fraction(got) != expected[a]]
+    assert not wrong and len(values) == len(points), wrong[:3]
 
 
-def test_corner_functions_read_the_step_table(monkeypatch):
-    """outer_corner, inner_corner and step_height for k = -1..1000 in random
-    order, from an empty step table, which they grow exactly by index."""
-    monkeypatch.setattr(staircase, "_STEPS", ((1, 1, 2),))
+def test_corner_functions_match_fibonacci_numbers():
+    """fibonacci_step, outer_corner, inner_corner and step_height for
+    k = -1..1000 in random order are the test's own Fibonacci numbers."""
     steps = list(range(-1, 1001))
     random.Random(7).shuffle(steps)
     for k in steps:
+        assert staircase.fibonacci_step(k) == (F(2 * k + 1), F(2 * k + 3), F(2 * k + 5)), k
         assert outer_corner(k) == Fraction(F(2 * k + 5), F(2 * k + 1)), k
         assert inner_corner(k) == Fraction(F(2 * k + 3) ** 2, F(2 * k + 1) ** 2), k
         assert step_height(k) == Fraction(F(2 * k + 5), F(2 * k + 3)), k
-    assert list(staircase._STEPS) == [(F(2 * k + 1), F(2 * k + 3), F(2 * k + 5)) for k in range(-1, 1001)]
     for corner in (outer_corner, inner_corner, step_height):
         with pytest.raises(ValueError, match="^step must be an integer >= -1, not -2$"):
             corner(-2)
@@ -497,6 +524,8 @@ def test_samples_match_pointwise_values():
         staircase_samples(Fraction(1, 2), Fraction(3), 5)
     with pytest.raises(ValueError, match="aspect ratio must be >= 1"):
         staircase_samples(Fraction(99, 100), Fraction(101, 100), 2)
+    with pytest.raises(ValueError, match="^hi = 1 must be above lo = 1$"):
+        staircase_samples(1, 1, 2)
 
 
 def test_ball_value_rejects_below_one():
@@ -652,3 +681,9 @@ def test_samples_and_renderings():
     # on [1, 3] only the outer corner 2 is drawn: the inner corner 4 and the
     # outer corner 5 lie past the range, and the loop stops at 5
     assert staircase_svg(staircase_samples(1, 3, 5), "input: range 1..3").count("<circle") == 1
+    # on [4, 5], which starts at the inner corner 4 with ball value 2, the
+    # hollow circle at 4 is drawn on the left edge x = 40, and the outer corner
+    # 2 is not: every circle lies inside the plot
+    svg = staircase_svg(staircase_samples(4, 5, 5), "input: range 4..5")
+    circles = re.findall(r'<circle cx="([-0-9.]+)" cy="[-0-9.]+" r="3" (fill="none"|fill="#204080")', svg)
+    assert ("40.00", 'fill="none"') in circles and all(float(cx) >= 40 for cx, _ in circles), circles
