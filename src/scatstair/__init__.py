@@ -54,11 +54,10 @@ _LAYERS = {
         "CrossCheckReport",
         "classify_pair",
         "curve_index",
+        "curve_obstruction",
         "degeneration_admissible",
         "diophantine_value",
         "double_point_count",
-        "inflation_upper_bound",
-        "obstruction_lower_bound",
         "pair_to_ray",
         "phi_map",
         "psi_map",
@@ -68,7 +67,6 @@ _LAYERS = {
         "shift_decomposition_index",
         "shift_s",
         "unicuspidal_families",
-        "visible_area",
     ),
     "staircase": (
         "ExceptionalClass",

@@ -136,20 +136,18 @@ def cmd_staircase(args) -> Tuple[int, Renderers]:
     if args.a is None:
         raise ValueError("need --a or --range")
     a = _parse_fraction(args.a)
-    ball = stair.ball_embedding_value(a)
-    wanted = args.value
-    if wanted == "ball" and isinstance(ball, stair.Unspecified):
-        raise ValueError(f"a = {a} lies in the transitional window; no point value")
     values = {
-        "ball": str(ball),
-        "stabilized": str(stair.stabilized_value(a)),
-        "folding": str(stair.folding_bound(a)),
-        "volume": str(stair.SqrtValue(a)),
+        "ball": stair.ball_embedding_value,
+        "stabilized": stair.stabilized_value,
+        "folding": stair.folding_bound,
+        "volume": stair.volume_bound,
     }
-    if wanted != "all":
-        payload = {"a": str(a), wanted: values[wanted]}
-    else:
-        payload = {"a": str(a), **values}
+    payload = {"a": str(a)}
+    for name in values if args.value == "all" else [args.value]:
+        value = values[name](a)
+        if args.value == "ball" and isinstance(value, stair.Unspecified):
+            raise ValueError(f"a = {a} lies in the transitional window; no point value")
+        payload[name] = str(value)
     lines = [f"{k}: {v}" for k, v in payload.items()]
     return EXIT_OK, {"text": lambda: "\n".join(lines) + "\n", "json": lambda: payload}
 

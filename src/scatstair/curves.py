@@ -1,7 +1,8 @@
 """Numerics of plane curves with one distinguished (p, q) cusp: index and
 double-point counts, the Diophantine classification of index-zero parameter
-pairs, the cusp-parameter symmetries, embedding bounds, the degeneration
-inequality, and the scattering cross-check pipeline.
+pairs, the cusp-parameter symmetries, the bound a cuspidal curve puts on the
+stabilized embedding function, the degeneration inequality, and the
+scattering cross-check pipeline.
 
 Everything is exact; the golden-ratio threshold tau^4 = (7 + 3*sqrt(5))/2 is
 only ever used through the sign of the quadratic x^2 - 7x + 1.
@@ -14,7 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .lattice import Vec, at_least, integers, mat_apply, primitive_part, rational
+from .lattice import (
+    Vec, at_least, integers, mat_apply, nonzero_nonnegative, primitive_part, rational,
+)
 from .staircase import exceeds_tau4, fibonacci_outer_index, fibonacci_step
 
 # Lattice generators of the reference model; the cross-check transports the
@@ -147,9 +150,7 @@ def phi_map(p: int, q: int) -> Tuple[int, int]:
     A single zero coordinate is allowed: the boundary classes (p, 0) are the
     smooth-point tangency data and the maps exchange them with honest pairs.
     """
-    integers(p, q)
-    if p < 0 or q < 0 or (p, q) == (0, 0):
-        raise ValueError("inputs must be nonnegative and not both zero")
+    nonzero_nonnegative((p, q), "(p, q)")
     if 7 * p >= q:
         return (p, 7 * p - q)
     r = q - 7 * p
@@ -158,9 +159,7 @@ def phi_map(p: int, q: int) -> Tuple[int, int]:
 
 def psi_map(p: int, q: int) -> Tuple[int, int]:
     """Second mutation symmetry on cusp parameters; an involution."""
-    integers(p, q)
-    if p < 0 or q < 0 or (p, q) == (0, 0):
-        raise ValueError("inputs must be nonnegative and not both zero")
+    nonzero_nonnegative((p, q), "(p, q)")
     if p >= 7 * q:
         return (q + 7 * (p - 7 * q), p - 7 * q)
     return (7 * q - p, q)
@@ -199,40 +198,19 @@ def shift_decomposition_index(x: Fraction) -> int:
 
 
 # ---------------------------------------------------------------------------
-# embedding bounds and the degeneration inequality
+# the curve bound and the degeneration inequality
 
 
-def obstruction_lower_bound(p: int, q: int, area: Fraction) -> Fraction:
-    """Lower bound p*q/area for the stabilized embedding function at (p, q)."""
+def curve_obstruction(p: int, q: int, a: Fraction) -> Fraction:
+    """The lower bound 3*min(p, q*a)/(p + q) that a rational curve of degree
+    (p + q)/3 with one (p, q) cusp puts on the stabilized embedding function
+    at aspect a."""
     at_least(p, 1, "p")
     at_least(q, 1, "q")
-    area = rational(area)
-    if area <= 0:
-        raise ValueError(f"area must be a positive rational, not {area}")
-    return Fraction(p * q) / area
-
-
-def inflation_upper_bound(
-    p: int, q: int, self_intersection: int, c: Fraction
-) -> Optional[Fraction]:
-    """The bound c when the class satisfies self_intersection >= p*q, else None."""
-    at_least(p, 1, "p")
-    at_least(q, 1, "q")
-    integers(self_intersection)
-    c = rational(c)
-    if self_intersection >= p * q:
-        return c
-    return None
-
-
-def visible_area(r: Fraction, p: int, q: int) -> Fraction:
-    """Area r*p*q of the visible curve over a slope-(p, q) segment of length scale r."""
-    at_least(p, 1, "p")
-    at_least(q, 1, "q")
-    r = rational(r)
-    if r <= 0:
-        raise ValueError(f"r must be a positive rational, not {r}")
-    return r * p * q
+    a = rational(a)
+    if a <= 0:
+        raise ValueError(f"a must be a positive rational, not {a}")
+    return Fraction(3 * min(p, q * a), p + q)
 
 
 def degeneration_admissible(
@@ -304,9 +282,7 @@ def ray_to_pair(a: int, b: int) -> Optional[Tuple[int, int]]:
     rays whose nominal pair is non-coprime (3 | a + b) carry only multiple
     data; both give None.
     """
-    integers(a, b)
-    if a < 0 or b < 0 or (a, b) == (0, 0):
-        raise ValueError("need a nonzero ray in the closed first quadrant")
+    nonzero_nonnegative((a, b), "(a, b)")
     if math.gcd(a, b) != 1:
         return None
     if a >= 2 * b:

@@ -1,6 +1,7 @@
-"""Rank-two lattice arithmetic: the integer, bounded integer and rational
-checks on numeric parameters, wedge products, quarter turns, primitive
-vectors and integer matrices of Z^2, and the ``a,b`` syntax of a vector."""
+"""Rank-two lattice arithmetic: the integer, bounded integer, nonnegative
+vector and rational checks on numeric parameters, wedge products, quarter
+turns, primitive vectors and integer matrices of Z^2, and the ``a,b`` syntax
+of a vector."""
 
 from __future__ import annotations
 
@@ -25,6 +26,15 @@ def at_least(value, low: int, name: str) -> None:
     parameter and echoes the value."""
     if type(value) is not int or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
+
+
+def nonzero_nonnegative(value: Vec, name: str) -> None:
+    """The one check on a vector of the closed first quadrant: ``int``
+    entries, neither negative and not both zero; otherwise ValueError names
+    the parameters and echoes the vector."""
+    integers(*value)
+    if min(value) < 0 or value == (0, 0):
+        raise ValueError(f"{name} must be a nonzero vector with nonnegative entries, not {value!r}")
 
 
 def rational(value) -> "Fraction":

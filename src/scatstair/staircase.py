@@ -416,6 +416,11 @@ def folding_bound(a: Fraction) -> Fraction:
     return Fraction(3 * n, n + d)
 
 
+def volume_bound(a: Fraction) -> SqrtValue:
+    """The volume lower bound sqrt(a) of the ball embedding function."""
+    return SqrtValue(_aspect(a)[0])
+
+
 # ---------------------------------------------------------------------------
 # sampling and plots
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ._record import Record
-from .lattice import Matrix, Vec, at_least, integers, is_primitive, mat_apply, parse_vec, wedge
+from .lattice import (
+    Matrix, Vec, at_least, integers, is_primitive, mat_apply, nonzero_nonnegative, parse_vec, wedge,
+)
 
 
 def half_shear(v: Vec, w: Vec) -> Vec:
@@ -208,9 +210,7 @@ def w_t0(p: int, q: int) -> Vec:
     Branches by the ratio p/q; the branch matrices are unimodular and agree
     on the shared boundary rays p = 2q and q = 2p.
     """
-    integers(p, q)
-    if p < 0 or q < 0 or (p, q) == (0, 0):
-        raise ValueError("w_t0 needs (p, q) nonzero with nonnegative entries")
+    nonzero_nonnegative((p, q), "(p, q)")
     if p >= 2 * q:
         return (-q, p - 5 * q)
     if 2 * p >= q:

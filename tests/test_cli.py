@@ -127,6 +127,33 @@ def test_staircase_window_behavior():
     run_cli("staircase", "--a", "8/1", "--value", "ball", expect=2)
 
 
+def test_staircase_computes_only_the_value_it_prints(monkeypatch, capsys):
+    """--value ball at the outer corner of step 10,000 computes the ball value
+    once and none of the values it does not print."""
+    f1, f2 = staircase.fib(20001), staircase.fib(20002)
+    f3, f5 = f1 + f2, 2 * f1 + 3 * f2
+    calls = []
+
+    def counted(name, real):
+        def value(a):
+            calls.append(name)
+            return real(a)
+        return value
+
+    for name in ("ball_embedding_value", "stabilized_value", "folding_bound", "volume_bound"):
+        monkeypatch.setattr(staircase, name, counted(name, getattr(staircase, name)))
+    assert cli.main(["staircase", "--a", f"{f5}/{f1}", "--value", "ball"]) == 0
+    assert calls == ["ball_embedding_value"]
+    assert capsys.readouterr().out == f"a: {f5}/{f1}\nball: {f5}/{f3}\n"
+
+
+@pytest.mark.parametrize("value", ["all", "ball", "stabilized", "folding", "volume"])
+def test_staircase_refuses_an_aspect_below_one_for_every_value(value, capsys):
+    assert cli.main(["staircase", "--a", "1/2", "--value", value]) == cli.EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: aspect ratio must be >= 1\n")
+
+
 def test_staircase_answers_beyond_the_int_str_digit_limit(capsys):
     """A 2,600-digit a in the linear branch of step 6,000, a = f5/f1 - 1/(f1 q)
     for (f1, f3, f5) = fibonacci_step(6000), has an exact value of 5,108/5,107

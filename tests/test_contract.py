@@ -3,9 +3,10 @@
 
 A number parameter takes an ``int`` (not a ``bool``) where it is annotated
 ``int`` and an ``int`` or a ``Fraction`` where it is annotated ``Fraction``;
-``lattice.integers`` and ``lattice.rational`` own the two checks, and
+``lattice.integers`` and ``lattice.rational`` own the two checks,
 ``lattice.at_least`` the lower bound of an integer parameter (BOUNDED lists
-every such parameter).  TYPES maps each annotation that a public callable
+every such parameter), and ``lattice.nonzero_nonnegative`` the vectors that
+must be nonzero with nonnegative entries (NONNEGATIVE lists them).  TYPES maps each annotation that a public callable
 uses to a seeded generator of valid values and to the wrong numbers that must
 be refused in it.  A callable is called on valid arguments, drawn until the
 call returns, and then once for each number inside each argument (vector
@@ -48,18 +49,19 @@ from scatstair._record import Record
 from scatstair.curves import (
     classify_pair,
     curve_index,
+    curve_obstruction,
     diophantine_value,
     double_point_count,
-    inflation_upper_bound,
-    obstruction_lower_bound,
+    phi_map,
+    psi_map,
+    ray_to_pair,
     scattering_cross_check,
     unicuspidal_families,
-    visible_area,
 )
 from scatstair.scattering import ScatteringDiagram, TermCapExceeded, diagram_to_json, initial_diagram, ks_complete
 from scatstair.series import TruncatedSeries
 from scatstair.staircase import ExceptionalClass
-from scatstair.toric import ToricModel, mutation_orbit
+from scatstair.toric import ToricModel, mutation_orbit, w_t0
 
 WRONG = (2.5, 5.0, True, "3", math.inf)
 
@@ -69,6 +71,7 @@ EXTRA = {
     "fibonacci_outer_index": staircase.fibonacci_outer_index,
     "fibonacci_step": staircase.fibonacci_step,
     "staircase_samples": staircase.staircase_samples,
+    "volume_bound": staircase.volume_bound,
 }
 
 # Completed or seed diagrams small enough to call anything on.
@@ -323,9 +326,11 @@ def assert_numbers_refused(seeds):
 # sha256 of the repr of the valid results for seeds 0..2, recorded at the
 # commit before the staircase and rational parameters were checked, where 411
 # of the wrong calls leak, re-recorded when the curves records dropped their
-# derived fields (CHANGES.md lists the 12 results that changed), and again
-# when each parameter got its own stream of draws
-RESULTS_DIGEST = "1c1eedc329d34a7b02afc36170cf9f2ca6dbe37887961e34813257016121e273"
+# derived fields (CHANGES.md lists the 12 results that changed), again
+# when each parameter got its own stream of draws, and again when
+# curve_obstruction and volume_bound replaced three deleted bounds (every
+# other callable's results and refusals are unchanged)
+RESULTS_DIGEST = "8d531d6dfa5210c2cc65ff578e3db8f2039ad68b4c0596e49ebf607ed1bb553b"
 
 
 def test_public_callables_refuse_wrong_numbers():
@@ -334,7 +339,7 @@ def test_public_callables_refuse_wrong_numbers():
     recorded before the checks existed."""
     results, refused = assert_numbers_refused(range(3))
     assert hashlib.sha256(repr(results).encode()).hexdigest() == RESULTS_DIGEST
-    assert refused == 3305
+    assert refused == 3215
 
 
 def test_every_annotation_has_a_generator():
@@ -377,12 +382,8 @@ BOUNDED = (
     ("double_point_count", "q", 1, lambda v: double_point_count(1, 1, v)),
     ("diophantine_value", "p", 1, lambda v: diophantine_value(v, 1)),
     ("diophantine_value", "q", 1, lambda v: diophantine_value(1, v)),
-    ("obstruction_lower_bound", "p", 1, lambda v: obstruction_lower_bound(v, 1, 1)),
-    ("obstruction_lower_bound", "q", 1, lambda v: obstruction_lower_bound(1, v, 1)),
-    ("inflation_upper_bound", "p", 1, lambda v: inflation_upper_bound(v, 1, 1, 1)),
-    ("inflation_upper_bound", "q", 1, lambda v: inflation_upper_bound(1, v, 1, 1)),
-    ("visible_area", "p", 1, lambda v: visible_area(1, v, 1)),
-    ("visible_area", "q", 1, lambda v: visible_area(1, 1, v)),
+    ("curve_obstruction", "p", 1, lambda v: curve_obstruction(v, 1, 1)),
+    ("curve_obstruction", "q", 1, lambda v: curve_obstruction(1, v, 1)),
     ("scattering_cross_check", "order", 3, scattering_cross_check),
     ("mutation_orbit", "depth", 0, lambda v: mutation_orbit(ToricModel(((1, 0), (0, 1))), v)),
 )
@@ -399,3 +400,27 @@ def test_bounded_integers_are_refused_by_name_and_value(name, low, run):
         run(low)
     except TermCapExceeded:  # a cap of 0 is valid, and reached at once
         pass
+
+
+# Every vector parameter that must be nonzero with nonnegative entries,
+# checked by lattice.nonzero_nonnegative: (callable, the parameters in the
+# message, the call with a vector for them).
+NONNEGATIVE = (
+    ("phi_map", "(p, q)", lambda v: phi_map(*v)),
+    ("psi_map", "(p, q)", lambda v: psi_map(*v)),
+    ("ray_to_pair", "(a, b)", lambda v: ray_to_pair(*v)),
+    ("w_t0", "(p, q)", lambda v: w_t0(*v)),
+)
+
+
+@pytest.mark.parametrize("name, run", [row[1:] for row in NONNEGATIVE], ids=[row[0] for row in NONNEGATIVE])
+def test_nonnegative_vectors_are_refused_by_name_and_value(name, run):
+    """The zero vector and a negative entry on either side are refused with
+    one message that names the parameters and echoes the vector; a vector on
+    either axis passes."""
+    for value in ((0, 0), (-1, 2), (3, -1)):
+        message = f"{name} must be a nonzero vector with nonnegative entries, not {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(value)
+    run((0, 1))
+    run((1, 0))

@@ -1,4 +1,5 @@
-"""Classification, symmetries, bounds, degenerations, and the cross-check."""
+"""Classification, symmetries, the curve bound and the staircase, degenerations,
+and the cross-check."""
 
 import dataclasses
 import hashlib
@@ -18,12 +19,11 @@ from scatstair.curves import (
     SUPERCRITICAL,
     classify_pair,
     curve_index,
+    curve_obstruction,
     degeneration_admissible,
     diophantine_value,
     double_point_count,
     exceeds_tau4,
-    inflation_upper_bound,
-    obstruction_lower_bound,
     pair_to_ray,
     phi_map,
     psi_map,
@@ -33,10 +33,9 @@ from scatstair.curves import (
     shift_decomposition_index,
     shift_s,
     unicuspidal_families,
-    visible_area,
 )
 from scatstair.lattice import wedge
-from scatstair.staircase import fib
+from scatstair.staircase import fib, stabilized_value
 from scatstair.toric import half_shear, w_t0
 
 
@@ -252,26 +251,92 @@ def test_shift_decomposition_against_interval_membership():
 
 
 # ---------------------------------------------------------------------------
-# bounds and areas
+# the curve bound and the staircase
+#
+# The paper's triangle: a curve of degree (p + q)/3 with one (p, q) cusp
+# bounds the stabilized embedding function from below by c(p, q; a); the
+# staircase bounds it from above; the scattering diagram detects exactly the
+# curves whose bound never exceeds the staircase.
 
 
-def test_obstruction_lower_bound():
-    assert obstruction_lower_bound(13, 2, Fraction(5)) == Fraction(26, 5)
-    assert obstruction_lower_bound(8, 1, Fraction(3)) == Fraction(8, 3)
-    assert obstruction_lower_bound(1, 1, Fraction(1)) == 1
+def _odd_fibonacci(k_max):
+    """(fib(2k+1), fib(2k+3), fib(2k+5)) for k = -1..k_max, from a plain loop
+    started at fib(-1) = 1, fib(0) = 0."""
+    f = [1, 0]
+    while len(f) < 2 * k_max + 7:
+        f.append(f[-1] + f[-2])
+    return [(f[2 * k + 2], f[2 * k + 4], f[2 * k + 6]) for k in range(-1, k_max + 1)]
 
 
-def test_inflation_upper_bound():
-    assert inflation_upper_bound(25, 4, 100, Fraction(10)) == 10
-    assert inflation_upper_bound(5, 1, 4, Fraction(10)) is None
-    assert inflation_upper_bound(2, 1, 4, Fraction(2)) == 2
+def _corners(steps):
+    """The inner and outer corners of the given steps."""
+    return [a for f1, f3, f5 in steps for a in (Fraction(f3 * f3, f1 * f1), Fraction(f5, f1))]
 
 
-def test_visible_area():
-    assert visible_area(Fraction(1), 2, 3) == 6
-    assert visible_area(Fraction(1, 5), 13, 2) == Fraction(26, 5)
-    with pytest.raises(ValueError):
-        visible_area(Fraction(0), 1, 1)
+def test_curve_obstruction_examples():
+    assert curve_obstruction(13, 2, Fraction(13, 2)) == Fraction(13, 5)
+    assert curve_obstruction(13, 2, 5) == 2  # 3 * 10 / 15, on the linear side
+    assert curve_obstruction(2, 1, 1) == 1
+    assert curve_obstruction(8, 1, 9) == Fraction(8, 3)
+    assert curve_obstruction(8, 1, Fraction(1, 2)) == Fraction(1, 6)
+
+
+def test_outer_pairs_reach_the_staircase():
+    """Below tau^4, the largest bound of the outer pairs (fib(2k+5), fib(2k+1))
+    is the stabilized value: at every inner and outer corner of steps -1..40
+    and at seeded aspects between the inner corners of steps -1..40."""
+    steps = _odd_fibonacci(42)
+    pairs = [(f5, f1) for f1, _, f5 in steps]
+    corners = _corners(steps)
+    rng = random.Random(6765)
+    seeded = []
+    for _ in range(200):
+        i = rng.randint(0, 41)
+        lo, hi = corners[2 * i], corners[2 * i + 2]
+        seeded.append(lo + (hi - lo) * Fraction(rng.randint(0, 999), 1000))
+    for a in corners[:84] + seeded:
+        assert max(curve_obstruction(p, q, a) for p, q in pairs) == stabilized_value(a), a
+
+
+def assert_verdicts_match_curve_bounds(p_max):
+    """For every coprime p >= q >= 1 with p <= p_max, assert that
+    ``classify_pair`` calls (p, q) realizable exactly when the pair's bound at
+    a = p/q does not exceed the stabilized value there, and return the number
+    of pairs."""
+    count = 0
+    for p in range(1, p_max + 1):
+        for q in range(1, p + 1):
+            if math.gcd(p, q) == 1:
+                a = Fraction(p, q)
+                fits = curve_obstruction(p, q, a) <= stabilized_value(a)
+                assert classify_pair(p, q).realizable() == fits, (p, q)
+                count += 1
+    return count
+
+
+def test_realizable_pairs_are_the_curves_under_the_staircase():
+    assert assert_verdicts_match_curve_bounds(200) == 12232
+
+
+def test_scattering_detects_the_curves_under_the_staircase():
+    """Each pair the order-40 diagram detects has its bound at a = p/q equal
+    to the stabilized value, and at or below it at every corner of steps
+    -1..8.  Each pair it does not detect (the negative control) lies below
+    tau^4 with its bound above the stabilized value at p/q: no such curve
+    exists."""
+    report = scattering_cross_check(40)
+    detected = [row for row in report.rows if row.detected]
+    undetected = [row for row in report.rows if not row.detected]
+    assert (len(detected), len(undetected)) == (24, 91)
+    corners = _corners(_odd_fibonacci(8))
+    for row in detected:
+        a = Fraction(row.p, row.q)
+        assert curve_obstruction(row.p, row.q, a) == stabilized_value(a), a
+        assert all(curve_obstruction(row.p, row.q, c) <= stabilized_value(c) for c in corners)
+    for row in undetected:
+        a = Fraction(row.p, row.q)
+        assert not exceeds_tau4(row.p, row.q)
+        assert curve_obstruction(row.p, row.q, a) > stabilized_value(a), a
 
 
 # (a call with one nonpositive input, the refusal that names it and its value)
@@ -279,11 +344,11 @@ NONPOSITIVE = [
     (lambda: curve_index(0, 1, 1), "d must be an integer >= 1, not 0"),
     (lambda: double_point_count(1, -1, 1), "p must be an integer >= 1, not -1"),
     (lambda: diophantine_value(1, 0), "q must be an integer >= 1, not 0"),
-    (lambda: obstruction_lower_bound(0, 1, Fraction(1)), "p must be an integer >= 1, not 0"),
-    (lambda: obstruction_lower_bound(13, 2, 0), "area must be a positive rational, not 0"),
-    (lambda: obstruction_lower_bound(13, 2, -1), "area must be a positive rational, not -1"),
-    (lambda: inflation_upper_bound(1, 0, 1, Fraction(1)), "q must be an integer >= 1, not 0"),
-    (lambda: visible_area(Fraction(-1, 2), 1, 1), "r must be a positive rational, not -1/2"),
+    (lambda: curve_obstruction(0, 1, Fraction(1)), "p must be an integer >= 1, not 0"),
+    (lambda: curve_obstruction(13, 2, 0), "a must be a positive rational, not 0"),
+    (lambda: curve_obstruction(13, 2, -1), "a must be a positive rational, not -1"),
+    (lambda: curve_obstruction(1, 0, Fraction(1)), "q must be an integer >= 1, not 0"),
+    (lambda: curve_obstruction(5, 1, Fraction(-1, 2)), "a must be a positive rational, not -1/2"),
 ]
 
 
@@ -317,17 +382,17 @@ INTEGER_FORMULAS = [
     (unicuspidal_families, _ints(1, 3, 40)),
     (exceeds_tau4, _ints(2, 1, 60)),
     (w_t0, lambda rng: [rng.randint(1, 60), rng.randint(0, 60)]),
-    (lambda p, q: obstruction_lower_bound(p, q, Fraction(3, 2)), _ints(2, 1, 30)),
-    (lambda p, q, s: inflation_upper_bound(p, q, s, Fraction(5, 2)), _ints(3, 1, 30)),
-    (lambda p, q: visible_area(Fraction(1, 3), p, q), _ints(2, 1, 30)),
+    (lambda p, q: curve_obstruction(p, q, Fraction(3, 2)), _ints(2, 1, 30)),
     (lambda p, q, *parts: degeneration_admissible((p, q), [parts[:2], parts[2:]]), _ints(6, 1, 20)),
 ]
 
 # sha256 of the repr of every integer result below, recorded at the commit
 # before these functions checked their integer parameters, and re-recorded
 # when Classification dropped its derived fields (only the 10 classify_pair
-# results changed)
-INTEGER_RESULTS_DIGEST = "ade3b808ac15cc0cb7f139f68373dade74362d4abd72ad1e332311b7b8489446"
+# results changed), and again when curve_obstruction's row replaced three
+# deleted bounds, which shifted the draws of the degeneration_admissible row
+# (each of the 120 other results equals the previous code's on the same input)
+INTEGER_RESULTS_DIGEST = "90faa44f81c1504b8d5073a0ae7b144caa179ec9950a2e97287146f4caed5cc4"
 
 
 def _integer_formula_cases(seed=3141):
@@ -455,7 +520,7 @@ def test_pair_ray_dictionary_fixed_points():
     assert ray_to_pair(0, 1) == (2, 1)        # mirror ray, same sorted pair
     assert ray_to_pair(1, 1) is None          # no coprime pair on the diagonal
     assert ray_to_pair(2, 1) is None          # nominal pair (3, 0) is not coprime
-    with pytest.raises(ValueError, match="^need a nonzero ray in the closed first quadrant$"):
+    with pytest.raises(ValueError, match=r"^\(a, b\) must be a nonzero vector with nonnegative entries, not \(-1, 0\)$"):
         ray_to_pair(-1, 0)
 
 

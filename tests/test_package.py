@@ -40,10 +40,10 @@ PUBLIC = {
     ),
     "curves": (
         "Classification", "CrossCheckReport", "classify_pair", "curve_index",
-        "degeneration_admissible", "diophantine_value", "double_point_count", "exceeds_tau4",
-        "inflation_upper_bound", "obstruction_lower_bound", "pair_to_ray", "phi_map",
-        "psi_map", "ray_to_pair", "reflect_r", "scattering_cross_check",
-        "shift_decomposition_index", "shift_s", "unicuspidal_families", "visible_area",
+        "curve_obstruction", "degeneration_admissible", "diophantine_value",
+        "double_point_count", "exceeds_tau4", "pair_to_ray", "phi_map", "psi_map",
+        "ray_to_pair", "reflect_r", "scattering_cross_check", "shift_decomposition_index",
+        "shift_s", "unicuspidal_families",
     ),
     "staircase": (
         "ExceptionalClass", "SqrtValue", "UNSPECIFIED", "WeightSequence",
