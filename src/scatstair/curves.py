@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .lattice import (
-    Vec, at_least, integers, mat_apply, nonzero_nonnegative, primitive_part, rational,
+    Vec, at_least, mat_apply, nonzero_nonnegative, primitive, primitive_part, rational,
 )
 from .staircase import exceeds_tau4, fibonacci_outer_index, fibonacci_step
 
@@ -125,11 +125,9 @@ def classify_pair(p: int, q: int) -> Classification:
     The divisibility of p + q by 3 is reported but not enforced: the verdict
     follows the ratio test alone.
     """
-    integers(p, q)
-    if q < 1 or p < q:
-        raise ValueError("need p >= q >= 1")
-    if math.gcd(p, q) != 1:
-        raise ValueError(f"({p}, {q}) is not coprime")
+    at_least(q, 1, "q")
+    at_least(p, q, "p")
+    primitive((p, q), "(p, q)")
     k = fibonacci_outer_index(p, q)
     if k is not None:
         verdict = FIBONACCI_OUTER
@@ -224,13 +222,13 @@ def degeneration_admissible(
     witness is a primitive integer vector a with the inequality violated.
     """
     p, q = target
-    integers(p, q)
-    if p < 1 or q < 1 or not parts:
-        raise ValueError("need a positive target and a nonempty parts list")
+    at_least(p, 1, "target p")
+    at_least(q, 1, "target q")
+    if not parts:
+        raise ValueError("need a nonempty parts list")
     for pi, qi in parts:
-        integers(pi, qi)
-        if pi < 1 or qi < 1:
-            raise ValueError("parts must be positive")
+        at_least(pi, 1, "part p")
+        at_least(qi, 1, "part q")
 
     def deficit(s: Fraction) -> Fraction:
         total = sum(min(Fraction(pi), s * qi) for pi, qi in parts)
@@ -264,9 +262,9 @@ def degeneration_admissible(
 def pair_to_ray(p: int, q: int) -> Optional[Vec]:
     """Standard-lattice ray detecting the sorted coprime pair (p, q), or None
     when the pair is invisible to this lattice (3 does not divide p + q)."""
-    integers(p, q)
-    if q < 1 or p < q:
-        raise ValueError("need p >= q >= 1")
+    at_least(q, 1, "q")
+    at_least(p, q, "p")
+    primitive((p, q), "(p, q)")
     if (p + q) % 3:
         return None
     a, b = (2 * p - q) // 3, (p - 2 * q) // 3

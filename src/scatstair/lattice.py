@@ -1,7 +1,7 @@
 """Rank-two lattice arithmetic: the integer, bounded integer, nonnegative
-vector and rational checks on numeric parameters, wedge products, quarter
-turns, primitive vectors and integer matrices of Z^2, and the ``a,b`` syntax
-of a vector."""
+vector, primitive vector and rational checks on numeric parameters, wedge
+products, quarter turns, primitive vectors and integer matrices of Z^2, and
+the ``a,b`` syntax of a vector."""
 
 from __future__ import annotations
 
@@ -35,6 +35,13 @@ def nonzero_nonnegative(value: Vec, name: str) -> None:
     integers(*value)
     if min(value) < 0 or value == (0, 0):
         raise ValueError(f"{name} must be a nonzero vector with nonnegative entries, not {value!r}")
+
+
+def primitive(value: Vec, name: str) -> None:
+    """The one check on a primitive vector: ``int`` entries, not both zero and
+    coprime; otherwise ValueError names the parameter and echoes the vector."""
+    if not is_primitive(value):
+        raise ValueError(f"{name} must be a primitive vector (coprime integer entries), not {value!r}")
 
 
 def rational(value) -> "Fraction":

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._record import Record
-from .lattice import Vec, at_least, integers, is_primitive, mat_apply, primitive_part, wedge
+from .lattice import Vec, at_least, integers, mat_apply, primitive, primitive_part, wedge
 from .series import TruncatedSeries, read_int
 
 
@@ -61,8 +61,7 @@ class Wall(Record):
     label: TruncatedSeries
 
     def __post_init__(self):
-        if not is_primitive(self.direction):
-            raise ValueError(f"wall direction {self.direction} is not primitive")
+        primitive(self.direction, "wall direction")
         m = self.monomial_direction()
         if self.label.constant_term() != 1:
             raise ValueError("wall label must have constant term 1")
@@ -175,8 +174,7 @@ def initial_diagram(seeds: Sequence[Tuple[Vec, int]], order: int) -> ScatteringD
     at_least(order, 2, "the order of seed labels 1 + t*z^m")
     exponents: Dict[Vec, int] = {}
     for m, k in seeds:
-        if not is_primitive(m):
-            raise ValueError(f"seed direction {m} is not primitive")
+        primitive(m, "seed direction")
         at_least(k, 1, "seed exponent")
         exponents[m] = exponents.get(m, 0) + k
     walls = []
@@ -646,8 +644,8 @@ def change_of_lattice(
     to degree-dependent combinatorial factors, so nonvanishing (not values)
     is the transported guarantee.
     """
-    if not (is_primitive(m1) and is_primitive(m2)):
-        raise ValueError("lattice generators must be primitive")
+    primitive(m1, "m1")
+    primitive(m2, "m2")
     if wedge(m1, m2) == 0:
         raise ValueError("lattice generators must not be colinear")
 
@@ -669,8 +667,7 @@ def log_coefficient(diagram: ScatteringDiagram, direction: Vec) -> Fraction:
     powers of g = label - 1 only g itself reaches z^direction: the value is
     the sum of the label's z^direction coefficients.
     """
-    if not is_primitive(direction):
-        raise ValueError("direction must be primitive")
+    primitive(direction, "direction")
     min_deg = diagram.min_t_degree(direction)
     if min_deg is not None and min_deg >= diagram.order:
         raise TruncationTooLow(

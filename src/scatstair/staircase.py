@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from ._record import Record
-from .lattice import at_least, integers, rational
+from .lattice import at_least, integers, primitive, rational
 
 
 def fib(i: int) -> int:
@@ -100,11 +100,9 @@ def weight_sequence(p: int, q: int) -> WeightSequence:
     coefficients of a, the weights are nonincreasing, start at 1, and their
     squares sum to a.
     """
-    integers(p, q)
-    if q < 1 or p <= q:
-        raise ValueError("need p > q >= 1")
-    if math.gcd(p, q) != 1:
-        raise ValueError("p and q must be coprime")
+    at_least(q, 1, "q")
+    at_least(p, q + 1, "p")
+    primitive((p, q), "(p, q)")
     weights: List[Fraction] = []
     mults: List[int] = []
     num, den = p, q

@@ -13,7 +13,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ._record import Record
 from .lattice import (
-    Matrix, Vec, at_least, integers, is_primitive, mat_apply, nonzero_nonnegative, parse_vec, wedge,
+    Matrix, Vec, at_least, integers, mat_apply, nonzero_nonnegative, parse_vec, primitive, wedge,
 )
 
 
@@ -24,8 +24,7 @@ def half_shear(v: Vec, w: Vec) -> Vec:
     other half along v; a bijection of Z^2.
     """
     integers(*w)
-    if not is_primitive(v):
-        raise ValueError(f"half-shear direction {v} must be primitive")
+    primitive(v, "half-shear direction")
     c = max(wedge(w, v), 0)
     return (w[0] + c * v[0], w[1] + c * v[1])
 
@@ -33,14 +32,14 @@ def half_shear(v: Vec, w: Vec) -> Vec:
 def elementary_transform_fan(fan: Sequence[Vec], i: int) -> List[Vec]:
     """Fan rays after the blowup/blowdown move at ray index i (0-based).
 
-    Requires -fan[i] to appear among the rays (existence of the ruling).
+    Requires primitive rays, -fan[i] among them (existence of the ruling).
     """
     integers(i)
     if not 0 <= i < len(fan):
-        raise ValueError("fan index i out of range 0..n-1")
+        raise ValueError(f"fan index {i} out of range 0..{len(fan) - 1}")
+    for w in fan:
+        primitive(w, "fan ray")
     v = fan[i]
-    if not is_primitive(v):
-        raise ValueError("fan rays must be primitive")
     if (-v[0], -v[1]) not in fan:
         raise ValueError(f"opposite ray {(-v[0], -v[1])} missing from the fan")
     return [half_shear(v, w) for w in fan]
@@ -56,8 +55,7 @@ class ToricModel(Record):
         if not self.vectors:
             raise ValueError("a toric model needs at least one blowup vector")
         for m in self.vectors:
-            if not is_primitive(m):
-                raise ValueError(f"blowup vector {m} is not primitive")
+            primitive(m, "blowup vector")
 
     def __len__(self) -> int:
         return len(self.vectors)

@@ -68,7 +68,7 @@ def test_scatter_rejects_non_primitive():
     out = run_cli(
         "scatter", "--m", "2,2", "--k", "1", "--order", "5", expect=2,
     )
-    assert out.stderr == "error: seed direction (2, 2) is not primitive\n"
+    assert out.stderr == "error: seed direction must be a primitive vector (coprime integer entries), not (2, 2)\n"
 
 
 def test_scatter_term_cap_exit():
@@ -292,7 +292,7 @@ def test_classify_examples():
 
 def test_classify_non_coprime_exit():
     out = run_cli("classify", "--p", "4", "--q", "2", expect=2)
-    assert out.stderr == "error: (4, 2) is not coprime\n"
+    assert out.stderr == "error: (p, q) must be a primitive vector (coprime integer entries), not (4, 2)\n"
 
 
 def test_mutate_word():

@@ -5,8 +5,10 @@ A number parameter takes an ``int`` (not a ``bool``) where it is annotated
 ``int`` and an ``int`` or a ``Fraction`` where it is annotated ``Fraction``;
 ``lattice.integers`` and ``lattice.rational`` own the two checks,
 ``lattice.at_least`` the lower bound of an integer parameter (BOUNDED lists
-every such parameter), and ``lattice.nonzero_nonnegative`` the vectors that
-must be nonzero with nonnegative entries (NONNEGATIVE lists them).  TYPES maps each annotation that a public callable
+every such parameter), ``lattice.nonzero_nonnegative`` the vectors that must
+be nonzero with nonnegative entries (NONNEGATIVE lists them), and
+``lattice.primitive`` the directions and pairs that must be primitive vectors
+(PRIMITIVE lists them).  TYPES maps each annotation that a public callable
 uses to a seeded generator of valid values and to the wrong numbers that must
 be refused in it.  A callable is called on valid arguments, drawn until the
 call returns, and then once for each number inside each argument (vector
@@ -50,18 +52,29 @@ from scatstair.curves import (
     classify_pair,
     curve_index,
     curve_obstruction,
+    degeneration_admissible,
     diophantine_value,
     double_point_count,
+    pair_to_ray,
     phi_map,
     psi_map,
     ray_to_pair,
     scattering_cross_check,
     unicuspidal_families,
 )
-from scatstair.scattering import ScatteringDiagram, TermCapExceeded, diagram_to_json, initial_diagram, ks_complete
+from scatstair.scattering import (
+    ScatteringDiagram,
+    TermCapExceeded,
+    Wall,
+    change_of_lattice,
+    diagram_to_json,
+    initial_diagram,
+    ks_complete,
+    log_coefficient,
+)
 from scatstair.series import TruncatedSeries
 from scatstair.staircase import ExceptionalClass
-from scatstair.toric import ToricModel, mutation_orbit, w_t0
+from scatstair.toric import ToricModel, elementary_transform_fan, half_shear, mutation_orbit, w_t0
 
 WRONG = (2.5, 5.0, True, "3", math.inf)
 
@@ -384,6 +397,16 @@ BOUNDED = (
     ("diophantine_value", "q", 1, lambda v: diophantine_value(1, v)),
     ("curve_obstruction", "p", 1, lambda v: curve_obstruction(v, 1, 1)),
     ("curve_obstruction", "q", 1, lambda v: curve_obstruction(1, v, 1)),
+    ("classify_pair", "q", 1, lambda v: classify_pair(5, v)),
+    ("classify_pair", "p", 1, lambda v: classify_pair(v, 1)),
+    ("pair_to_ray", "q", 1, lambda v: pair_to_ray(5, v)),
+    ("pair_to_ray", "p", 1, lambda v: pair_to_ray(v, 1)),
+    ("weight_sequence", "q", 1, lambda v: staircase.weight_sequence(5, v)),
+    ("weight_sequence", "p", 2, lambda v: staircase.weight_sequence(v, 1)),
+    ("degeneration_admissible", "target p", 1, lambda v: degeneration_admissible((v, 1), [(1, 1)])),
+    ("degeneration_admissible", "target q", 1, lambda v: degeneration_admissible((1, v), [(1, 1)])),
+    ("degeneration_admissible", "part p", 1, lambda v: degeneration_admissible((1, 1), [(1, 1), (v, 1)])),
+    ("degeneration_admissible", "part q", 1, lambda v: degeneration_admissible((1, 1), [(1, 1), (1, v)])),
     ("scattering_cross_check", "order", 3, scattering_cross_check),
     ("mutation_orbit", "depth", 0, lambda v: mutation_orbit(ToricModel(((1, 0), (0, 1))), v)),
 )
@@ -424,3 +447,34 @@ def test_nonnegative_vectors_are_refused_by_name_and_value(name, run):
             run(value)
     run((0, 1))
     run((1, 0))
+
+
+# Every vector parameter that must be primitive, checked by lattice.primitive:
+# (callable, the parameter in the message, the call with a vector for it).
+# The "(p, q)" rows are sorted pairs.
+PRIMITIVE = (
+    ("Wall", "wall direction", lambda v: Wall(v, False, TruncatedSeries.one(4))),
+    ("initial_diagram", "seed direction", lambda v: initial_diagram([(v, 1)], 3)),
+    ("change_of_lattice", "m1", lambda v: change_of_lattice(DIAGRAMS[0], v, (0, 1))),
+    ("change_of_lattice", "m2", lambda v: change_of_lattice(DIAGRAMS[0], (1, 0), v)),
+    ("log_coefficient", "direction", lambda v: log_coefficient(DIAGRAMS[1], v)),
+    ("half_shear", "half-shear direction", lambda v: half_shear(v, (1, 0))),
+    ("elementary_transform_fan", "fan ray", lambda v: elementary_transform_fan([(1, 0), (-1, 0), v], 0)),
+    ("ToricModel", "blowup vector", lambda v: ToricModel(((1, 0), v))),
+    ("classify_pair", "(p, q)", lambda v: classify_pair(*v)),
+    ("pair_to_ray", "(p, q)", lambda v: pair_to_ray(*v)),
+    ("weight_sequence", "(p, q)", lambda v: staircase.weight_sequence(*v)),
+)
+
+
+@pytest.mark.parametrize("name, run", [row[1:] for row in PRIMITIVE], ids=[f"{row[0]}-{row[1]}" for row in PRIMITIVE])
+def test_primitive_vectors_are_refused_by_name_and_value(name, run):
+    """A direction refuses the zero vector and two vectors with a common
+    factor, a sorted pair two non-coprime pairs, each with one message that
+    names the parameter and echoes the vector; a primitive vector passes."""
+    pair = name == "(p, q)"
+    for value in ((4, 2), (9, 3)) if pair else ((0, 0), (2, 2), (-4, 6)):
+        message = f"{name} must be a primitive vector (coprime integer entries), not {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(value)
+    run((5, 2) if pair else (-3, 2))

@@ -62,6 +62,9 @@ def test_families_contents():
     assert ("f", 16, 43, 6) not in fams
     fams16 = unicuspidal_families(16)
     assert ("f", 16, 43, 6) in fams16
+    # a bound equal to a family-(d) degree includes that member
+    assert ("d", 13, 34, 5) in unicuspidal_families(13)
+    assert ("d", 13, 34, 5) not in unicuspidal_families(12)
     for tag, d, p, q in fams16:
         if tag == "c":
             assert d * d == p * q
@@ -141,6 +144,10 @@ def test_phi_psi_examples():
     assert phi_map(2, 1) == (2, 13)
     assert phi_map(*phi_map(2, 1)) == (2, 1)
     assert psi_map(1, 2) == (13, 2)
+    # on the branch boundary the image is an axis class, in the (p, 0) form
+    # that w_t0_inverse gives axis classes
+    assert phi_map(1, 7) == (1, 0)
+    assert psi_map(7, 1) == (1, 0)
 
 
 def test_phi_psi_involutions_random():
@@ -369,6 +376,14 @@ def _ints(n, lo, hi):
     return lambda rng: [rng.randint(lo, hi) for _ in range(n)]
 
 
+def _sorted_coprime_part(rng):
+    """Two draws from 1..60, sorted and divided by their gcd: a coprime pair
+    that takes as many draws as the sorted pair itself."""
+    p, q = sorted(_ints(2, 1, 60)(rng), reverse=True)
+    g = math.gcd(p, q)
+    return [p // g, q // g]
+
+
 # (a call of each function on integers only, seeded integers in its domain)
 INTEGER_FORMULAS = [
     (curve_index, _ints(3, 1, 30)),
@@ -376,7 +391,7 @@ INTEGER_FORMULAS = [
     (diophantine_value, _ints(2, 1, 60)),
     (phi_map, lambda rng: [rng.randint(1, 60), rng.randint(0, 60)]),
     (psi_map, lambda rng: [rng.randint(0, 60), rng.randint(1, 60)]),
-    (pair_to_ray, lambda rng: sorted(_ints(2, 1, 60)(rng), reverse=True)),
+    (pair_to_ray, _sorted_coprime_part),
     (ray_to_pair, lambda rng: [rng.randint(1, 30), rng.randint(0, 30)]),
     (classify_pair, _coprime_pair),
     (unicuspidal_families, _ints(1, 3, 40)),
@@ -435,9 +450,9 @@ def test_degeneration_trivial_cases():
     assert degeneration_admissible((7, 3), [(7, 3)]) == (True, None)
     ok, _ = degeneration_admissible((5, 3), [(5, 3), (1, 1)])
     assert ok
-    with pytest.raises(ValueError, match="^need a positive target and a nonempty parts list$"):
+    with pytest.raises(ValueError, match="^need a nonempty parts list$"):
         degeneration_admissible((1, 1), [])
-    with pytest.raises(ValueError, match="^parts must be positive$"):
+    with pytest.raises(ValueError, match="^part p must be an integer >= 1, not 0$"):
         degeneration_admissible((1, 1), [(0, 1)])
 
 

@@ -264,8 +264,11 @@ def test_record_rejects_bad_arguments():
     "build, message",
     [
         (lambda: ToricModel(()), "a toric model needs at least one blowup vector"),
-        (lambda: ToricModel(((2, 0),)), "blowup vector (2, 0) is not primitive"),
-        (lambda: Wall((2, 0), False, TruncatedSeries.one(3)), "wall direction (2, 0) is not primitive"),
+        (lambda: ToricModel(((2, 0),)), "blowup vector must be a primitive vector (coprime integer entries), not (2, 0)"),
+        (
+            lambda: Wall((2, 0), False, TruncatedSeries.one(3)),
+            "wall direction must be a primitive vector (coprime integer entries), not (2, 0)",
+        ),
         (
             lambda: Wall((1, 0), False, TruncatedSeries(3, {(0, 0, 0): 2})),
             "wall label must have constant term 1",

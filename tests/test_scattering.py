@@ -1127,7 +1127,7 @@ def test_change_of_lattice_rejects_colinear():
     S = pentagon(6)
     with pytest.raises(ValueError):
         change_of_lattice(S, (1, 1), (-1, -1))
-    with pytest.raises(ValueError, match="^lattice generators must be primitive$"):
+    with pytest.raises(ValueError, match=r"^m1 must be a primitive vector \(coprime integer entries\), not \(2, 2\)$"):
         change_of_lattice(S, (2, 2), (0, 1))
 
 
@@ -1140,7 +1140,7 @@ def test_log_coefficient_pentagon():
     assert log_coefficient(S, (1, 1)) == 1
     assert log_coefficient(S, (2, 1)) == 0  # no wall on that ray
     assert log_coefficient(S, (1, 0)) == 1
-    with pytest.raises(ValueError, match="^direction must be primitive$"):
+    with pytest.raises(ValueError, match=r"^direction must be a primitive vector \(coprime integer entries\), not \(2, 2\)$"):
         log_coefficient(S, (2, 2))
     assert S.wall_on_ray((1, 1)) is not None
     for direction in ((True, True), (1.0, 1.0)):

@@ -2,9 +2,11 @@
 integer check on vectors and indices of the lattice, scattering and toric
 layers."""
 
+import functools
 import hashlib
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -88,14 +90,15 @@ def test_elementary_transform_fixed_rays():
 def test_elementary_transform_needs_opposite_ray():
     with pytest.raises(ValueError):
         elementary_transform_fan([(1, 0), (0, 1)], 0)
-    with pytest.raises(ValueError, match="^fan rays must be primitive$"):
-        elementary_transform_fan([(2, 2), (-2, -2)], 0)
+    for fan in ([(2, 2), (-2, -2)], [(1, 0), (-1, 0), (2, 2)]):
+        with pytest.raises(ValueError, match=r"^fan ray must be a primitive vector \(coprime integer entries\), not \(2, 2\)$"):
+            elementary_transform_fan(fan, 0)
 
 
 @pytest.mark.parametrize("i", [-1, 4, 5])
 def test_elementary_transform_index_range(i):
     fan = [(1, 0), (0, 1), (-1, 0), (0, -1)]
-    with pytest.raises(ValueError, match=r"^fan index i out of range 0\.\.n-1$"):
+    with pytest.raises(ValueError, match=rf"^fan index {i} out of range 0\.\.3$"):
         elementary_transform_fan(fan, i)
 
 
@@ -454,6 +457,107 @@ def test_mutation_is_exchange_matrix_mutation():
     assert _fz_disagreements(lambda vs, k: list(mutate(ToricModel(tuple(vs)), k + 1).vectors), models) == 0
     assert _fz_disagreements(lambda vs, k: _sheared(vs, k, False, lambda c: max(c, 0)), models) == 2980
     assert _fz_disagreements(lambda vs, k: _sheared(vs, k, True, lambda c: c), models) == 2253
+
+
+# When blowup vectors span Z^2, B fixes them up to GL(2, Z) and a map of
+# determinant -1 flips B's sign, so the GL(2, Z) classes of a mutation orbit
+# are its exchange matrices up to simultaneous permutation and sign
+# (Gross-Hacking-Keel, Birational geometry of cluster algebras, 2015).
+
+
+def spans_z2(vectors):
+    """Whether the vectors span Z^2: the gcd of their 2 x 2 minors is 1."""
+    return math.gcd(*(a * d - b * c for (a, b), (c, d) in itertools.combinations(vectors, 2))) == 1
+
+
+@functools.lru_cache(maxsize=None)
+def _upper_triangles(n):
+    """For each permutation of range(n), the getter of the upper triangle of
+    the permuted n x n matrix from its row-major entries (n >= 2)."""
+    return [
+        operator.itemgetter(*(p[i] * n + p[j] for i in range(n) for j in range(i + 1, n)))
+        for p in itertools.permutations(range(n))
+    ]
+
+
+def exchange_matrix_key(B):
+    """The least upper triangle of the simultaneous permutations of B and -B:
+    one key per class of a skew-symmetric B up to permutation and sign."""
+    entries = [x for row in B for x in row]
+    negated = [-x for x in entries]
+    return min(min(get(entries), get(negated)) for get in _upper_triangles(len(B)))
+
+
+def exchange_matrix_class_counts(vectors, depth):
+    """Per depth 0..depth, how many classes of B up to permutation and sign a
+    breadth-first search by FZ mutation from B(vectors) first reaches there."""
+    frontier = [exchange_matrix(vectors)]
+    seen, counts = {exchange_matrix_key(frontier[0])}, [1]
+    for _ in range(depth):
+        reached = []
+        for B in frontier:
+            for k in range(len(B)):
+                child = fz_mutation(B, k)
+                key = exchange_matrix_key(child)
+                if key not in seen:
+                    seen.add(key)
+                    reached.append(child)
+        counts.append(len(reached))
+        frontier = reached
+    return counts
+
+
+def orbit_class_counts(vectors, depth):
+    """Per depth 0..depth, how many of mutation_orbit's nodes have a word of that length."""
+    lengths = [len(node.word) for node in mutation_orbit(ToricModel(tuple(vectors)), depth)]
+    return [lengths.count(d) for d in range(depth + 1)]
+
+
+def assert_orbit_counts_match_exchange_matrices(vectors, depth):
+    """Assert that the vectors span Z^2 and that mutation_orbit reaches as
+    many classes at each depth as the exchange-matrix search; return the
+    number of classes."""
+    assert spans_z2(vectors), vectors
+    counts = orbit_class_counts(vectors, depth)
+    assert counts == exchange_matrix_class_counts(vectors, depth), vectors
+    return sum(counts)
+
+
+@pytest.mark.parametrize(
+    "vectors, depth, classes",
+    [
+        (((1, 2), (-1, 0), (0, -1), (2, 1), (1, -3)), 4, 358),
+        (((1, 0), (0, 1), (-1, -1)), 6, 3),
+        (((1, 0), (1, 0), (0, 1), (0, 1), (-1, -1)), 5, 8),
+    ],
+)
+def test_orbit_counts_are_exchange_matrix_counts(vectors, depth, classes):
+    assert assert_orbit_counts_match_exchange_matrices(vectors, depth) == classes
+
+
+def test_orbit_counts_are_exchange_matrix_counts_on_seeded_models():
+    """Per-depth agreement on seeded spanning models of two to four primitive
+    vectors with entries in [-3, 3]."""
+    rng = random.Random(14)
+    checked = 0
+    while checked < 12:
+        length, vectors = rng.randint(2, 4), []
+        while len(vectors) < length:
+            v = (rng.randint(-3, 3), rng.randint(-3, 3))
+            if math.gcd(*v) == 1:
+                vectors.append(v)
+        if spans_z2(vectors):
+            assert_orbit_counts_match_exchange_matrices(vectors, 3)
+            checked += 1
+
+
+def test_orbit_counts_need_the_vectors_to_span():
+    """The negative control: (-1, -3), (1, 0) span an index-3 sublattice, so B
+    does not fix the pair up to GL(2, Z): two orbit classes share one B class."""
+    vectors = ((-1, -3), (1, 0))
+    assert not spans_z2(vectors)
+    assert sum(orbit_class_counts(vectors, 3)) == 2
+    assert sum(exchange_matrix_class_counts(vectors, 3)) == 1
 
 
 # ---------------------------------------------------------------------------
