@@ -143,11 +143,13 @@ def cmd_staircase(args) -> Tuple[int, Renderers]:
         "volume": stair.volume_bound,
     }
     payload = {"a": str(a)}
-    for name in values if args.value == "all" else [args.value]:
-        value = values[name](a)
+    if args.value == "all":  # one row, in the order of ``values``
+        payload.update(zip(values, map(str, [*stair.staircase_row(a)[1:], stair.volume_bound(a)])))
+    else:
+        value = values[args.value](a)
         if args.value == "ball" and isinstance(value, stair.Unspecified):
             raise ValueError(f"a = {a} lies in the transitional window; no point value")
-        payload[name] = str(value)
+        payload[args.value] = str(value)
     lines = [f"{k}: {v}" for k, v in payload.items()]
     return EXIT_OK, {"text": lambda: "\n".join(lines) + "\n", "json": lambda: payload}
 

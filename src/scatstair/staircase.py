@@ -312,6 +312,7 @@ class Unspecified:
 UNSPECIFIED = Unspecified()
 
 StaircaseValue = Union[Fraction, SqrtValue, Unspecified]
+_Row = Tuple[Fraction, StaircaseValue, Fraction, Fraction]
 
 # Transitional window of the ball embedding function.
 WINDOW_LOW = Fraction(7)
@@ -419,23 +420,29 @@ def volume_bound(a: Fraction) -> SqrtValue:
     return SqrtValue(_aspect(a)[0])
 
 
+def staircase_row(a: Fraction) -> _Row:
+    """(a, ball value, stabilized value, folding bound) at aspect a, from one
+    tau^4 sign test and at most one step search."""
+    return _row(_aspect(a)[0])
+
+
+def _row(a: Fraction) -> _Row:
+    n, d = a.numerator, a.denominator
+    fold = Fraction(3 * n, n + d)
+    if _above_tau4(n, d):
+        return a, _ball_beyond_tau4(a), fold, fold
+    ball = _ball_below_tau4(n, d)  # the stabilized value too
+    return a, ball, ball, fold
+
+
 # ---------------------------------------------------------------------------
 # sampling and plots
 
 
-def staircase_samples(
-    lo: Fraction, hi: Fraction, count: int
-) -> List[Tuple[Fraction, StaircaseValue, Fraction, Fraction]]:
-    """Rows (a, ball value, stabilized, folding bound) on an evenly spaced
-    rational grid with ``count`` points.
-
-    Row i has a = (lo (count - 1) + i (hi - lo)) / (count - 1), one integer
-    numerator over the common denominator of lo, hi and count - 1, and one
-    tau^4 sign test.  Below tau^4 the ball value comes from the row's own
-    step k (see :func:`_step_of`), so a row costs O(log k) products whatever
-    the other rows are, and the stabilized value is the ball value; beyond
-    tau^4 the stabilized value is the folding bound.
-    """
+def staircase_samples(lo: Fraction, hi: Fraction, count: int) -> List[_Row]:
+    """:func:`staircase_row` rows at ``count`` evenly spaced points from lo to
+    hi: row i is at (lo (count - 1) + i (hi - lo)) / (count - 1), one integer
+    numerator over the common denominator of lo, hi and count - 1."""
     lo, hi = rational(lo), rational(hi)
     at_least(count, 2, "count")
     if hi <= lo:
@@ -445,17 +452,7 @@ def staircase_samples(
     den = math.lcm(lo.denominator, hi.denominator)
     lo_num = lo.numerator * (den // lo.denominator)
     hi_num = hi.numerator * (den // hi.denominator)
-    rows = []
-    for i in range(count):
-        a = Fraction(lo_num * span + i * (hi_num - lo_num), den * span)
-        n, d = a.numerator, a.denominator
-        fold = Fraction(3 * n, n + d)
-        if _above_tau4(n, d):
-            rows.append((a, _ball_beyond_tau4(a), fold, fold))
-        else:
-            ball = _ball_below_tau4(n, d)
-            rows.append((a, ball, ball, fold))
-    return rows
+    return [_row(Fraction(lo_num * span + i * (hi_num - lo_num), den * span)) for i in range(count)]
 
 
 def samples_to_csv(rows) -> str:

@@ -226,17 +226,11 @@ def w_t0_inverse(m: Vec) -> Tuple[int, int]:
     if m == (0, 0):
         raise ValueError("zero vector is not in the image")
     u, v = m
-    candidates = [
-        (v - 5 * u, -u),      # inverse of (p, q) -> (-q, p - 5q)
-        (u - v, 2 * u - v),   # inverse of (p, q) -> (q - p, q - 2p)
-        (u, v + 2 * u),       # inverse of (p, q) -> (p, q - 2p)
-    ]
-    for p, q in candidates:
-        if p < 0 or q < 0 or (p, q) == (0, 0):
-            continue
-        if w_t0(p, q) == m:
-            return (p, q)
-    raise ValueError(f"{m} is not in the image of w_t0")
+    if u <= 0 and v >= 3 * u:  # the image of p >= 2q under (p, q) -> (-q, p - 5q)
+        return (v - 5 * u, -u)
+    if v <= 0:  # the image of q <= 2p < 4q under (p, q) -> (q - p, q - 2p)
+        return (u - v, 2 * u - v)
+    return (u, v + 2 * u)  # the image of 2p < q under (p, q) -> (p, q - 2p)
 
 
 # ---------------------------------------------------------------------------

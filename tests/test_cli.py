@@ -147,6 +147,31 @@ def test_staircase_computes_only_the_value_it_prints(monkeypatch, capsys):
     assert capsys.readouterr().out == f"a: {f5}/{f1}\nball: {f5}/{f3}\n"
 
 
+@pytest.mark.parametrize("k", [10000, 2])
+def test_staircase_reads_all_values_from_one_step_search(k, monkeypatch, capsys):
+    """The default --value all at the outer corner of step k searches for a's
+    step once: the ball, stabilized and folding values come from one row.
+    Beyond tau^4 no step is searched."""
+    steps = []
+
+    def counted(n, d):
+        steps.append((n, d))
+        return step_of(n, d)
+
+    step_of = staircase._step_of
+    monkeypatch.setattr(staircase, "_step_of", counted)
+    f1, f3, f5 = odd_fibonacci(k)
+    assert cli.main(["staircase", "--a", f"{f5}/{f1}"]) == 0
+    assert steps == [(f5, f1)]
+    fold = Fraction(3 * f5, f5 + f1)
+    assert capsys.readouterr().out == (
+        f"a: {f5}/{f1}\nball: {f5}/{f3}\nstabilized: {f5}/{f3}\nfolding: {fold}\nvolume: sqrt({f5}/{f1})\n"
+    )
+    assert cli.main(["staircase", "--a", "15/2"]) == 0
+    assert len(steps) == 1
+    assert capsys.readouterr().out == "a: 15/2\nball: unspecified\nstabilized: 45/17\nfolding: 45/17\nvolume: sqrt(15/2)\n"
+
+
 @pytest.mark.parametrize("value", ["all", "ball", "stabilized", "folding", "volume"])
 def test_staircase_refuses_an_aspect_below_one_for_every_value(value, capsys):
     assert cli.main(["staircase", "--a", "1/2", "--value", value]) == cli.EXIT_BAD_INPUT

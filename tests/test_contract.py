@@ -83,6 +83,7 @@ WRONG = (2.5, 5.0, True, "3", math.inf)
 EXTRA = {
     "fibonacci_outer_index": staircase.fibonacci_outer_index,
     "fibonacci_step": staircase.fibonacci_step,
+    "staircase_row": staircase.staircase_row,
     "staircase_samples": staircase.staircase_samples,
     "volume_bound": staircase.volume_bound,
 }
@@ -341,9 +342,10 @@ def assert_numbers_refused(seeds):
 # of the wrong calls leak, re-recorded when the curves records dropped their
 # derived fields (CHANGES.md lists the 12 results that changed), again
 # when each parameter got its own stream of draws, and again when
-# curve_obstruction and volume_bound replaced three deleted bounds (every
-# other callable's results and refusals are unchanged)
-RESULTS_DIGEST = "8d531d6dfa5210c2cc65ff578e3db8f2039ad68b4c0596e49ebf607ed1bb553b"
+# curve_obstruction and volume_bound replaced three deleted bounds, and again
+# when staircase_row joined EXTRA (every other callable's results and
+# refusals are unchanged)
+RESULTS_DIGEST = "d7011875a41a62d6ad4ddb090135ca4eec3cbd88d72fa06589a85bccde2c525b"
 
 
 def test_public_callables_refuse_wrong_numbers():
@@ -352,7 +354,7 @@ def test_public_callables_refuse_wrong_numbers():
     recorded before the checks existed."""
     results, refused = assert_numbers_refused(range(3))
     assert hashlib.sha256(repr(results).encode()).hexdigest() == RESULTS_DIGEST
-    assert refused == 3215
+    assert refused == 3230
 
 
 def test_every_annotation_has_a_generator():

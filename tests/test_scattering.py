@@ -202,6 +202,9 @@ def test_apply_wall_matches_power_products():
         widest = max([widest] + [abs(wedge(w.direction, key[:2])) for key in s.terms])
         assert apply_wall(w, s) == reference_apply_wall(w, s), (case, w, s)
     assert widest >= 10
+    # a wall labelled 1 changes nothing
+    w, s = Wall((2, 3), False, TS.one(5)), _random_probe(rng, 5)
+    assert apply_wall(w, s) == s == reference_apply_wall(w, s)
 
 
 @pytest.mark.parametrize("low", [2, 3, 4])
@@ -802,6 +805,22 @@ def test_final_check_sees_walls_on_the_vertical_line_only():
     sx, sy = total_monodromy(d)
     assert sy == y_series(order) and sx != x_series(order)
     assert not _monodromy_is_trivial(d)
+
+
+@pytest.mark.parametrize(
+    "sx, sy, message",
+    [
+        ({(1, 0): 1}, {}, "defect term with zero z-exponent cannot be cancelled"),
+        ({(2, 0): 1}, {}, "x-readout saw a defect at (1, 0) with w2 = 0"),
+        ({(2, 1): 1}, {(1, 2): 5}, "inconsistent defect readouts at (1, 1): -1 vs 5"),
+    ],
+    ids=["zero-exponent", "on-the-x-line", "inconsistent"],
+)
+def test_read_defect_refuses_a_defect_no_wall_can_cancel(sx, sy, message):
+    """Order-2 slices of Mon(x) and Mon(y) whose defect would sit at z^0, on
+    the line of the base it is read from, or at one w with two coefficients."""
+    with pytest.raises(ConventionError, match=f"^{re.escape(message)}$"):
+        scattering._read_defect(2, [{}, {}, sx], [{}, {}, sy])
 
 
 @pytest.mark.parametrize("seeds,order,axis", PRUNING_CASES[::2], ids=PRUNING_IDS[::2])

@@ -79,6 +79,12 @@ def test_sub_rejects_unsupported_operands(operand):
         operand - f
     with pytest.raises(TypeError, match=r"unsupported operand type.* for \*\* or pow\(\):"):
         f ** operand
+    # + and * on either side raise TypeError too (a str's own message when it
+    # is on the left), and == is False
+    for operation in (lambda: f + operand, lambda: operand + f, lambda: f * operand, lambda: operand * f):
+        with pytest.raises(TypeError):
+            operation()
+    assert not f == operand and f != operand
 
 
 def test_mul_examples():

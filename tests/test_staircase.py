@@ -31,6 +31,7 @@ from scatstair.staircase import (
     obstruction_sup,
     outer_corner,
     stabilized_value,
+    staircase_row,
     staircase_samples,
     samples_to_csv,
     staircase_svg,
@@ -107,6 +108,9 @@ def test_basic_classes_valid():
 def test_class_enumeration_degree_one_two():
     assert {c.multiplicities for c in enumerate_exceptional_classes(1, 9)} == {(1, 1)}
     assert {c.multiplicities for c in enumerate_exceptional_classes(2, 9)} == {(1,) * 5}
+    # no class has degree below 1 or no positive multiplicity
+    for degree, max_length in ((0, 3), (-2, 3), (1, 0)):
+        assert list(enumerate_exceptional_classes(degree, max_length)) == []
     # the arguments are checked at the call, before the search is iterated
     with pytest.raises(ValueError):
         enumerate_exceptional_classes(2.5, 3)
@@ -495,7 +499,7 @@ def test_corner_functions_match_fibonacci_numbers():
 
 def test_samples_match_pointwise_values():
     """Rows of staircase_samples on ranges across tau^4, 7 and 8 + 1/36 hold
-    the values the point functions give."""
+    the values the point functions give, and are staircase_row's rows."""
     rng = random.Random(736)
     ranges = [
         (Fraction(6), WINDOW_HIGH, 74),  # hits 6, 7 and 8 + 1/36 exactly
@@ -517,9 +521,13 @@ def test_samples_match_pointwise_values():
             assert ball == ball_embedding_value(a) and type(ball) is type(ball_embedding_value(a))
             assert stab == stabilized_value(a) and type(stab) is Fraction
             assert fold == folding_bound(a) and type(fold) is Fraction
+            assert staircase_row(a) == (a, ball, stab, fold)
             kinds.add((type(ball).__name__, exceeds_tau4(a.numerator, a.denominator)))
     assert Fraction(7) in {a for a, *_ in staircase_samples(*ranges[0])}
     assert kinds == {("Fraction", False), ("Fraction", True), ("Unspecified", True), ("SqrtValue", True)}
+    assert staircase_row(5) == (Fraction(5), Fraction(5, 2), Fraction(5, 2), Fraction(5, 2))
+    with pytest.raises(ValueError, match="^aspect ratio must be >= 1$"):
+        staircase_row(Fraction(99, 100))
     with pytest.raises(ValueError, match="aspect ratio must be >= 1"):
         staircase_samples(Fraction(1, 2), Fraction(3), 5)
     with pytest.raises(ValueError, match="aspect ratio must be >= 1"):

@@ -88,8 +88,9 @@ def test_elementary_transform_fixed_rays():
 
 
 def test_elementary_transform_needs_opposite_ray():
-    with pytest.raises(ValueError):
-        elementary_transform_fan([(1, 0), (0, 1)], 0)
+    for i, opposite in ((0, r"\(-1, 0\)"), (1, r"\(0, -1\)")):
+        with pytest.raises(ValueError, match=rf"^opposite ray {opposite} missing from the fan$"):
+            elementary_transform_fan([(1, 0), (0, 1)], i)
     for fan in ([(2, 2), (-2, -2)], [(1, 0), (-1, 0), (2, 2)]):
         with pytest.raises(ValueError, match=r"^fan ray must be a primitive vector \(coprime integer entries\), not \(2, 2\)$"):
             elementary_transform_fan(fan, 0)
@@ -702,6 +703,16 @@ def test_w_t0_inverse_roundtrip():
     for m in itertools.product(range(-60, 61), repeat=2):
         if m != (0, 0):
             assert w_t0(*w_t0_inverse(m)) == m
+    # seeded vectors and pairs with 30-digit entries, on and off the cone boundaries
+    rng = random.Random(219)
+    big = 10 ** 30
+    for _ in range(5000):
+        m = (rng.randint(-big, big), rng.randint(-big, big))
+        p, q = w_t0_inverse(m)
+        assert p > 0 and q >= 0 and w_t0(p, q) == m
+        p, q = rng.randint(0, big), rng.randint(1, big)
+        for pair in ((p, q), (2 * q, q), (q, 2 * q), (p, 0), (0, q)):
+            assert w_t0_inverse(w_t0(*pair)) == quotient_rep(*pair)
 
 
 def test_w_t0_inverse_rejects_zero():
