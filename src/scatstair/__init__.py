@@ -13,7 +13,6 @@ _LAYERS = {
     "lattice": (
         "is_primitive",
         "primitive_part",
-        "rot90",
         "wedge",
     ),
     "series": (

@@ -1,7 +1,7 @@
 """Rank-two lattice arithmetic: the integer, bounded integer, nonnegative
 vector, primitive vector and rational checks on numeric parameters, wedge
-products, quarter turns, primitive vectors and integer matrices of Z^2, and
-the ``a,b`` syntax of a vector."""
+products, primitive vectors and integer matrices of Z^2, and the ``a,b``
+syntax of a vector."""
 
 from __future__ import annotations
 
@@ -67,12 +67,6 @@ def wedge(v: Vec, w: Vec) -> int:
 def mat_apply(m: Matrix, v: Vec) -> Vec:
     """The product m v of the matrix given by its rows and the column v."""
     return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
-
-
-def rot90(v: Vec) -> Vec:
-    """Counterclockwise quarter turn (a, b) -> (-b, a)."""
-    integers(*v)
-    return (-v[1], v[0])
 
 
 def is_primitive(v: Vec) -> bool:

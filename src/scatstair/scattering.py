@@ -10,7 +10,7 @@ suite):
   Q[z^m][[t]] and is congruent to 1 mod (z^m t), where m = -d for incoming
   walls and m = d for outgoing ones.
 * The crossing automorphism of a wall acts on monomials by
-  z^w -> f^{<w, n>} z^w with n = rot90(d); equivalently the exponent is
+  z^w -> f^{<w, n>} z^w with n = (-d_2, d_1); equivalently the exponent is
   wedge(d, w).  It does not depend on the orientation.
 * The total monodromy composes the crossing automorphisms counterclockwise
   starting at the positive x-axis, first-crossed wall applied innermost.  A

@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from .lattice import Vec, at_least, integers
+from .lattice import Vec, at_least
 
 TermKey = Tuple[int, int, int]
 
@@ -124,10 +124,6 @@ class TruncatedSeries:
             raise TruncationMismatch(
                 f"mixed truncation orders {self.order} and {other.order}"
             )
-
-    def coefficient(self, exponent: Vec, t_degree: int) -> Fraction:
-        integers(*exponent, t_degree)
-        return self.terms.get((exponent[0], exponent[1], t_degree), Fraction(0))
 
     def constant_term(self) -> Fraction:
         return self.terms.get((0, 0, 0), Fraction(0))

@@ -1,19 +1,30 @@
-"""The package's public names, the layers that each command loads, and the
-records that replaced the layers' frozen dataclasses.
+"""The package's public names, the layers that each command loads, the
+records that replaced the layers' frozen dataclasses, and the reach of the
+library's functions.
 
 ``scatstair`` resolves its public names from their layers on access, and the
 CLI imports a layer only in the subcommand that uses it.  The loading checks
-run in a fresh interpreter each and read its ``sys.modules``.
+run in a fresh interpreter each and read its ``sys.modules``.  Every function
+of the library runs under the CLI's golden argvs or a demo, or is listed in
+``ORACLES`` with the test or gate that needs it.
 """
 
+import ast
+import contextlib
 import copy
 import importlib
+import io
+import os
 import pickle
+import runpy
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from test_cli_render import GOLDEN, run
+from test_demos import DEMOS
 
 import scatstair
 from scatstair import scattering
@@ -26,7 +37,7 @@ from scatstair.toric import OrbitNode, ToricModel
 # The public names, by the layer the package used to import them from eagerly;
 # the lattice helpers by the one layer that has them.
 PUBLIC = {
-    "lattice": ("is_primitive", "primitive_part", "rot90", "wedge"),
+    "lattice": ("is_primitive", "primitive_part", "wedge"),
     "series": ("TruncatedSeries", "TruncationMismatch"),
     "scattering": (
         "ConventionError", "ScatteringDiagram", "TermCapExceeded", "TruncationTooLow", "Wall",
@@ -291,3 +302,99 @@ def test_record_checks_keep_their_messages(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# reach
+#
+# The functions of src/scatstair that neither the golden argvs of
+# test_cli_render nor the demos run, each with the test, gate or caller that
+# needs it.  A function that nothing runs and nothing here needs is deleted.
+
+ORACLES = {
+    # oracles of the tests
+    "staircase.fib": "the tests' Fibonacci oracle (test_fib_values); the staircase gate keeps it a plain loop",
+    "staircase.enumerate_exceptional_classes": "test_obstruction_sup_matches_enumeration",
+    "staircase.is_exceptional_class": "test_enumeration_matches_partition_filter, test_basic_classes_valid",
+    "staircase.ExceptionalClass.chern": "test_enumerated_classes_satisfy_numerics, test_criterion_08_packing_obstructions",
+    "staircase.ExceptionalClass.self_intersection": "test_enumerated_classes_satisfy_numerics, test_criterion_08_packing_obstructions",
+    "staircase.WeightSequence.square_sum": "test_weight_sequence_random_invariants, test_criterion_07_staircase_identities",
+    "series.TruncatedSeries.log": "factorization_oracle of test_completion_matches_reference, test_criterion_12_ring_laws",
+    "series.TruncatedSeries.exp": "factorization_oracle of test_completion_matches_reference, test_criterion_12_ring_laws",
+    "series.TruncatedSeries.from_text": "the tests' series literals (test_text_roundtrip, test_criterion_01_pentagon)",
+    # the diagram JSON loader
+    "scattering.diagram_from_json": "test_diagram_json_roundtrip_is_exact, CI's Diagram JSON round trip",
+    "scattering._json_objects": "diagram_from_json",
+    "series.TruncatedSeries.from_records": "diagram_from_json, test_json_records_roundtrip",
+    "series.read_int": "diagram_from_json and from_records, test_records_take_only_integers",
+    "series._put_term": "from_records and from_text, test_records_hold_each_term_once_and_nonzero",
+    "series._parsed_coeff": "from_records and from_text, test_zero_denominator_is_a_value_error",
+    # the paper's curves and toric moves, which no command prints
+    "curves.curve_index": "the index oracle of unicuspidal_families (test_family_indices)",
+    "curves.double_point_count": "the genus oracle of unicuspidal_families (test_family_indices)",
+    "curves.unicuspidal_families": "test_families_contents, test_family_indices",
+    "curves.shift_s": "test_shift_and_reflection_values, test_shift_reflection_poles",
+    "curves.reflect_r": "test_reflection_involution_random, test_criterion_09_symmetry_orbit",
+    "curves.shift_decomposition_index": "test_shift_decomposition_against_interval_membership, test_criterion_09_symmetry_orbit",
+    "curves.pair_to_ray": "test_pair_ray_dictionary_roundtrip, test_phi_is_the_product_of_the_kronecker_reflections",
+    "toric.elementary_transform_fan": "test_elementary_transform_square_fan, test_elementary_transform_needs_opposite_ray",
+    # other callers
+    "scattering.ScatteringDiagram.total_terms": "bench/tracing.py's scattering.terms_out metric",
+    "_record.Record._values": "Record's __eq__, __hash__ and __reduce__",
+    "staircase.SqrtValue._sign_minus": "SqrtValue's comparison operators",
+}
+
+
+def defined_functions():
+    """``module.Class.method`` -> (source path, first lines) for every def in
+    src/scatstair but the dunder methods.  A code object's first line is the
+    line of its ``def`` or of its first decorator."""
+    found = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                name = f"{prefix}.{child.name}"
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    found[name] = (path, {child.lineno, *(d.lineno for d in child.decorator_list[:1])})
+                visit(child, path, name)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, f"{prefix}.{child.name}")
+            else:
+                visit(child, path, prefix)
+
+    for path in sorted(Path(scatstair.__file__).resolve().parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), str(path), path.stem)
+    return found
+
+
+def test_every_function_is_reached_or_listed():
+    """The functions that neither the golden argvs nor the demos run are
+    exactly the ones in ORACLES."""
+    seen = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            seen.add(frame.f_code)
+
+    sys.setprofile(record)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for argv_text in GOLDEN:
+                run(argv_text)
+            for path in DEMOS:
+                runpy.run_path(str(path), run_name="__main__")
+    finally:
+        sys.setprofile(None)
+    paths = {code.co_filename for code in seen}
+    real = {path: os.path.realpath(path) for path in paths}
+    ran = {(real[code.co_filename], code.co_firstlineno) for code in seen}
+    defined = defined_functions()
+    unreached = {name for name, (path, lines) in defined.items() if not any((path, n) in ran for n in lines)}
+    unlisted = sorted(unreached - ORACLES.keys())
+    running = sorted(ORACLES.keys() & defined.keys() - unreached)
+    gone = sorted(ORACLES.keys() - defined.keys())
+    assert not (unlisted or running or gone), (
+        f"run by no argv or demo and not in ORACLES: {unlisted}; "
+        f"in ORACLES but run: {running}; in ORACLES but not defined: {gone}"
+    )
