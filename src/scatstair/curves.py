@@ -428,6 +428,6 @@ def scattering_cross_check(
         nonzero = {c for c in coeffs if c != 0}
         if len(nonzero) > 1:
             raise ConventionError(f"mirror rays of pair ({p},{q}) disagree: {coeffs}")
-        coeff = nonzero.pop() if nonzero else Fraction(0)
+        coeff = nonzero.pop() if nonzero else 0
         rows.append(CrossCheckRow(p, q, tuple(rays), coeff, classifier(p, q)))
     return CrossCheckReport(order, tuple(rows), tuple(ray_spectrum(native)))

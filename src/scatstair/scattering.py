@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._record import Record
 from .lattice import Vec, at_least, integers, mat_apply, primitive, primitive_part, wedge
-from .series import TruncatedSeries, read_int
+from .series import Coeff, TruncatedSeries, read_int
 
 
 class ConventionError(RuntimeError):
@@ -188,19 +188,8 @@ def initial_diagram(seeds: Sequence[Tuple[Vec, int]], order: int) -> ScatteringD
 # wall crossing and monodromy
 
 
-# Inside this module's slices and term maps (label slices, label powers, the
-# images kept by ks_complete and total_monodromy, the body of apply_wall) a
-# coefficient is an ``int`` when it is integral and a ``Fraction`` otherwise;
-# TruncatedSeries converts back.
-Coeff = Union[int, Fraction]
-
 # The t^0 slice of every label power.
 _UNIT: Dict[Vec, Coeff] = {(0, 0): 1}
-
-
-def _exact(c: Coeff) -> Coeff:
-    """``c``, an int or a Fraction, as an int when it is integral."""
-    return c.numerator if c.denominator == 1 else c
 
 
 def _divide(c: Coeff, m: int) -> Coeff:
@@ -208,7 +197,8 @@ def _divide(c: Coeff, m: int) -> Coeff:
     if type(c) is int:
         q, r = divmod(c, m)
         return Fraction(c, m) if r else q
-    return _exact(c / m)
+    q = c / m
+    return q.numerator if q.denominator == 1 else q
 
 
 def _label_slices(label: TruncatedSeries) -> Dict[int, Dict[Vec, Coeff]]:
@@ -216,7 +206,7 @@ def _label_slices(label: TruncatedSeries) -> Dict[int, Dict[Vec, Coeff]]:
     slices: Dict[int, Dict[Vec, Coeff]] = {}
     for (a, b, d), c in label.terms.items():
         if d:
-            slices.setdefault(d, {})[(a, b)] = _exact(c)
+            slices.setdefault(d, {})[(a, b)] = c
     return slices
 
 
@@ -333,13 +323,13 @@ def apply_wall(wall: Wall, s: TruncatedSeries) -> TruncatedSeries:
     only the degrees a label of lowest degree L can reach, below t^(K - L),
     are read.  Each power comes from J. C. P. Miller's recurrence (see
     :func:`_power_slices`), which visits only the multiples of the label's
-    stride, the gcd of its t-degrees.  The products are taken with integral
-    coefficients as ints; the returned series holds Fractions again.
+    stride, the gcd of its t-degrees.  Coefficients are copied as they are,
+    so a series and label of ints give a series of ints.
     """
     s._check_order(wall.label)
     slices: Slices = [{} for _ in range(s.order)]
     for (a, b, k), c in s.terms.items():
-        slices[k][(a, b)] = _exact(c)
+        slices[k][(a, b)] = c
     _cross_in_place(wall.direction, _label_slices(wall.label), slices)
     return _from_slices(slices)
 
@@ -384,8 +374,7 @@ def total_monodromy(diagram: ScatteringDiagram) -> Tuple[TruncatedSeries, Trunca
 
     The images are held by t-degree, and each wall crosses them in place as
     in :func:`apply_wall`: only the degrees below t^(K - L) are read for a
-    label of lowest degree L.  The images stay int/Fraction slices until
-    they are returned as series.
+    label of lowest degree L.
     """
     sx, sy = _monodromy_slices(diagram.walls, diagram.order)
     return _from_slices(sx), _from_slices(sy)
@@ -414,13 +403,16 @@ def _monodromy_is_trivial(diagram: ScatteringDiagram) -> bool:
 
 
 def _read_defect(k: int, sx: Slices, sy: Slices) -> Dict[Vec, Coeff]:
-    """The order-k defect {w: c_w} from the t-degree slices of Mon(x) and Mon(y).
+    """The order-k defect {w: alpha_w} from the t-degree slices of Mon(x) and
+    Mon(y): the factor 1 + alpha_w*t^k*z^w of the outgoing wall on the ray p,
+    w's primitive direction, cancels the defect's term at z^w.
 
     Slices 1..k-1 must vanish, else :class:`ConventionError`.  In slice k
-    the image of z^base states -c_w * wedge(base, w) at z^(base + w):
-    c_w * (-w2) for x, c_w * w1 for y; where both readouts state c_w they
+    the image of z^base holds c at z^(base + w), and the factor adds
+    alpha_w * wedge(p, base) there, so alpha_w = c / wedge(base, p):
+    c / -p2 for x, c / p1 for y; where both readouts state alpha_w they
     must agree.  When one image is kept only on its line (see
-    :func:`_pruned_axis`), say x's, it states c_w just for the w with
+    :func:`_pruned_axis`), say x's, it states alpha_w just for the w with
     w1 = 0, which y cannot read, so the readouts do not overlap and nothing
     is compared: the final check of :func:`ks_complete` is then the guard.
     An offending term is reported lowest degree first, then by exponent,
@@ -438,10 +430,10 @@ def _read_defect(k: int, sx: Slices, sy: Slices) -> Dict[Vec, Coeff]:
             w = (a - base[0], b - base[1])
             if w == (0, 0):
                 raise ConventionError("defect term with zero z-exponent cannot be cancelled")
-            e = wedge(base, w)
+            e = wedge(base, primitive_part(w)[0])
             if e == 0:
                 raise ConventionError(f"{name}-readout saw a defect at {w} with {axis} = 0")
-            out[w] = _divide(-c, e)
+            out[w] = _divide(c, e)
         readouts.append(out)
     merged, from_y = readouts
     for w, c in from_y.items():
@@ -460,8 +452,8 @@ class _Crossing:
     ``stride``, the gcd of the label's own t-degrees, so only those slices
     are computed and only image degrees a with stride | k - a are crossed.
     A power has no slice at 0 < n < ``low``, the label's lowest t-degree, so
-    at order k only the image degrees a <= k - low are crossed.  Integral
-    coefficients are ints, the others Fractions.  No :class:`Wall` is built.
+    at order k only the image degrees a <= k - low are crossed.  No
+    :class:`Wall` is built.
     ``unchanged`` is the image the wall passes as it is: the one ``axis``
     prunes (see :func:`_pruned_axis`) when the wall is off its line, or None.
     """
@@ -534,17 +526,16 @@ def ks_complete(
     multiples of its stride, the gcd of its t-degrees, and have no slice
     between t^0 and t^L, L the label's lowest t-degree, so at order k a
     crossing reads only the image degrees a <= k - L with stride | k - a.
-    The defect is read off the image after the last wall: a term (w, c_w)
-    with primitive part (p, j) becomes the factor 1 - j*c_w*t^k*z^w of the
-    outgoing wall on the ray p, which cancels that term mod t^{k+1}; the
-    label f takes it as f + f*(-j*c_w*t^k*z^w), a product with one
-    monomial.  Such a factor changes nothing below t^k, so it only
-    shifts the t^k slices of the images from its wall onward, the pruned
-    image only for w on its line, and nothing below t^k is ever
-    recomputed.  Incoming walls pass through unchanged.
-    Inside the loop an integral coefficient is an int and any other a
-    Fraction.  A wall is a :class:`_Crossing`, relabelled in place; each
-    :class:`Wall` is built once, when the diagram (of Fractions) is returned.
+    The defect is read off the image after the last wall as factor
+    coefficients (see :func:`_read_defect`): a term (w, alpha) becomes the
+    factor 1 + alpha*t^k*z^w of the outgoing wall on the ray p, w's
+    primitive direction, which cancels it mod t^{k+1}; the label f takes it
+    as f + f*(alpha*t^k*z^w), a product with one monomial.  Such a factor
+    changes nothing below t^k, so it only shifts the t^k slices of the
+    images from its wall onward, the pruned image only for w on its line,
+    and nothing below t^k is ever recomputed.  Incoming walls pass through unchanged.
+    A wall is a :class:`_Crossing`, relabelled in place; each :class:`Wall`
+    is built once, when the diagram is returned.
 
     Raises ValueError for a ``term_cap`` that is not an integer >= 0; ``None``
     means no cap.
@@ -587,9 +578,8 @@ def ks_complete(
         if not defect:
             continue
         factors: Dict[Vec, List[Tuple[Vec, Coeff]]] = {}
-        for w, c in sorted(defect.items()):
-            p, j = primitive_part(w)
-            factors.setdefault(p, []).append((w, _exact(-j * c)))
+        for w, alpha in sorted(defect.items()):
+            factors.setdefault(primitive_part(w)[0], []).append((w, alpha))
         for p, terms in factors.items():
             new = _Crossing(p, False, one, axis)
             i = bisect.bisect_left(crossings, new.key, key=lambda cr: cr.key)
@@ -658,7 +648,7 @@ def change_of_lattice(
     return ScatteringDiagram(diagram_std.order, tuple(walls))
 
 
-def log_coefficient(diagram: ScatteringDiagram, direction: Vec) -> Fraction:
+def log_coefficient(diagram: ScatteringDiagram, direction: Vec) -> Coeff:
     """First-order coefficient of z^direction in log of the outgoing label on
     the ray, summed over all t-degrees (the t = 1 specialization is finite per
     monomial).
@@ -675,11 +665,11 @@ def log_coefficient(diagram: ScatteringDiagram, direction: Vec) -> Fraction:
         )
     wall = diagram.wall_on_ray(direction)
     if wall is None:
-        return Fraction(0)
-    return sum((c for (a, b, _), c in wall.label.terms.items() if (a, b) == direction), Fraction(0))
+        return 0
+    return sum(c for (a, b, _), c in wall.label.terms.items() if (a, b) == direction)
 
 
-def _lowest_terms(wall: Wall) -> List[Tuple[Tuple[int, int, int], Fraction]]:
+def _lowest_terms(wall: Wall) -> List[Tuple[Tuple[int, int, int], Coeff]]:
     """The nontrivial label terms of least t-degree, ordered by the multiple j
     of the wall's monomial direction they sit on.  A graded diagram has one
     such term per wall; an ungraded one may have several."""
@@ -692,7 +682,7 @@ def _lowest_terms(wall: Wall) -> List[Tuple[Tuple[int, int, int], Fraction]]:
     )
 
 
-def ray_spectrum(diagram: ScatteringDiagram) -> List[Tuple[Vec, int, Fraction]]:
+def ray_spectrum(diagram: ScatteringDiagram) -> List[Tuple[Vec, int, Coeff]]:
     """(direction, t-degree, coefficient) of each lowest-degree label term of
     each outgoing ray, in ray order and then by multiple of the direction."""
     return [

@@ -1,27 +1,30 @@
 """Exact truncated Laurent power series over rank-two lattice monomials.
 
-The coefficient ring is Q (``fractions.Fraction``); every operation in this
-module is exact.  A :class:`TruncatedSeries` is an element of the ring of
-Laurent polynomials in two variables x, y with a formal parameter t, known
-modulo t^K for a fixed truncation order K.  Terms are stored sparsely as a
-map (a, b, k) -> coefficient for the monomial x^a y^b t^k, with no zero
-coefficients and every k < K.  The constructor keeps each nonzero term it is
-given, with an ``int`` coefficient stored as the equal ``Fraction``, and drops
-each zero one; it raises ValueError for a term outside 0 <= k < K, for a
-coefficient that is not an ``int`` or a ``Fraction`` and for an order that is
-not an integer >= 1.  Beyond zeros, terms are dropped only by ``truncate`` and
-by the products' degree bounds.
+The coefficient ring is Q, and every operation in this module is exact.  A
+:class:`TruncatedSeries` is an element of the ring of Laurent polynomials in
+two variables x, y with a formal parameter t, known modulo t^K for a fixed
+truncation order K.  Terms are stored sparsely as a map (a, b, k) ->
+coefficient for the monomial x^a y^b t^k, with no zero coefficients and every
+k < K.  A coefficient is the exact ``int`` or ``fractions.Fraction`` it was
+given or computed as; nothing converts between the two, so sums and products
+of ints stay ints.  The constructor keeps each nonzero term it is given and
+drops each zero one; it raises ValueError for a term outside 0 <= k < K, for
+a coefficient that is not an ``int`` or a ``Fraction`` and for an order that
+is not an integer >= 1.  Beyond zeros, terms are dropped only by ``truncate``
+and by the products' degree bounds.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from .lattice import Vec, at_least
 
 TermKey = Tuple[int, int, int]
+# A coefficient: the exact int or Fraction it was given or computed as.
+Coeff = Union[int, Fraction]
 
 
 def _is_coeff(value) -> bool:
@@ -69,7 +72,7 @@ class TruncatedSeries:
 
     __slots__ = ("order", "terms")
 
-    def __init__(self, order: int, terms: Optional[Mapping[TermKey, Fraction]] = None):
+    def __init__(self, order: int, terms: Optional[Mapping[TermKey, Coeff]] = None):
         at_least(order, 1, "truncation order")
         self.order = order
         self.terms = {}
@@ -79,13 +82,13 @@ class TruncatedSeries:
             if not _is_coeff(c):
                 raise ValueError(f"coefficient {c!r} is not an int or a Fraction")
             if c:
-                self.terms[(a, b, k)] = Fraction(c) if type(c) is int else c
+                self.terms[(a, b, k)] = c
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def _trusted(order: int, terms: Dict[TermKey, Fraction]) -> "TruncatedSeries":
-        """The series of ``terms`` as given: nonzero Fractions, all below t^order."""
+    def _trusted(order: int, terms: Dict[TermKey, Coeff]) -> "TruncatedSeries":
+        """The series of ``terms`` as given: nonzero coefficients, all below t^order."""
         res = TruncatedSeries.__new__(TruncatedSeries)
         res.order = order
         res.terms = terms
@@ -93,7 +96,7 @@ class TruncatedSeries:
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
-        return cls(order, {(0, 0, 0): Fraction(1)})
+        return cls(order, {(0, 0, 0): 1})
 
     @classmethod
     def monomial(cls, order: int, exponent: Vec, t_degree: int, coeff=1) -> "TruncatedSeries":
@@ -115,7 +118,7 @@ class TruncatedSeries:
     def __repr__(self) -> str:
         return f"TruncatedSeries(order={self.order}, {self.to_text()!r})"
 
-    def __iter__(self) -> Iterator[Tuple[TermKey, Fraction]]:
+    def __iter__(self) -> Iterator[Tuple[TermKey, Coeff]]:
         """The terms by t-degree ascending, then z-exponent lexicographic."""
         return iter(sorted(self.terms.items(), key=lambda kv: (kv[0][2], kv[0][0], kv[0][1])))
 
@@ -125,8 +128,8 @@ class TruncatedSeries:
                 f"mixed truncation orders {self.order} and {other.order}"
             )
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0, 0, 0), Fraction(0))
+    def constant_term(self) -> Coeff:
+        return self.terms.get((0, 0, 0), 0)
 
     def is_unit(self) -> bool:
         """Constant term 1 and everything else of t-degree >= 1."""
@@ -144,7 +147,7 @@ class TruncatedSeries:
         self._check_order(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = out.get(key, Fraction(0)) + c
+            s = out.get(key, 0) + c
             if s == 0:
                 out.pop(key, None)
             else:
@@ -174,7 +177,7 @@ class TruncatedSeries:
             return NotImplemented
         self._check_order(other)
         order = self.order
-        out: Dict[TermKey, Fraction] = {}
+        out: Dict[TermKey, Coeff] = {}
         small, big = self.terms, other.terms
         if len(small) > len(big):
             small, big = big, small
@@ -184,7 +187,7 @@ class TruncatedSeries:
                 if k >= order:
                     continue
                 key = (a1 + a2, b1 + b2, k)
-                s = out.get(key, Fraction(0)) + c1 * c2
+                s = out.get(key, 0) + c1 * c2
                 if s == 0:
                     out.pop(key, None)
                 else:

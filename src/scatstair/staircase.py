@@ -490,6 +490,8 @@ def staircase_svg(rows, provenance: str) -> str:
     lo, hi, count = rows[0][0], rows[-1][0], len(rows)
     if hi > sys.float_info.max:
         raise ValueError(f"range end {hi} is beyond the largest float and cannot be plotted")
+    if float(lo) == float(hi):
+        raise ValueError(f"range [{lo}, {hi}] is too narrow to plot: its ends round to one float")
     width, height = 640, 420
     pad = 40.0
     xs = [float(a) for a, *_ in rows]

@@ -1,7 +1,6 @@
 """End-to-end command-line checks, including byte determinism and exit codes."""
 
 import contextlib
-import dataclasses
 import functools
 import io
 import json
@@ -15,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from scatstair import cli, scattering, staircase
+from scatstair.curves import Classification
 
 
 def run_cli(*args, expect: int = 0):
@@ -301,6 +301,10 @@ def test_staircase_csv_range(tmp_path: Path):
     assert run_cli("staircase", "--range", "1", far, "--samples", "2", "--format", "csv").stdout.count("\n") == 3
     out = run_cli("staircase", "--range", "1", far, "--samples", "2", "--format", "svg", expect=2)
     assert out.stderr.startswith("error: range end ") and out.stdout == ""
+    # nor has one whose ends round to the same float
+    near = f"{10 ** 30 + 1}/{10 ** 30}"
+    out = run_cli("staircase", "--range", "1", near, "--samples", "2", "--format", "svg", expect=2)
+    assert out.stderr.startswith("error: ") and out.stdout == ""
 
 
 def test_classify_examples():
@@ -396,10 +400,7 @@ def test_verify_negative_control(monkeypatch, capsys):
     real = cli.classify_pair
 
     def flipped(p, q):
-        result = real(p, q)
-        if (p, q) == (2, 1):
-            result = dataclasses.replace(result, verdict="not_realizable")
-        return result
+        return Classification(p, q, "not_realizable", None) if (p, q) == (2, 1) else real(p, q)
 
     monkeypatch.setattr(cli, "classify_pair", flipped)
     assert cli.main(["verify", "--order", "5"]) == 1

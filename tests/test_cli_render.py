@@ -14,6 +14,7 @@ log.
 import contextlib
 import hashlib
 import io
+import sys
 
 import pytest
 
@@ -195,6 +196,14 @@ def test_render_golden(argv_text):
     assert (code, digest) == GOLDEN[argv_text]
     if code not in (0, 1):
         assert err.startswith("error: ")
+
+
+def test_render_golden_without_an_int_digit_limit(monkeypatch):
+    """Python 3.10.0 to 3.10.6 have no sys.set_int_max_str_digits; main then
+    runs the query as it is, with the same exit code and output."""
+    argv_text = "scatter --m 1,0 --m 0,1 --k 1 --k 1 --order 6 --format json"
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    assert run(argv_text)[:2] == GOLDEN[argv_text]
 
 
 if __name__ == "__main__":

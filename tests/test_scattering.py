@@ -812,7 +812,7 @@ def test_final_check_sees_walls_on_the_vertical_line_only():
     [
         ({(1, 0): 1}, {}, "defect term with zero z-exponent cannot be cancelled"),
         ({(2, 0): 1}, {}, "x-readout saw a defect at (1, 0) with w2 = 0"),
-        ({(2, 1): 1}, {(1, 2): 5}, "inconsistent defect readouts at (1, 1): -1 vs 5"),
+        ({(2, 1): 1}, {(1, 2): 5}, "inconsistent defect readouts at (1, 1): 1 vs -5"),
     ],
     ids=["zero-exponent", "on-the-x-line", "inconsistent"],
 )
@@ -1393,6 +1393,39 @@ def test_diagram_json_roundtrip_is_exact():
             assert set(loaded or ()) == set(D.grading or ())
             graded += loaded is not None
     assert graded == 6 * 3
+
+
+# (seeds, K): the thrice-weighted pair, whose labels reach 19 times a ray
+# at K = 40, and the 3- and 4-seed sets of bench/golden.json
+INTEGRAL_CASES = [
+    ([((1, 0), 3), ((0, 1), 3)], 40),
+    ([((1, 0), 1), ((0, 1), 1), ((1, 1), 1)], 14),
+    ([((1, 0), 1), ((0, 1), 1), ((1, 1), 1), ((-1, 1), 1)], 10),
+]
+
+
+@pytest.mark.parametrize("seeds,order", INTEGRAL_CASES, ids=map(_case_id, INTEGRAL_CASES))
+def test_integral_completions_stay_in_the_integers(seeds, order, monkeypatch):
+    """Seeds (1 + t*z^m)^k have integer completions (Gross-Pandharipande-Siebert),
+    and the completion computes them in ints: every defect value read and
+    every label coefficient returned is an int.  The seeds loaded from JSON
+    hold Fractions, and they complete to an equal diagram."""
+    read = scattering._read_defect
+    values = []
+
+    def recorded(k, sx, sy):
+        defect = read(k, sx, sy)
+        values.extend(defect.values())
+        return defect
+
+    monkeypatch.setattr(scattering, "_read_defect", recorded)
+    initial = initial_diagram(seeds, order)
+    completed = ks_complete(initial)
+    assert values and {type(c) for c in values} == {int}
+    assert {type(c) for w in completed.walls for c in w.label.terms.values()} == {int}
+    loaded = _through_json(initial)
+    assert {type(c) for w in loaded.walls for c in w.label.terms.values()} == {Fraction}
+    assert ks_complete(loaded) == completed
 
 
 def test_a_diagram_is_its_normal_form():

@@ -778,8 +778,10 @@ VECTOR_FORMULAS = [
 ]
 
 # sha256 of the repr of every integer result of the default seed, recorded at
-# the commit before these functions checked their vector entries and indices
-VECTOR_RESULTS_DIGEST = "ba7b8d6171867453b03569e59ef567d038ef83654521b85d8c3b6a6d7797a38a"
+# the commit before these functions checked their vector entries and indices,
+# and re-recorded when log_coefficient began returning an int on integral
+# diagrams (every result equal by value; Fraction(2, 1) now prints as 2)
+VECTOR_RESULTS_DIGEST = "7a2385e12125848bc5051ee68ec34bb958416d274f5725c88c2b75341a6e41d7"
 
 
 def assert_vector_inputs_refused(seeds=(2718,)):
