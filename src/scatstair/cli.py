@@ -10,9 +10,9 @@ cap exceeded, 4 output could not be written.
 Bad input is reported by the layer that rejects it: ``main`` turns each
 ``ValueError`` into exit 2 with its message.  The CLI checks only what no
 library function sees: one ``--k`` per ``--m`` and at least one seed for
-``scatter``, the syntax of rationals (positive denominators), ``--a`` or
-``--range``, ``--value ball`` outside the transitional window and
-``--format``.
+``scatter``, the syntax of rationals (positive denominators), ``--value ball``
+outside the transitional window and ``--format``.  argparse (exit 2 as well)
+takes one mode per call: ``--a`` or ``--range``, ``--word`` or ``--orbit-depth``.
 
 Each subcommand imports the layers it uses when it runs, so a command loads
 only those: ``mutate`` the toric layer (and through it the lattice layer),
@@ -133,8 +133,6 @@ def cmd_staircase(args) -> Tuple[int, Renderers]:
             "csv": partial(stair.samples_to_csv, rows),
             "svg": partial(stair.staircase_svg, rows, f"input: range {lo}..{hi}"),
         }
-    if args.a is None:
-        raise ValueError("need --a or --range")
     a = _parse_fraction(args.a)
     values = {
         "ball": stair.ball_embedding_value,
@@ -256,8 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_scatter.add_argument("--term-cap", type=int, default=500_000)
 
     p_stair = _add_command(sub, "staircase", cmd_staircase, "text", "json", "csv", "svg")
-    p_stair.add_argument("--a", default=None, help="aspect ratio p/q")
-    p_stair.add_argument("--range", nargs=2, metavar=("LO", "HI"), default=None)
+    stair_mode = p_stair.add_mutually_exclusive_group(required=True)
+    stair_mode.add_argument("--a", help="aspect ratio p/q")
+    stair_mode.add_argument("--range", nargs=2, metavar=("LO", "HI"))
     p_stair.add_argument("--samples", type=int, default=200)
     p_stair.add_argument(
         "--value",
@@ -271,8 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mut = _add_command(sub, "mutate", cmd_mutate, "text", "json", "dot")
     p_mut.add_argument("--model", required=True, help="vectors 'a,b;c,d'")
-    p_mut.add_argument("--word", default=None, help="comma-separated 1-based indices")
-    p_mut.add_argument("--orbit-depth", type=int, default=None)
+    mut_mode = p_mut.add_mutually_exclusive_group()
+    mut_mode.add_argument("--word", help="comma-separated 1-based indices")
+    mut_mode.add_argument("--orbit-depth", type=int)
     p_mut.add_argument("--compare-original", action="store_true")
 
     p_ver = _add_command(sub, "verify", cmd_verify, "text", "json")

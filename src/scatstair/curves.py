@@ -425,9 +425,7 @@ def scattering_cross_check(
     rows = []
     for (p, q), rays in sorted(by_pair.items()):
         coeffs = [log_coefficient(diagram, ray) for ray in rays]
-        nonzero = {c for c in coeffs if c != 0}
-        if len(nonzero) > 1:
+        if len(set(coeffs)) > 1:
             raise ConventionError(f"mirror rays of pair ({p},{q}) disagree: {coeffs}")
-        coeff = nonzero.pop() if nonzero else 0
-        rows.append(CrossCheckRow(p, q, tuple(rays), coeff, classifier(p, q)))
+        rows.append(CrossCheckRow(p, q, tuple(rays), coeffs[0], classifier(p, q)))
     return CrossCheckReport(order, tuple(rows), tuple(ray_spectrum(native)))

@@ -11,12 +11,14 @@ of ints stay ints.  The constructor keeps each nonzero term it is given and
 drops each zero one; it raises ValueError for a term outside 0 <= k < K, for
 a coefficient that is not an ``int`` or a ``Fraction`` and for an order that
 is not an integer >= 1.  Beyond zeros, terms are dropped only by ``truncate``
-and by the products' degree bounds.
+and by the products' degree bounds.  The text form has one grammar, from one
+table of the variables: ``to_text`` writes it and ``from_text`` reads only it.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
@@ -25,6 +27,12 @@ from .lattice import Vec, at_least
 TermKey = Tuple[int, int, int]
 # A coefficient: the exact int or Fraction it was given or computed as.
 Coeff = Union[int, Fraction]
+# The text form's variables in the order a term writes its factors, each with
+# the index of its exponent in a term key (a, b, k); a factor of a term is one
+# of them with an optional exponent, or a coefficient n or n/d (a pattern that
+# ``re`` compiles on first use, so importing the module compiles none).
+_VARIABLES = {"t": 2, "x": 0, "y": 1}
+_FACTOR = rf"([{''.join(_VARIABLES)}])(?:\^(-?[0-9]+))?|([0-9]+(?:/[0-9]+)?)"
 
 
 def _is_coeff(value) -> bool:
@@ -260,20 +268,8 @@ class TruncatedSeries:
         if not self.terms:
             return "0"
         parts: List[str] = []
-        for (a, b, k), c in self:
-            factors: List[str] = []
-            if k == 1:
-                factors.append("t")
-            elif k != 0:
-                factors.append(f"t^{k}")
-            if a == 1:
-                factors.append("x")
-            elif a != 0:
-                factors.append(f"x^{a}")
-            if b == 1:
-                factors.append("y")
-            elif b != 0:
-                factors.append(f"y^{b}")
+        for key, c in self:
+            factors = [v if key[i] == 1 else f"{v}^{key[i]}" for v, i in _VARIABLES.items() if key[i]]
             mag = abs(c)
             if mag != 1 or not factors:
                 factors.insert(0, str(mag))
@@ -286,34 +282,32 @@ class TruncatedSeries:
 
     @classmethod
     def from_text(cls, order: int, text: str) -> "TruncatedSeries":
-        """Parse the canonical text form produced by :meth:`to_text`, ``0`` for
-        the zero series; a second term of one monomial and a zero coefficient
-        raise ValueError."""
-        if text.strip() == "0":
+        """Parse the text form :meth:`to_text` writes, ``0`` for the zero series.
+        A term is an optional sign and ``*``-joined factors: at most one
+        coefficient ``n`` or ``n/d`` (else 1) and at most one ``v`` or ``v^n`` per
+        variable v.  Any other factor, a repeated one, an empty term, a second
+        term of one monomial and a zero coefficient raise ValueError naming it."""
+        text = text.strip()
+        if text == "0":
             return cls(order)
-        tokens = text.strip().replace("- ", "+ -").split("+ ")
+        tokens = text.replace("- ", "+ -").split("+ ")
         terms: Dict[TermKey, Fraction] = {}
-        for token in tokens:
-            token = token.strip()
-            if not token:
-                continue
-            sign = 1
-            if token.startswith("-"):
-                sign = -1
-                token = token[1:]
-            coeff = Fraction(1)
-            a = b = k = 0
-            for factor in token.split("*"):
-                factor = factor.strip()
-                if factor.startswith("t"):
-                    k = int(factor[2:]) if factor.startswith("t^") else 1
-                elif factor.startswith("x"):
-                    a = int(factor[2:]) if factor.startswith("x^") else 1
-                elif factor.startswith("y"):
-                    b = int(factor[2:]) if factor.startswith("y^") else 1
-                else:
-                    coeff = _parsed_coeff(factor)
-            _put_term(terms, (a, b, k), sign * coeff)
+        for token in tokens[1:] if text.startswith("- ") else tokens:  # "" before a leading "- "
+            term, parts = token.strip(), {}
+            for factor in term.removeprefix("-").split("*"):
+                match = re.fullmatch(_FACTOR, factor)
+                if not match:
+                    raise ValueError(f"term {term!r} in {text!r} has a malformed factor {factor!r}")
+                name, exponent, number = match.groups()
+                part = name or "coefficient"
+                if part in parts:
+                    raise ValueError(f"term {term!r} in {text!r} has a second {part}")
+                parts[part] = number or exponent or "1"
+            coeff = _parsed_coeff(parts.pop("coefficient", "1"))
+            key = [0, 0, 0]
+            for name, exponent in parts.items():
+                key[_VARIABLES[name]] = int(exponent)
+            _put_term(terms, tuple(key), -coeff if term.startswith("-") else coeff)
         return cls(order, terms)
 
     def term_records(self) -> List[dict]:

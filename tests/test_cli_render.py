@@ -93,6 +93,7 @@ GOLDEN = {
     'staircase --range 1 4 --samples 1': (2, EMPTY),
     'staircase --a 5 --format csv': (2, EMPTY),  # a point value has no csv or svg
     'staircase --a 5 --format svg': (2, EMPTY),
+    'staircase --a 5 --range 1 9': (2, EMPTY),  # one mode per call
     # classify
     'classify --p 2 --q 1': (
         0, 'f39e031d37b03eec3fd110c99d7f3c6e880aa12171e7e759a1ad476ee86a6e65'),
@@ -164,6 +165,7 @@ GOLDEN = {
     'mutate --model -1,-3;1,0 --orbit-depth -1': (2, EMPTY),
     'mutate --model 1,2,3': (2, EMPTY),
     'mutate --model -1,-3;1,0 --word 1 --format dot': (2, EMPTY),  # only an orbit has dot
+    'mutate --model 1,0 --word 1 --orbit-depth 1': (2, EMPTY),  # one mode per call
     # verify
     'verify --order 5': (
         0, 'a42d9c0722e97946867ce9f13669529dec5d24ec135a54ef450e06a040c1943b'),
@@ -186,7 +188,10 @@ GOLDEN = {
 def run(argv_text: str):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv_text.split(" "))
+        try:
+            code = cli.main(argv_text.split(" "))
+        except SystemExit as exc:  # argparse's usage error, exit 2
+            code = exc.code
     return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(), err.getvalue()
 
 
@@ -195,7 +200,9 @@ def test_render_golden(argv_text):
     code, digest, err = run(argv_text)
     assert (code, digest) == GOLDEN[argv_text]
     if code not in (0, 1):
-        assert err.startswith("error: ")
+        # main prints "error: ...", and argparse its usage and then its error line
+        usage = err.startswith("usage: scatstair ") and ": error: " in err.splitlines()[-1]
+        assert err.startswith("error: ") or usage
 
 
 def test_render_golden_without_an_int_digit_limit(monkeypatch):

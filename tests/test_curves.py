@@ -650,6 +650,21 @@ def test_cross_check_mirror_disagreement_is_an_internal_fault(monkeypatch):
         scattering_cross_check(5)
 
 
+def test_cross_check_mirror_zero_against_nonzero_is_an_internal_fault(monkeypatch):
+    # a mirror ray reading 0 against a nonzero reading on the other is a
+    # disagreement too: the row may not take the nonzero value silently
+    from scatstair import scattering
+
+    original = scattering.log_coefficient
+
+    def blind(diagram, ray):
+        return 0 if ray == (0, 1) else original(diagram, ray)
+
+    monkeypatch.setattr(scattering, "log_coefficient", blind)
+    with pytest.raises(scattering.ConventionError, match=r"^mirror rays of pair \(2,1\) disagree: \[0, 3\]$"):
+        scattering_cross_check(5)
+
+
 def test_cross_check_report_serialization():
     report = scattering_cross_check(5)
     data = report.to_json()

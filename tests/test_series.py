@@ -201,6 +201,71 @@ def test_text_roundtrip():
         assert TS.from_text(f.order, f.to_text()) == f
 
 
+# Texts the reader misread before it had one grammar (``1 + tx`` read as
+# ``1 + t``), each with the term its refusal names.
+MISREAD_TEXTS = [
+    ("1 + tx", "tx"),
+    ("1 + t*xy", "t*xy"),
+    ("2*x2", "2*x2"),
+    ("1 + t*x*x", "t*x*x"),
+    ("2*3*t", "2*3*t"),
+    ("t ^2", "t ^2"),
+    ("1 + + t", ""),
+    ("t +", "t +"),
+]
+
+
+@pytest.mark.parametrize("text, term", MISREAD_TEXTS)
+def test_text_outside_the_grammar_is_refused(text, term):
+    with pytest.raises(ValueError, match=f"^term {re.escape(repr(term))} in {re.escape(repr(text))} has a "):
+        TS.from_text(5, text)
+
+
+def test_text_grammar_property():
+    """For random series, the text round-trips, a leading "- " reads as a
+    glued "-", and each of these mutations of the text raises ValueError
+    naming a term: a letter or digit glued after a variable, a repeated
+    variable factor, a second coefficient, a doubled operator and a trailing
+    operator."""
+    rng = random.Random(4040)
+    mutated = 0
+    for _ in range(300):
+        f = random_series(rng, order=rng.randint(1, 6), max_terms=5)
+        text = f.to_text()
+        assert TS.from_text(f.order, text) == f
+        if text == "0":
+            continue
+        if text.startswith("-"):
+            assert TS.from_text(f.order, "- " + text[1:]) == f
+        # to_text joins its terms by " + " and " - "; mutate one term of it
+        pieces = re.split(r"( [+-] )", text)
+        i = rng.randrange(0, len(pieces), 2)
+        sign, term = ("-", pieces[i][1:]) if pieces[i].startswith("-") else ("", pieces[i])
+        factors = term.split("*")
+        variables = [j for j, factor in enumerate(factors) if factor[0] in "txy"]
+        bad_terms = [term + "*2*3"]  # a second coefficient
+        if variables:
+            j = rng.choice(variables)
+            glued = factors[j][0] + rng.choice("txyab0123456789") + factors[j][1:]
+            bad_terms.append("*".join(factors[:j] + [glued] + factors[j + 1:]))
+            bad_terms.append(term + "*" + factors[j])  # a repeated variable
+        for bad_term in bad_terms:
+            bad = "".join(pieces[:i] + [sign + bad_term] + pieces[i + 1:])
+            with pytest.raises(ValueError, match=f"^term .* in {re.escape(repr(bad))} has a "):
+                TS.from_text(f.order, bad)
+            mutated += 1
+        ops = [rng.choice("+-") + " " for _ in range(3)]
+        bad_texts = [ops[0] + ops[1] + text, text + " " + ops[2].strip()]  # doubled, trailing
+        if len(pieces) > 1:
+            j = rng.randrange(1, len(pieces), 2)
+            bad_texts.append("".join(pieces[:j] + [pieces[j] + ops[0]] + pieces[j + 1:]))
+        for bad in bad_texts:
+            with pytest.raises(ValueError, match=f"^term .* in {re.escape(repr(bad))} has a "):
+                TS.from_text(f.order, bad)
+            mutated += 1
+    assert mutated > 1500
+
+
 def test_json_records_roundtrip():
     rng = random.Random(77)
     for _ in range(100):
