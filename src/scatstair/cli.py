@@ -4,15 +4,17 @@ Subcommands: scatter, staircase, classify, mutate, verify.  All machine
 outputs (JSON, CSV, SVG, DOT) are byte-deterministic for identical inputs.
 Exit codes: 0 success, 1 cross-check disagreement from ``verify`` (no other
 outcome is reported as 1), 2 invalid input (including a ``--format`` that the
-query has no rendering for, such as ``staircase --a 5 --format csv``), 3 term
-cap exceeded, 4 output could not be written.
+query has no rendering for, such as ``staircase --a 5 --format csv``), 3 a
+resource bound exceeded (the term cap or memory), 4 output could not be written.
 
 Bad input is reported by the layer that rejects it: ``main`` turns each
 ``ValueError`` into exit 2 with its message.  The CLI checks only what no
 library function sees: one ``--k`` per ``--m`` and at least one seed for
 ``scatter``, the syntax of rationals (positive denominators), ``--value ball``
-outside the transitional window and ``--format``.  argparse (exit 2 as well)
-takes one mode per call: ``--a`` or ``--range``, ``--word`` or ``--orbit-depth``.
+outside the transitional window, ``--format`` and a modifier given to the
+other mode.  argparse (exit 2 as well) takes one mode per call: ``--a`` (with
+``--value``) or ``--range`` (with ``--samples``), ``--word`` (with
+``--compare-original``) or ``--orbit-depth``.
 
 Each subcommand imports the layers it uses when it runs, so a command loads
 only those: ``mutate`` the toric layer (and through it the lattice layer),
@@ -124,8 +126,10 @@ def cmd_staircase(args) -> Tuple[int, Renderers]:
     from . import staircase as stair
 
     if args.range:
+        if args.value is not None:
+            raise ValueError("--value goes with --a, not with --range")
         lo, hi = (_parse_fraction(t) for t in args.range)
-        rows = stair.staircase_samples(lo, hi, args.samples)
+        rows = stair.staircase_samples(lo, hi, 200 if args.samples is None else args.samples)
         records = partial(stair.samples_to_json, rows)
         return EXIT_OK, {
             "text": records,
@@ -133,6 +137,8 @@ def cmd_staircase(args) -> Tuple[int, Renderers]:
             "csv": partial(stair.samples_to_csv, rows),
             "svg": partial(stair.staircase_svg, rows, f"input: range {lo}..{hi}"),
         }
+    if args.samples is not None:
+        raise ValueError("--samples goes with --range, not with --a")
     a = _parse_fraction(args.a)
     values = {
         "ball": stair.ball_embedding_value,
@@ -141,7 +147,7 @@ def cmd_staircase(args) -> Tuple[int, Renderers]:
         "volume": stair.volume_bound,
     }
     payload = {"a": str(a)}
-    if args.value == "all":  # one row, in the order of ``values``
+    if args.value in (None, "all"):  # one row, in the order of ``values``
         payload.update(zip(values, map(str, [*stair.staircase_row(a)[1:], stair.volume_bound(a)])))
     else:
         value = values[args.value](a)
@@ -186,6 +192,8 @@ def cmd_mutate(args) -> Tuple[int, Renderers]:
 
     model = parse_model(args.model)
     if args.orbit_depth is not None:
+        if args.compare_original:
+            raise ValueError("--compare-original goes with --word, not with --orbit-depth")
         nodes = mutation_orbit(model, args.orbit_depth)
         lines = [
             f"{format_model(n.model)}  word={','.join(map(str, n.word)) or '-'}"
@@ -257,11 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
     stair_mode = p_stair.add_mutually_exclusive_group(required=True)
     stair_mode.add_argument("--a", help="aspect ratio p/q")
     stair_mode.add_argument("--range", nargs=2, metavar=("LO", "HI"))
-    p_stair.add_argument("--samples", type=int, default=200)
+    p_stair.add_argument("--samples", type=int, help="grid size, with --range (default 200)")
     p_stair.add_argument(
         "--value",
         choices=["all", "ball", "stabilized", "folding", "volume"],
-        default="all",
+        help="the value at --a (default all)",
     )
 
     p_cls = _add_command(sub, "classify", cmd_classify, "text", "json")
@@ -303,6 +311,10 @@ def _run(argv: Optional[Sequence[str]]) -> int:
                 f"use {' or '.join(renderers)}"
             )
         output = renderers[args.format]()
+        if not isinstance(output, str):
+            import json
+
+            output = json.dumps(output, sort_keys=True, separators=(",", ":")) + "\n"
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -315,10 +327,11 @@ def _run(argv: Optional[Sequence[str]]) -> int:
             raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TERM_CAP
-    if not isinstance(output, str):
-        import json
-
-        output = json.dumps(output, sort_keys=True, separators=(",", ":")) + "\n"
+    except MemoryError:  # reported below, once the traceback's frames are let go
+        output = None
+    if output is None:
+        print(f"error: {args.command} ran out of memory", file=sys.stderr)
+        return EXIT_TERM_CAP
     try:
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -201,23 +201,14 @@ def _divide(c: Coeff, m: int) -> Coeff:
     return q.numerator if q.denominator == 1 else q
 
 
-def _label_slices(label: TruncatedSeries) -> Dict[int, Dict[Vec, Coeff]]:
-    """The nonzero t-degree slices of a wall label above its constant 1."""
-    slices: Dict[int, Dict[Vec, Coeff]] = {}
-    for (a, b, d), c in label.terms.items():
-        if d:
-            slices.setdefault(d, {})[(a, b)] = c
-    return slices
-
-
-def _stride(label: Dict[int, Dict[Vec, Coeff]]) -> int:
-    """The gcd of a label's t-degrees; every power of the label lives only at
-    multiples of it.  A label with no terms above 1 has stride 1."""
-    return math.gcd(*label) or 1
+def _stride(label: Dict[Tuple[int, int, int], Coeff]) -> int:
+    """The gcd of the t-degrees of a label's terms; every power of the label
+    lives only at multiples of it.  A label with no terms above 1 has stride 1."""
+    return math.gcd(*(d for _, _, d in label)) or 1
 
 
 def _power_slices(
-    label: Dict[int, Dict[Vec, Coeff]],
+    label: Dict[Tuple[int, int, int], Coeff],
     e: int,
     slices: Dict[int, Dict[Vec, Coeff]],
     lo: int,
@@ -225,26 +216,29 @@ def _power_slices(
     stride: int,
 ) -> None:
     """Extend ``slices``, the nonzero t-degree slices of f^e below t^lo, in
-    place through t^hi, where f = 1 + the sum of ``label``'s slices and
-    ``stride`` is the label's stride (see :func:`_stride`).
+    place through t^hi, where f is the label with the terms ``label``
+    ({(a, b, d): c} for c*z^(a,b)*t^d, constant term 1) and ``stride`` is its
+    stride (see :func:`_stride`).
 
     J. C. P. Miller's recurrence for g = f^e with f_0 = 1, any integer e:
     m * g_m = sum over a of ((e + 1) * a - m) * f_a * g_(m - a)
-    Only degrees m that are multiples of the stride are visited; the others
-    vanish.  The division by m is exact and yields an int whenever the
-    quotient is integral, so int labels stay int until a remainder appears.
+    It runs over the label's terms, one at a time: the constant term reads
+    g_m itself, which is not computed yet, so it adds nothing.  Only degrees
+    m that are multiples of the stride are visited; the others vanish.  The
+    division by m is exact and yields an int whenever the quotient is
+    integral, so int labels stay int until a remainder appears.
     """
     for m in range(lo + (-lo) % stride, hi + 1, stride):
         acc: Dict[Vec, Coeff] = {}
-        for a, fa in label.items():
+        for (u0, u1, a), cu in label.items():
             g = slices.get(m - a)
             scale = (e + 1) * a - m
             if not g or not scale:
                 continue
-            for (u0, u1), cu in fa.items():
-                for (v0, v1), cv in g.items():
-                    key = (u0 + v0, u1 + v1)
-                    acc[key] = acc.get(key, 0) + scale * cu * cv
+            scale *= cu
+            for (v0, v1), cv in g.items():
+                key = (u0 + v0, u1 + v1)
+                acc[key] = acc.get(key, 0) + scale * cv
         acc = {key: _divide(c, m) for key, c in acc.items() if c}
         if acc:
             slices[m] = acc
@@ -256,25 +250,24 @@ Slices = List[Dict[Vec, Coeff]]
 _BASES: Tuple[Vec, Vec] = ((1, 0), (0, 1))
 
 
-def _cross_in_place(direction: Vec, label: Dict[int, Dict[Vec, Coeff]], slices: Slices) -> None:
+def _cross_in_place(direction: Vec, label: TruncatedSeries, slices: Slices) -> None:
     """Replace ``slices``, a series by t-degree below t^K with K its length,
-    by its image under the crossing of the wall on ``direction`` whose label
-    has the slices ``label``.
+    the label's order, by its image under the crossing of the wall on
+    ``direction`` labelled ``label``.
 
     A term c*z^v*t^a with e = wedge(direction, v) != 0 becomes
     c*z^v*t^a * label^e.  label^e - 1 starts at t^L, L the label's lowest
-    t-degree, so only the source degrees a <= K - 1 - L can change anything,
-    and each adds only into degrees a + L and above.  The source degrees are
-    visited highest first, so every degree written is above every degree
-    still to be read, and the series is updated in place.  The powers come
-    from :func:`_power_slices`, each extended once, through the degree its
-    lowest source term needs; zeros are dropped only in the degrees written.
+    t-degree (K for the label 1), so only the source degrees a <= K - 1 - L
+    can change anything, and each adds only into degrees a + L and above.
+    The source degrees are visited highest first, so every degree written is
+    above every degree still to be read, and the series is updated in place.
+    The powers come from :func:`_power_slices`, each extended once, through
+    the degree its lowest source term needs; zeros are dropped only in the
+    degrees written.
     """
-    if not label:
-        return
     d0, d1 = direction
     K = len(slices)
-    top = K - 1 - min(label)
+    top = K - 1 - min((d for _, _, d in label.terms if d), default=K)
     # exponent -> degree its powers must reach, set by its lowest source degree
     reach: Dict[int, int] = {}
     for a in range(top, -1, -1):
@@ -282,11 +275,11 @@ def _cross_in_place(direction: Vec, label: Dict[int, Dict[Vec, Coeff]], slices: 
             e = d0 * v1 - d1 * v0
             if e:
                 reach[e] = K - 1 - a
-    stride = _stride(label)
+    stride = _stride(label.terms)
     powers: Dict[int, List[Tuple[int, Dict[Vec, Coeff]]]] = {}
     for e, hi in reach.items():
         power = {0: _UNIT}
-        _power_slices(label, e, power, 1, hi, stride)
+        _power_slices(label.terms, e, power, 1, hi, stride)
         del power[0]
         powers[e] = list(power.items())  # ascending degree
     touched = set()
@@ -330,7 +323,7 @@ def apply_wall(wall: Wall, s: TruncatedSeries) -> TruncatedSeries:
     slices: Slices = [{} for _ in range(s.order)]
     for (a, b, k), c in s.terms.items():
         slices[k][(a, b)] = c
-    _cross_in_place(wall.direction, _label_slices(wall.label), slices)
+    _cross_in_place(wall.direction, wall.label, slices)
     return _from_slices(slices)
 
 
@@ -362,10 +355,9 @@ def _monodromy_slices(walls: Sequence[Wall], K: int, axis: Optional[int] = None)
     so holds only its terms on that line."""
     images = [[{base: 1}] + [{} for _ in range(K - 1)] for base in _BASES]
     for wall in walls:
-        label = _label_slices(wall.label)
         for n, slices in enumerate(images):
             if n != axis or not wall.direction[axis]:
-                _cross_in_place(wall.direction, label, slices)
+                _cross_in_place(wall.direction, wall.label, slices)
     return images
 
 
@@ -444,9 +436,10 @@ def _read_defect(k: int, sx: Slices, sy: Slices) -> Dict[Vec, Coeff]:
 
 class _Crossing:
     """A wall of a completion in progress: direction, orientation, label
-    series, the label by t-degree, the label's power slices so far, its
-    :func:`_wall_key` and the images of x and of y after it, by t-degree.
-    Crossings keep the normal form of :class:`ScatteringDiagram`'s walls.
+    series, the label's power slices so far, its :func:`_wall_key` and the
+    images of x and of y after it, by t-degree.  Crossings keep the normal
+    form of :class:`ScatteringDiagram`'s walls; the label is held only as its
+    series, whose terms the power recurrence reads.
 
     Every power of the label lives only at t-degrees that are multiples of
     ``stride``, the gcd of the label's own t-degrees, so only those slices
@@ -470,12 +463,12 @@ class _Crossing:
 
     def relabel(self, label: TruncatedSeries, k: int) -> None:
         """Take ``label``, which differs from the current label only from t^k
-        on; the power slices below t^k carry over.  The stride is read off
-        the new label: a term at t^k can shrink it."""
+        on; the power slices below t^k carry over.  The stride and the
+        lowest t-degree are read off the new label's terms: a term at t^k can
+        shrink either."""
         self.label = label
-        self.slices = _label_slices(label)
-        self.stride = _stride(self.slices)
-        self.low = min(self.slices, default=label.order)
+        self.stride = _stride(label.terms)
+        self.low = min((d for _, _, d in label.terms if d), default=label.order)
         for e, (done, slices) in self.powers.items():
             slices.pop(k, None)
             self.powers[e] = (min(done, k - 1), slices)
@@ -484,7 +477,7 @@ class _Crossing:
         """The t^n slice of label^e, n >= 1."""
         done, slices = self.powers.get(e, (0, {0: _UNIT}))
         if done < n:
-            _power_slices(self.slices, e, slices, done + 1, n, self.stride)
+            _power_slices(self.label.terms, e, slices, done + 1, n, self.stride)
             self.powers[e] = (n, slices)
         return slices.get(n, {})
 
@@ -552,8 +545,8 @@ def ks_complete(
     exp(D) in the tropical vertex group, and if it fixes y, all of D lies
     on the vertical line, so the image of x is x times terms on that line
     (see :func:`_monodromy_is_trivial`).  Besides that rule, the check
-    shares only the power recurrence :func:`_power_slices` with the loop
-    above, and none of its power caches.  Tests pin it against series
+    shares only the power recurrence :func:`_power_slices` and the stride
+    :func:`_stride` with the loop above, and none of its power caches.  Tests pin it against series
     products and against :func:`total_monodromy` on perturbed diagrams, and
     whole completions against the slope-ordered factorization of the
     incoming walls' product.

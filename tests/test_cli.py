@@ -205,17 +205,18 @@ def test_staircase_answers_beyond_the_int_str_digit_limit(capsys):
             sys.set_int_max_str_digits(limit)
 
 
-# Forks the CLI given by argv[1:] with its address space capped at 512 MiB,
-# waits for it and prints its exit code and peak RSS in KiB, read through
+# Forks the CLI given by argv[2:] with its address space capped at argv[1]
+# MiB, waits for it and prints its exit code and peak RSS in KiB, read through
 # os.wait4 on it.  A child's peak RSS starts at the peak of the process it
 # was forked from, so the CLI is forked from this small process, not from the
 # test process.
 MEASURE = """
 import os, resource, sys
+cap = int(sys.argv[1]) << 20
 pid = os.fork()
 if pid == 0:
-    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
-    os.execv(sys.executable, [sys.executable, "-m", "scatstair", *sys.argv[1:]])
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+    os.execv(sys.executable, [sys.executable, "-m", "scatstair", *sys.argv[2:]])
 _, status, usage = os.wait4(pid, 0)
 print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
@@ -225,11 +226,23 @@ def run_measured(*args):
     """Run the CLI in a child whose address space is capped at 512 MiB, and
     return its exit code, its stdout and stderr and its peak RSS in KiB."""
     lines = subprocess.run(
-        [sys.executable, "-c", MEASURE, *args],
+        [sys.executable, "-c", MEASURE, "512", *args],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, check=True,
     ).stdout.splitlines(keepends=True)
     code, peak_kib = map(int, lines.pop().split())
     return code, "".join(lines), peak_kib
+
+
+def test_out_of_memory_is_exit_3():
+    """A completion that outgrows a 64 MiB address space ends with exit 3, an
+    empty stdout and one line on stderr naming the subcommand, not with a
+    MemoryError traceback and exit 1."""
+    child = subprocess.run(
+        [sys.executable, "-c", MEASURE, "64", "verify", "--order", "160"],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert child.stdout.split()[:-1] == ["3"], child.stderr[-2000:]  # nothing before the code
+    assert child.stderr == "error: verify ran out of memory\n"
 
 
 @pytest.fixture
@@ -296,6 +309,8 @@ def test_staircase_csv_range(tmp_path: Path):
     lines = target.read_text().splitlines()
     assert lines[0] == "a,ball,stabilized,folding"
     assert len(lines) == 18
+    # --samples defaults to 200
+    assert run_cli("staircase", "--range", "1", "9", "--format", "csv").stdout.count("\n") == 201
     # a range that ends beyond the largest float has exact rows but no plot
     far = str(2 * 10 ** 400)
     assert run_cli("staircase", "--range", "1", far, "--samples", "2", "--format", "csv").stdout.count("\n") == 3

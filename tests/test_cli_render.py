@@ -94,6 +94,8 @@ GOLDEN = {
     'staircase --a 5 --format csv': (2, EMPTY),  # a point value has no csv or svg
     'staircase --a 5 --format svg': (2, EMPTY),
     'staircase --a 5 --range 1 9': (2, EMPTY),  # one mode per call
+    'staircase --range 1 4 --samples 3 --value ball': (2, EMPTY),  # --value goes with --a
+    'staircase --a 5 --samples 7': (2, EMPTY),  # --samples goes with --range
     # classify
     'classify --p 2 --q 1': (
         0, 'f39e031d37b03eec3fd110c99d7f3c6e880aa12171e7e759a1ad476ee86a6e65'),
@@ -166,6 +168,7 @@ GOLDEN = {
     'mutate --model 1,2,3': (2, EMPTY),
     'mutate --model -1,-3;1,0 --word 1 --format dot': (2, EMPTY),  # only an orbit has dot
     'mutate --model 1,0 --word 1 --orbit-depth 1': (2, EMPTY),  # one mode per call
+    'mutate --model -1,-3;1,0 --orbit-depth 1 --compare-original': (2, EMPTY),  # goes with --word
     # verify
     'verify --order 5': (
         0, 'a42d9c0722e97946867ce9f13669529dec5d24ec135a54ef450e06a040c1943b'),

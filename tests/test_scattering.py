@@ -20,7 +20,6 @@ from scatstair.scattering import (
     TruncationTooLow,
     Wall,
     _Crossing,
-    _label_slices,
     _monodromy_is_trivial,
     _power_slices,
     _pruned_axis,
@@ -251,12 +250,12 @@ def test_power_slices_match_series_powers():
     for _ in range(12):
         order = rng.randint(2, 9)
         f = _random_wall(rng, order).label
-        label = _label_slices(f)
-        step = gcd(*label) or 1
+        label = f.terms
+        step = gcd(*(d for _, _, d in label)) or 1
         for e in range(-12, 13):
             slices = {0: {(0, 0): Fraction(1)}}
             _power_slices(label, e, slices, 1, order - 1, step)
-            assert all(slices.values())  # no empty slice is stored
+            assert all(g and all(g.values()) for g in slices.values())  # no empty slice, no zero
             got = TS(order, {(a, b, m): c for m, g in slices.items() for (a, b), c in g.items()})
             assert got == f ** e, (f, e)
             # extending in two steps, as the completion's cache does, agrees
@@ -281,12 +280,12 @@ def test_power_slices_on_a_stride(stride):
             c = _random_coeff(rng) if case % 2 else Fraction(rng.choice([-3, -1, 1, 2, 4]))
             terms[(j * ray[0], j * ray[1], stride * rng.randint(1, (order - 1) // stride))] = c
         f = TS(order, terms)
-        label = _label_slices(f)
-        step = gcd(*label)  # a multiple of ``stride``
+        label = f.terms
+        step = gcd(*(d for _, _, d in label))  # a multiple of ``stride``
         for e in range(-12, 13):
             slices = {0: {(0, 0): 1}}
             _power_slices(label, e, slices, 1, order - 1, step)
-            assert all(slices.values())  # no empty slice is stored
+            assert all(g and all(g.values()) for g in slices.values())  # no empty slice, no zero
             assert all(m % stride == 0 for m in slices)
             coefficients = [c for g in slices.values() for c in g.values()]
             assert all(type(c) in (int, Fraction) for c in coefficients)
