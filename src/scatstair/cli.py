@@ -10,9 +10,9 @@ resource bound exceeded (the term cap or memory), 4 output could not be written.
 Bad input is reported by the layer that rejects it: ``main`` turns each
 ``ValueError`` into exit 2 with its message.  The CLI checks only what no
 library function sees: one ``--k`` per ``--m`` and at least one seed for
-``scatter``, the syntax of rationals (positive denominators), ``--value ball``
-outside the transitional window, ``--format`` and a modifier given to the
-other mode.  argparse (exit 2 as well) takes one mode per call: ``--a`` (with
+``scatter``, the syntax of rationals (positive denominators) and of a word (no
+empty index), ``--value ball`` outside the transitional window, ``--format``
+and a modifier given to the other mode.  argparse (exit 2 as well) takes one mode per call: ``--a`` (with
 ``--value``) or ``--range`` (with ``--samples``), ``--word`` (with
 ``--compare-original``) or ``--orbit-depth``.
 
@@ -36,7 +36,7 @@ import argparse
 import re
 import sys
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 EXIT_OK = 0
 EXIT_DISAGREEMENT = 1
@@ -204,10 +204,7 @@ def cmd_mutate(args) -> Tuple[int, Renderers]:
             "json": partial(orbit_to_json, nodes),
             "dot": partial(orbit_to_dot, nodes, f"input: {args.model} depth={args.orbit_depth}"),
         }
-    word: List[int] = []
-    if args.word:
-        word = [int(t) for t in args.word.split(",") if t.strip()]
-    result = apply_word(model, word)
+    result = apply_word(model, [int(t) for t in args.word.split(",")] if args.word else [])
     payload = {"model": format_model(result)}
     lines = [format_model(result)]
     if args.compare_original:

@@ -10,13 +10,14 @@ only ever used through the sign of the quadratic x^2 - 7x + 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ._record import Record
 from .lattice import (
-    Vec, at_least, mat_apply, nonzero_nonnegative, primitive, primitive_part, rational,
+    Vec, at_least, is_primitive, mat_apply, nonzero_nonnegative, primitive, primitive_part,
+    rational,
 )
 from .staircase import exceeds_tau4, fibonacci_outer_index, fibonacci_step
 
@@ -281,7 +282,7 @@ def ray_to_pair(a: int, b: int) -> Optional[Tuple[int, int]]:
     data; both give None.
     """
     nonzero_nonnegative((a, b), "(a, b)")
-    if math.gcd(a, b) != 1:
+    if not is_primitive((a, b)):
         return None
     if a >= 2 * b:
         p, q = 2 * a - b, a - 2 * b
@@ -289,13 +290,13 @@ def ray_to_pair(a: int, b: int) -> Optional[Tuple[int, int]]:
         p, q = 2 * b - a, b - 2 * a
     else:
         return None
-    if q < 1 or math.gcd(p, q) != 1:
+    if q < 1 or not is_primitive((p, q)):
         return None
     return (p, q)
 
 
-@dataclass(frozen=True)
-class CrossCheckRow:
+class CrossCheckRow(Record):
+    __slots__ = ("p", "q", "rays", "log_coefficient", "classification")
     p: int
     q: int
     rays: Tuple[Vec, ...]
@@ -321,8 +322,8 @@ class CrossCheckRow:
         return self.detected == self.classification.realizable()
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(Record):
+    __slots__ = ("order", "rows", "native_spectrum")
     order: int
     rows: Tuple[CrossCheckRow, ...]
     native_spectrum: Tuple[Tuple[Vec, int, Fraction], ...]

@@ -44,18 +44,19 @@ def primitive(value: Vec, name: str) -> None:
         raise ValueError(f"{name} must be a primitive vector (coprime integer entries), not {value!r}")
 
 
-def rational(value) -> "Fraction":
+def rational(value) -> "fractions.Fraction":
     """The one check on rational parameters: ``value``, an ``int`` or a
     ``Fraction``, as a ``Fraction``; a ``bool``, a float or a numeric string
     raises ValueError."""
-    # imported here, so that loading this module does not load fractions
-    from fractions import Fraction
+    # imported here, so that loading this module does not load fractions, and
+    # as a module: a from-import here would cost more than the check itself
+    import fractions
 
-    if isinstance(value, Fraction):
+    if isinstance(value, fractions.Fraction):
         return value
     if type(value) is not int:
         raise ValueError(f"rational input expected, not {value!r}")
-    return Fraction(value)
+    return fractions.Fraction(value)
 
 
 def wedge(v: Vec, w: Vec) -> int:

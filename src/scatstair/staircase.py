@@ -264,7 +264,7 @@ class SqrtValue(Record):
     radicand: Fraction
 
     def __post_init__(self) -> None:
-        if rational(self.radicand) < 0:
+        if rational(self.radicand).numerator < 0:
             raise ValueError("radicand must be nonnegative")
 
     def _sign_minus(self, other) -> Optional[int]:
@@ -357,11 +357,12 @@ def step_height(k: int) -> Fraction:
 
 
 def _aspect(a: Fraction) -> Tuple[Fraction, int, int]:
-    """a as a Fraction with its numerator and denominator; a must be >= 1."""
+    """a as a Fraction with its numerator and denominator; a >= 1 is n >= d."""
     a = rational(a)
-    if a < 1:
+    n, d = a.numerator, a.denominator
+    if n < d:
         raise ValueError("aspect ratio must be >= 1")
-    return a, a.numerator, a.denominator
+    return a, n, d
 
 
 def ball_embedding_value(a: Fraction) -> StaircaseValue:

@@ -1,7 +1,9 @@
 """End-to-end command-line checks, including byte determinism and exit codes."""
 
+import argparse
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import random
@@ -15,6 +17,7 @@ import pytest
 
 from scatstair import cli, scattering, staircase
 from scatstair.curves import Classification
+from test_cli_render import EMPTY, GOLDEN, run
 
 
 def run_cli(*args, expect: int = 0):
@@ -243,6 +246,15 @@ def test_out_of_memory_is_exit_3():
     )
     assert child.stdout.split()[:-1] == ["3"], child.stderr[-2000:]  # nothing before the code
     assert child.stderr == "error: verify ran out of memory\n"
+
+
+def test_completion_in_bounded_memory():
+    """The cross-check at order 80, the thrice-weighted completion included,
+    runs in a fresh interpreter with a peak RSS under 96 MiB."""
+    code, out, peak_kib = run_measured("verify", "--order", "80", "--format", "json")
+    assert code == 0, out[-2000:]
+    assert '"agreement":true' in out
+    assert peak_kib < 96 * 1024
 
 
 @pytest.fixture
@@ -484,6 +496,86 @@ def test_unwritable_out_exit(tmp_path: Path, capsys):
 def test_verify_byte_determinism():
     args = ("verify", "--order", "6", "--format", "json")
     assert run_cli(*args).stdout == run_cli(*args).stdout
+
+
+# ---------------------------------------------------------------------------
+# no option is ignored
+#
+# For every argv of GOLDEN that exits 0, and every option of its subcommand
+# that the argv does not give (a repeatable option: one more), the argv with
+# the option added at a value that matters when the option is read must change
+# the exit code or stdout.  The options are read from the built parser, so a
+# new option joins the test by itself, and fails it until MATTERS or its
+# choices give it a value.
+
+# A value of each option without choices that changes the output where the
+# option is read.  "{out}" stands for a file in the test's directory.
+MATTERS = {
+    "--out": ["{out}"],
+    "--m": ["1,1"],  # one more seed
+    "--k": ["1"],  # one more exponent
+    "--term-cap": ["1"],  # trips on every golden completion
+    "--a": ["5"],
+    "--range": ["1", "4"],
+    "--samples": ["7"],  # not the default grid of 200
+    "--word": ["1"],
+    "--orbit-depth": ["1"],
+}
+# An option with choices takes each one but its effective default.
+EFFECTIVE_DEFAULTS = {"--format": "text", "--value": "all"}
+# A range renders its text and its json with one renderer, so GOLDEN pins both
+# at one digest (d785c091...); a text rendering of its own for a range would
+# change that output, so this alias stays, listed.
+ALIASES = {("staircase --range 1 4 --samples 9", "--format json")}
+
+
+def _option_cases():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for argv_text, (code, _) in sorted(GOLDEN.items()):
+        if code != 0:
+            continue
+        tokens = argv_text.split(" ")
+        for action in commands.choices[tokens[0]]._actions:
+            option = action.option_strings[0]
+            if option == "-h" or (option in tokens and not isinstance(action, argparse._AppendAction)):
+                continue
+            if action.choices:
+                default = EFFECTIVE_DEFAULTS.get(option, action.default)
+                values = [[choice] for choice in action.choices if choice != default]
+            elif action.nargs == 0:
+                values = [[]]
+            else:
+                values = [MATTERS.get(option)]
+            for value in values:
+                yield argv_text, option, value
+
+
+OPTION_CASES = list(_option_cases())
+
+
+@pytest.mark.parametrize(
+    "argv_text, option, value", OPTION_CASES,
+    ids=[f"{a} + {o} {' '.join(v or ['?'])}" for a, o, v in OPTION_CASES],
+)
+def test_no_option_is_ignored(argv_text, option, value, tmp_path: Path):
+    assert value is not None, f"give {option} a value that matters in MATTERS"
+    out = tmp_path / "out"
+    extra = " ".join([option, *value])
+    code, digest, err = run(f"{argv_text} {extra}".replace("{out}", str(out)))
+    if (argv_text, extra) in ALIASES:
+        assert (code, digest) == GOLDEN[argv_text]
+        return
+    assert (code, digest) != GOLDEN[argv_text], "the option was ignored"
+    if code != 0:  # a refusal or a tripped bound, with nothing on stdout
+        assert code in (2, 3) and digest == EMPTY, err
+    if option == "--out":  # the file holds what stdout would have
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[argv_text][1]
+
+
+def test_every_option_alias_is_reached():
+    cases = {(a, " ".join([o, *v])) for a, o, v in OPTION_CASES}
+    assert ALIASES <= cases
 
 
 # Argument values for the random argv test, good and bad: zero and

@@ -164,6 +164,9 @@ GOLDEN = {
         0, 'bf35eb048c51aa81f5e7abd5f55f5466c030b92f16e837f71e84f72f2d8b6a1e'),
     'mutate --model -1,-3;1,0 --word 5': (2, EMPTY),
     'mutate --model -1,-3;1,0 --word x': (2, EMPTY),
+    'mutate --model 1,0;0,1 --word 1,,2': (2, EMPTY),  # an empty index is refused,
+    'mutate --model 1,0;0,1 --word 1,': (2, EMPTY),  # as an empty --model vector is
+    'mutate --model 1,0;0,1 --word ,': (2, EMPTY),
     'mutate --model -1,-3;1,0 --orbit-depth -1': (2, EMPTY),
     'mutate --model 1,2,3': (2, EMPTY),
     'mutate --model -1,-3;1,0 --word 1 --format dot': (2, EMPTY),  # only an orbit has dot

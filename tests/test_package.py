@@ -29,6 +29,7 @@ from test_demos import DEMOS
 import scatstair
 from scatstair import scattering
 from scatstair._record import Record
+from scatstair.curves import Classification, CrossCheckReport, CrossCheckRow
 from scatstair.scattering import ScatteringDiagram, Wall
 from scatstair.series import TruncatedSeries
 from scatstair.staircase import ExceptionalClass, SqrtValue, WeightSequence
@@ -160,7 +161,7 @@ def test_subcommand_loads_only_its_layers(argv, code, layers):
 
 
 # Standard-library modules that a command has no use for.  Only the curve
-# layer's records are dataclasses, so only classify and verify load it.
+# layer's Classification is a dataclass, so only classify and verify load it.
 @pytest.mark.parametrize(
     "argv, unused",
     [
@@ -189,6 +190,11 @@ MODEL = ToricModel(((-1, -3), (1, 0)))
 MODEL_TEXT = "ToricModel(vectors=((-1, -3), (1, 0)))"
 X_WALL_TEXT = "Wall(direction=(-1, 0), incoming=True, label=TruncatedSeries(order=3, '1 + t*x'))"
 Y_WALL_TEXT = "Wall(direction=(0, -1), incoming=True, label=TruncatedSeries(order=3, '1 + t*y'))"
+ROW_VALUES = (5, 1, ((3, 1), (1, 3)), Fraction(3), Classification(5, 1, "fibonacci_outer", 0))
+ROW_TEXT = (
+    "CrossCheckRow(p=5, q=1, rays=((3, 1), (1, 3)), log_coefficient=Fraction(3, 1), "
+    "classification=Classification(p=5, q=1, verdict='fibonacci_outer', fibonacci_index=0))"
+)
 
 RECORDS = [
     (
@@ -211,6 +217,12 @@ RECORDS = [
         ScatteringDiagram,
         (3, (Wall((-1, 0), True, X), Wall((0, -1), True, Y))),
         f"ScatteringDiagram(order=3, walls=({X_WALL_TEXT}, {Y_WALL_TEXT}))",
+    ),
+    (CrossCheckRow, ROW_VALUES, ROW_TEXT),
+    (
+        CrossCheckReport,
+        (4, (CrossCheckRow(*ROW_VALUES),), (((-1, -3), 1, Fraction(3)),)),
+        f"CrossCheckReport(order=4, rows=({ROW_TEXT},), native_spectrum=(((-1, -3), 1, Fraction(3, 1)),))",
     ),
 ]
 
